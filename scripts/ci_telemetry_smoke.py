@@ -2,9 +2,12 @@
 """CI smoke for the telemetry subsystem, end to end over a real server.
 
 Boots ``backdroid serve`` as a subprocess (JSON logs, ephemeral port),
-pushes one warm and one cold job through it, then asserts the three
+pushes one warm and one cold job through it, then asserts the
 telemetry surfaces:
 
+* the warm job's ``?trace=1`` tree shows an outcome hit resolved
+  through the specmap, with no ``app.generate`` or ``index.prepare``
+  span and every span on the server's pid;
 * ``GET /v1/jobs/<id>?trace=1`` returns a single-trace span tree whose
   ``worker`` span ran in a *different process* than the server;
 * ``GET /metrics`` serves Prometheus text carrying the expected
@@ -98,6 +101,26 @@ def main() -> int:
             assert warm["warm"], warm
             warm_done = client.wait(warm["id"], timeout=120)
             assert warm_done["state"] == "done", warm_done
+
+            # Surface 0: a warm outcome hit is served from the specmap,
+            # with no generate/render CPU in the service interpreter.
+            warm_spans = client.job(warm["id"], trace=True)["trace"]
+            warm_names = {s["name"] for s in warm_spans}
+            assert not {"app.generate", "index.prepare"} & warm_names, (
+                warm_names
+            )
+            restore = next(
+                s for s in warm_spans if s["name"] == "store.outcome_restore"
+            )
+            assert restore["attrs"]["hit"] is True, restore
+            assert restore["attrs"]["via"] == "specmap", restore
+            assert {s["pid"] for s in warm_spans} == {server_pid}, (
+                "warm spans ran outside the service interpreter"
+            )
+            print(
+                f"warm trace ok: {len(warm_spans)} spans, outcome hit via "
+                f"the specmap, all on the server pid"
+            )
 
             cold = client.submit({"app": "bench:90", "scale": 0.1})
             assert not cold["warm"], cold

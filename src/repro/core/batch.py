@@ -138,6 +138,39 @@ def _outcome_fingerprint(config: BackDroidConfig, registry=None) -> str:
     return fingerprint
 
 
+def _restore_outcome(
+    store: ArtifactStore, key: str, fingerprint: str, package: str, via: str
+) -> Optional[AppOutcome]:
+    """The stored outcome for content ``key`` under outcome
+    ``fingerprint``, ready to serve, or None on any miss.
+
+    A missing, corrupt or schema-stale snapshot is a miss, and so is
+    one recorded for another package: a specmap entry is trusted only
+    as far as the outcome it leads to names the requested app.  ``via``
+    (``"specmap"`` or ``"disassembly"``) says how ``key`` was resolved.
+    """
+    with tracing.span("store.outcome_restore", attrs={"via": via}) as span:
+        started = time.perf_counter()
+        payload = store.load_outcome(key, fingerprint)
+        restored = None
+        if payload is not None:
+            try:
+                restored = _outcome_from_payload(payload)
+            except (TypeError, ValueError):
+                pass  # corrupt snapshot: the caller re-analyzes
+        if restored is not None and restored.package != package:
+            restored = None
+        span.set_attr("hit", restored is not None)
+        if restored is None:
+            return None
+        return dataclasses.replace(
+            restored,
+            seconds=time.perf_counter() - started,
+            store_hit=True,
+            index_build_seconds=0.0,
+        )
+
+
 def analyze_spec(
     spec: AppSpec,
     config: Optional[BackDroidConfig] = None,
@@ -150,7 +183,12 @@ def analyze_spec(
     With a ``"full"``-mode store configured, a finished outcome for the
     same bytecode and config is restored instead of re-analyzed; the
     returned outcome then has ``store_hit`` set and reports the restore
-    time as its ``seconds``.
+    time as its ``seconds``.  The recipe's specmap entry is tried first:
+    when it leads to a valid outcome for this package, the app is never
+    generated or rendered.  Otherwise the app is generated, its content
+    key computed, and the lookup retried under that key whenever the
+    specmap had no entry or a different one (a node whose specmap
+    writes are guarded off, or identical bytecode from another recipe).
 
     ``request`` (an :class:`~repro.api.request.AnalysisRequest`)
     overrides the config's targets/knobs for this run.  ``sessions`` (a
@@ -166,6 +204,17 @@ def analyze_spec(
     config = config if config is not None else BackDroidConfig()
     effective = request.to_config(config) if request is not None else config
     try:
+        fingerprint = spec_fingerprint(spec)
+        store = effective.artifact_store()
+        outcome_fp = _outcome_fingerprint(effective, registry)
+        reuse_outcomes = store is not None and effective.store_mode == "full"
+        mapped_key = store.load_spec_key(fingerprint) if reuse_outcomes else None
+        if mapped_key is not None:
+            restored = _restore_outcome(
+                store, mapped_key, outcome_fp, spec.package, "specmap"
+            )
+            if restored is not None:
+                return restored
         # Sessions are only interchangeable when every session-level
         # input matches: the app recipe, the registry driving sink
         # specs/detectors, and the config knobs the session captures at
@@ -173,7 +222,7 @@ def analyze_spec(
         # keeps a shared cache correct across differently-configured
         # callers.
         cache_key = "|".join((
-            spec_fingerprint(spec),
+            fingerprint,
             registry.fingerprint() if registry is not None else "default",
             repr(effective.store_dir),
             repr(effective.store_mode),
@@ -185,37 +234,23 @@ def analyze_spec(
             attrs={"package": spec.package, "session_reused": session is not None},
         ):
             apk = session.apk if session is not None else generate_app(spec).apk
-            # Render the plaintext up front: preprocessing is paid
-            # identically by cold and warm paths, so neither the restore
-            # time below nor the analysis time should include it.
+            # Render inside this span, so the rendering cost is charged
+            # to preparing the app and not to the key or the analysis.
             apk.disassembly
-        started = time.perf_counter()
-        store = effective.artifact_store()
-        outcome_fp = _outcome_fingerprint(effective, registry)
         if store is not None:
-            # Teach the store which content key this recipe hashes to, so
-            # future scheduler probes resolve it without generating.
-            store.save_spec_key(
-                spec_fingerprint(spec), store_key(apk.disassembly)
-            )
-        reuse_outcomes = store is not None and effective.store_mode == "full"
-        if reuse_outcomes:
-            with tracing.span("store.outcome_restore") as outcome_span:
-                payload = store.load_outcome(apk.disassembly, outcome_fp)
-                outcome_span.set_attr("hit", payload is not None)
-                if payload is not None:
-                    try:
-                        restored = _outcome_from_payload(payload)
-                    except (TypeError, ValueError):
-                        # corrupt snapshot: fall through to re-analysis
-                        outcome_span.set_attr("hit", False)
-                    else:
-                        return dataclasses.replace(
-                            restored,
-                            seconds=time.perf_counter() - started,
-                            store_hit=True,
-                            index_build_seconds=0.0,
-                        )
+            key = store_key(apk.disassembly)
+            if key != mapped_key:
+                # Teach the store which content key this recipe hashes
+                # to, so scheduler probes and later full-mode hits
+                # resolve it without generating; then retry the lookup
+                # the specmap could not answer.
+                store.save_spec_key(fingerprint, key)
+                if reuse_outcomes:
+                    restored = _restore_outcome(
+                        store, key, outcome_fp, spec.package, "disassembly"
+                    )
+                    if restored is not None:
+                        return restored
         if session is None:
             session = AnalysisSession.from_config(
                 apk, effective, registry=registry
@@ -263,9 +298,7 @@ def analyze_spec(
             bytes_decoded=int(report.backend_stats.get("bytes_decoded", 0)),
         )
         if reuse_outcomes:
-            store.save_outcome(
-                apk.disassembly, outcome_fp, outcome_payload(outcome)
-            )
+            store.save_outcome(key, outcome_fp, outcome_payload(outcome))
         return outcome
     except Exception as exc:  # noqa: BLE001 - batch isolation by design
         return AppOutcome(

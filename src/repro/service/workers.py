@@ -74,18 +74,24 @@ def run_analysis_payload(spec, config=None, request=None) -> dict:
         return outcome_payload(outcome)
 
 
-def _worker_main(conn, nice: int = 0) -> None:
+def _worker_main(conn, parent_conn, nice: int = 0) -> None:
     """One worker process's loop: recv task, analyze, send payload.
 
     A ``None`` task (or a closed pipe) is the shutdown signal.  The
     stall knob rides the task itself so the parent's environment at
     dispatch time — not the child's at fork time — controls it.
 
+    ``parent_conn`` is the parent's end of this worker's pipe, which a
+    forked child inherits.  It is closed first thing: while the child
+    holds it, the parent's death never reads as EOF here, and the
+    worker would outlive a killed service forever.
+
     Trace propagation: when the task carries a serialized span context,
     the worker runs the analysis under a local tracer's ``worker`` span
     parented on it and ships the finished span dicts home in the
     result, so the job's trace crosses the process boundary intact.
     """
+    parent_conn.close()
     if nice:
         try:
             os.nice(nice)
@@ -150,7 +156,7 @@ class _Worker:
         parent_conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, nice),
+            args=(child_conn, parent_conn, nice),
             name="backdroid-cold-worker",
             daemon=True,
         )

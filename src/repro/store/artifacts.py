@@ -954,10 +954,10 @@ class ArtifactStore:
     # Finished per-app outcomes (batch warm starts)
     # ------------------------------------------------------------------
     def save_outcome(
-        self, disassembly: Disassembly, config_fingerprint: str, outcome: dict
+        self, key: str, config_fingerprint: str, outcome: dict
     ) -> None:
-        """Persist one finished batch outcome (a plain JSON-able dict)."""
-        key = store_key(disassembly)
+        """Persist one finished batch outcome (a plain JSON-able dict)
+        under the app's content key (:func:`store_key`)."""
         self._write_json(
             self._outcome_path(key, config_fingerprint),
             {
@@ -969,10 +969,13 @@ class ArtifactStore:
         )
 
     def load_outcome(
-        self, disassembly: Disassembly, config_fingerprint: str
+        self, key: str, config_fingerprint: str
     ) -> Optional[dict]:
-        """The stored outcome for this bytecode + config, or None."""
-        key = store_key(disassembly)
+        """The stored outcome for this content key + config, or None.
+
+        A caller that resolved ``key`` through the specmap can serve
+        the outcome without ever rendering the app.
+        """
         payload = self._read_json(
             self._outcome_path(key, config_fingerprint), key
         )
@@ -1025,9 +1028,10 @@ class ArtifactStore:
         """Record which content key a deterministic app spec produced.
 
         The map lets schedulers resolve a submission to its disassembly
-        sha *without generating the app*: a spec seen by any earlier
-        store-attached run resolves immediately; an unseen spec simply
-        misses and is treated as cold.  An entry pointing at a different
+        sha, and full-mode runs serve a stored outcome, *without
+        generating the app*: a spec seen by any earlier store-attached
+        run resolves immediately; an unseen spec simply misses and is
+        treated as cold.  An entry pointing at a different
         key (a generator change survived by the store) is overwritten,
         so the map self-heals on the next analysis.
         """

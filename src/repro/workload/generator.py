@@ -60,6 +60,15 @@ class AppSpec:
     installs: int = 1_000_000
 
 
+#: Version of the recipe -> plaintext contract, folded into every
+#: :func:`spec_fingerprint`.  The artifact store's specmap trusts that a
+#: recipe still renders to the content key it recorded, and full-mode
+#: runs serve stored outcomes on that trust alone; bump this on any
+#: generator or disassembler change that alters a generated app's
+#: disassembly, so old specmap entries are orphaned instead of served.
+GENERATOR_VERSION = 1
+
+
 def spec_fingerprint(spec: AppSpec) -> str:
     """A stable digest of one app recipe.
 
@@ -69,7 +78,9 @@ def spec_fingerprint(spec: AppSpec) -> str:
     the artifact store map a recipe to the disassembly key its generated
     app hashes to, without generating the app.
     """
-    return hashlib.sha256(repr(spec).encode()).hexdigest()[:16]
+    return hashlib.sha256(
+        f"backdroid-generator-v{GENERATOR_VERSION}\n{spec!r}".encode()
+    ).hexdigest()[:16]
 
 
 @dataclass

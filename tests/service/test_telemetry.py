@@ -37,6 +37,9 @@ class TestWarmTrace:
             names = {span["name"] for span in done.trace}
             assert {"job", "store.probe", "queue", "dispatch"} <= names
             assert "store.outcome_restore" in names
+            # The hit resolved through the specmap: the service
+            # interpreter neither generated nor rendered the app.
+            assert not {"app.generate", "index.prepare"} & names
             # One trace, all in this interpreter.
             assert {s["trace_id"] for s in done.trace} == {done.trace_id}
             assert {s["pid"] for s in done.trace} == {os.getpid()}
@@ -44,6 +47,8 @@ class TestWarmTrace:
             assert by_name["job"]["attrs"]["state"] == "done"
             assert by_name["store.probe"]["attrs"]["warm"] is True
             assert by_name["dispatch"]["attrs"]["executor"] == "in-process"
+            restore = by_name["store.outcome_restore"]["attrs"]
+            assert restore["via"] == "specmap" and restore["hit"] is True
 
     def test_trace_spans_nest_under_the_job_root(self, tmp_path):
         with StoreAwareScheduler(_config(tmp_path), workers=1) as scheduler:

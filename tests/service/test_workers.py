@@ -1,17 +1,32 @@
 """Tests for the process-isolated worker substrate (`repro.service.workers`)."""
 
+import contextlib
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import BackDroidConfig
 from repro.core.batch import analyze_spec, outcome_payload
 from repro.service.workers import ProcessLane, run_analysis, run_analysis_payload
 from repro.workload.corpus import benchmark_app_spec
 
 SCALE = 0.05
+
+
+def _running(pid):
+    """Whether *pid* is a live, non-zombie process."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
 
 
 def _config(tmp_path=None):
@@ -135,6 +150,43 @@ class TestProcessLane:
         lane.shutdown(wait=True)
         assert all(not p.is_alive() for p in processes)
         assert lane.pids() == []
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process state from /proc"
+    )
+    def test_workers_exit_when_their_owner_is_sigkilled(self):
+        # An owner killed with no chance to shut its lane down must not
+        # leave idle workers behind: each one's pipe reads EOF once no
+        # live process holds the parent end.
+        owner = subprocess.Popen(
+            [sys.executable, "-c",
+             "import time\n"
+             "from repro.service.workers import ProcessLane\n"
+             "lane = ProcessLane(workers=2)\n"
+             "print(*lane.pids(), flush=True)\n"
+             "time.sleep(120)\n"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in owner.stdout.readline().split()]
+            assert len(pids) == 2
+            owner.send_signal(signal.SIGKILL)
+            owner.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and any(map(_running, pids)):
+                time.sleep(0.05)
+            assert not any(map(_running, pids)), "workers outlived their owner"
+        finally:
+            owner.kill()
+            owner.wait(timeout=10)
+            owner.stdout.close()
+            for pid in filter(_running, pids):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_worker_count_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):

@@ -12,13 +12,19 @@ import json
 import pytest
 
 from repro.core import BackDroidConfig, analyze_spec, run_batch
+from repro.core.batch import outcome_payload
 from repro.search.backends.indexed import TokenIndex
 from repro.search.index import BytecodeSearcher
 from repro.store import ArtifactStore, store_key
 from repro.store.artifacts import FORMAT_VERSION
 from repro.store.binshard import decode_shard, encode_shard
 from repro.workload.corpus import benchmark_app_spec
-from repro.workload.generator import AppSpec, LibrarySpec, generate_app
+from repro.workload.generator import (
+    AppSpec,
+    LibrarySpec,
+    generate_app,
+    spec_fingerprint,
+)
 from repro.workload.paperapps import build_heyzap, build_palcomp3
 
 
@@ -196,6 +202,13 @@ class TestInvalidation:
         ).vocab
 
 
+def _payload_without(outcome, *fields):
+    payload = outcome_payload(outcome)
+    for name in fields:
+        del payload[name]
+    return payload
+
+
 def _store_config(tmp_path, mode="full", **kwargs):
     return BackDroidConfig(
         search_backend="indexed",
@@ -265,6 +278,90 @@ class TestOutcomeReuse:
         warm = analyze_spec(spec, config)
         assert not warm.store_hit
         assert warm.findings == cold.findings
+
+    def test_warm_hit_is_served_without_generating(self, tmp_path, monkeypatch):
+        spec = benchmark_app_spec(0, scale=0.05)
+        config = _store_config(tmp_path)
+        cold = analyze_spec(spec, config)
+
+        def refuse(spec):
+            raise AssertionError("a warm full-mode hit generated the app")
+
+        monkeypatch.setattr("repro.core.batch.generate_app", refuse)
+        warm = analyze_spec(spec, config)
+        assert warm.ok and warm.store_hit
+        # A restore builds no index, so its build time reads 0.
+        assert _payload_without(
+            warm, "seconds", "store_hit", "index_build_seconds"
+        ) == _payload_without(
+            cold, "seconds", "store_hit", "index_build_seconds"
+        )
+
+    def test_specmap_and_disassembly_paths_serve_identical_payloads(
+        self, tmp_path
+    ):
+        spec = benchmark_app_spec(0, scale=0.05)
+        config = _store_config(tmp_path)
+        analyze_spec(spec, config)
+        via_specmap = analyze_spec(spec, config)
+        store = config.artifact_store()
+        store._spec_path(spec_fingerprint(spec)).unlink()
+        via_disassembly = analyze_spec(spec, config)
+        assert via_specmap.store_hit and via_disassembly.store_hit
+        assert _payload_without(via_specmap, "seconds") == _payload_without(
+            via_disassembly, "seconds"
+        )
+        assert store.load_spec_key(spec_fingerprint(spec)) is not None
+
+    def test_specmap_entry_without_an_outcome_falls_through(self, tmp_path):
+        spec = benchmark_app_spec(0, scale=0.05)
+        config = _store_config(tmp_path)
+        store = config.artifact_store()
+        store.save_spec_key(spec_fingerprint(spec), "ff" * 32)
+        outcome = analyze_spec(spec, config)
+        assert outcome.ok and not outcome.store_hit
+        assert store.load_spec_key(spec_fingerprint(spec)) == store_key(
+            generate_app(spec).apk.disassembly
+        )
+
+    def test_specmap_entry_leading_to_another_package_is_refused(
+        self, tmp_path
+    ):
+        spec = benchmark_app_spec(0, scale=0.05)
+        other = benchmark_app_spec(1, scale=0.05)
+        config = _store_config(tmp_path)
+        cold = analyze_spec(spec, config)
+        analyze_spec(other, config)
+        store = config.artifact_store()
+        own_key = store.load_spec_key(spec_fingerprint(spec))
+        store.save_spec_key(
+            spec_fingerprint(spec), store.load_spec_key(spec_fingerprint(other))
+        )
+        warm = analyze_spec(spec, config)
+        # Refused, then served from this app's own outcome under the
+        # key its disassembly hashes to.
+        assert warm.ok and warm.store_hit
+        assert warm.package == cold.package
+        assert warm.findings == cold.findings
+        assert store.load_spec_key(spec_fingerprint(spec)) == own_key
+
+    def test_fast_path_miss_reads_the_specmap_once(self, tmp_path, monkeypatch):
+        spec = benchmark_app_spec(0, scale=0.05)
+        analyze_spec(spec, _store_config(tmp_path))
+        reads = []
+        real = ArtifactStore.load_spec_key
+
+        def counted(self, fingerprint):
+            reads.append(fingerprint)
+            return real(self, fingerprint)
+
+        monkeypatch.setattr(ArtifactStore, "load_spec_key", counted)
+        # Same app, new rules: the entry is current, the outcome is not.
+        rescan = analyze_spec(
+            spec, _store_config(tmp_path, sink_rules=("open-port",))
+        )
+        assert rescan.ok and not rescan.store_hit
+        assert len(reads) == 1
 
     def test_unknown_store_mode_rejected(self, tmp_path):
         config = _store_config(tmp_path, mode="quantum")
@@ -360,7 +457,7 @@ class TestProbe:
         assert probe.level == "index" and probe.warm
         assert probe.shards_total == probe.shards_present >= 1
 
-        store.save_outcome(apk.disassembly, "cfg1", {"package": "x"})
+        store.save_outcome(key, "cfg1", {"package": "x"})
         assert store.probe(key, "cfg1").level == "outcome"
         # A different config's probe does not see that outcome.
         assert store.probe(key, "cfg2").level == "index"
@@ -416,8 +513,6 @@ class TestProbe:
             search_backend="indexed", store_dir=str(tmp_path / "store")
         )
         assert analyze_spec(spec, config).ok
-        from repro.workload.generator import spec_fingerprint
-
         store = config.artifact_store()
         key = store.load_spec_key(spec_fingerprint(spec))
         assert key == store_key(generate_app(spec).apk.disassembly)
@@ -516,7 +611,7 @@ class TestVerify:
 
     def test_outcome_only_entry_skipped(self, store):
         apk = build_heyzap()
-        store.save_outcome(apk.disassembly, "cfg", {"package": "x"})
+        store.save_outcome(store_key(apk.disassembly), "cfg", {"package": "x"})
         (entry,) = store.verify()
         assert entry.status == "no-index" and entry.ok
 
