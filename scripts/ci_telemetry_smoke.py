@@ -8,6 +8,9 @@ telemetry surfaces:
 * the warm job's ``?trace=1`` tree shows an outcome hit resolved
   through the specmap, with no ``app.generate`` or ``index.prepare``
   span and every span on the server's pid;
+* a rescan of the same app under new rules restores its disassembly
+  from the store (one ``disassemble`` span, ``via: store``, none
+  rendering it), with every span on the server's pid;
 * ``GET /v1/jobs/<id>?trace=1`` returns a single-trace span tree whose
   ``worker`` span ran in a *different process* than the server;
 * ``GET /metrics`` serves Prometheus text carrying the expected
@@ -120,6 +123,28 @@ def main() -> int:
             print(
                 f"warm trace ok: {len(warm_spans)} spans, outcome hit via "
                 f"the specmap, all on the server pid"
+            )
+
+            # Surface 0b: a rule-change rescan of the warm app is an
+            # index hit: its plaintext comes from the store, not a render.
+            rescan = client.submit(
+                {"app": "bench:0", "scale": 0.1, "rules": ["open-port"]}
+            )
+            assert rescan["warm"], rescan
+            rescan_done = client.wait(rescan["id"], timeout=120)
+            assert rescan_done["state"] == "done", rescan_done
+            rescan_spans = client.job(rescan["id"], trace=True)["trace"]
+            disassembles = [
+                s["attrs"] for s in rescan_spans if s["name"] == "disassemble"
+            ]
+            assert [a["via"] for a in disassembles] == ["store"], disassembles
+            assert disassembles[0]["hit"] is True, disassembles
+            assert {s["pid"] for s in rescan_spans} == {server_pid}, (
+                "rescan spans ran outside the service interpreter"
+            )
+            print(
+                f"rescan trace ok: {len(rescan_spans)} spans, disassembly "
+                f"restored from the store, all on the server pid"
             )
 
             cold = client.submit({"app": "bench:90", "scale": 0.1})

@@ -13,8 +13,10 @@ from typing import Optional
 
 from repro.android.framework import framework_pool
 from repro.android.manifest import Manifest
-from repro.dex.disassembler import Disassembly, disassemble
+from repro.dex import disassembler
+from repro.dex.disassembler import Disassembly
 from repro.dex.hierarchy import ClassPool, DexClass
+from repro.telemetry import tracing
 
 
 @dataclass
@@ -56,10 +58,23 @@ class Apk:
 
     @property
     def disassembly(self) -> Disassembly:
-        """The dexdump-style plaintext of the app's own classes (cached)."""
+        """The dexdump-style plaintext of the app's own classes (cached).
+
+        Rendered on first use unless one was set first — the artifact
+        store rebuilds it from stored shards on an index hit.
+        """
         if self._disassembly is None:
-            self._disassembly = disassemble(self.classes)
+            self._disassembly = self.render_disassembly()
         return self._disassembly
+
+    @disassembly.setter
+    def disassembly(self, disassembly: Disassembly) -> None:
+        self._disassembly = disassembly
+
+    def render_disassembly(self) -> Disassembly:
+        """Render the app's plaintext afresh (never cached here)."""
+        with tracing.span("disassemble", attrs={"via": "render"}):
+            return disassembler.disassemble(self.classes)
 
     def invalidate_caches(self) -> None:
         """Drop the cached views after mutating ``classes``."""

@@ -171,6 +171,19 @@ def _restore_outcome(
         )
 
 
+def _restore_disassembly(store: ArtifactStore, key: str, apk) -> None:
+    """Give ``apk`` its disassembly rebuilt from the store entry at
+    ``key`` (resolved through the specmap), when the store can vouch
+    for it; otherwise leave it to render on first use."""
+    with tracing.span("disassemble", attrs={"via": "store"}) as span:
+        restored = store.load_disassembly(
+            key, apk.classes, apk.render_disassembly
+        )
+        span.set_attr("hit", restored is not None)
+    if restored is not None:
+        apk.disassembly = restored
+
+
 def analyze_spec(
     spec: AppSpec,
     config: Optional[BackDroidConfig] = None,
@@ -190,6 +203,12 @@ def analyze_spec(
     specmap had no entry or a different one (a node whose specmap
     writes are guarded off, or identical bytecode from another recipe).
 
+    When the specmap resolves the recipe but no outcome is served (an
+    ``"index"``-mode store, or a full-mode run under new rules), the
+    app's disassembly is rebuilt from the entry's shards instead of
+    rendered (:meth:`~repro.store.ArtifactStore.load_disassembly`); the
+    app is still generated, because the slicer needs its IR.
+
     ``request`` (an :class:`~repro.api.request.AnalysisRequest`)
     overrides the config's targets/knobs for this run.  ``sessions`` (a
     :class:`~repro.api.session.SessionCache`) lets repeated runs against
@@ -208,8 +227,10 @@ def analyze_spec(
         store = effective.artifact_store()
         outcome_fp = _outcome_fingerprint(effective, registry)
         reuse_outcomes = store is not None and effective.store_mode == "full"
-        mapped_key = store.load_spec_key(fingerprint) if reuse_outcomes else None
-        if mapped_key is not None:
+        mapped_key = (
+            store.load_spec_key(fingerprint) if store is not None else None
+        )
+        if mapped_key is not None and reuse_outcomes:
             restored = _restore_outcome(
                 store, mapped_key, outcome_fp, spec.package, "specmap"
             )
@@ -234,10 +255,9 @@ def analyze_spec(
             attrs={"package": spec.package, "session_reused": session is not None},
         ):
             apk = session.apk if session is not None else generate_app(spec).apk
-            # Render inside this span, so the rendering cost is charged
-            # to preparing the app and not to the key or the analysis.
-            apk.disassembly
         if store is not None:
+            if mapped_key is not None and session is None:
+                _restore_disassembly(store, mapped_key, apk)
             key = store_key(apk.disassembly)
             if key != mapped_key:
                 # Teach the store which content key this recipe hashes

@@ -16,13 +16,21 @@ real target:
 Each emitted instruction line is mapped back to its originating IR
 statement, which is what lets a text hit be "translated back" into the
 program-analysis space (Fig. 3, steps 2-3).
+
+Numbering is per library group (:func:`group_label`): the interned ids,
+the code addresses and the ``Class #N`` ordinal restart at every group
+boundary, so a group's text depends only on its own classes.  That is
+what lets the artifact store keep one copy of a library's text for every
+app that embeds it, and rebuild an app's plaintext from those copies
+(:class:`RestoredDisassembly`) instead of rendering it.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.dex.hierarchy import ClassPool, DexClass, DexMethod
 from repro.dex.instructions import (
@@ -54,6 +62,13 @@ from repro.dex.instructions import (
 )
 from repro.dex.types import MethodSignature, java_to_dex_type
 
+#: dexdump's banner: the lines every rendering starts with, before the
+#: first class.
+PREAMBLE = (
+    "Processing merged classes.dex",
+    "Opened 'classes.dex', DEX version '035'",
+)
+
 _BINOP_OPCODES = {
     "+": "add-int",
     "-": "sub-int",
@@ -72,6 +87,20 @@ _BINOP_OPCODES = {
     "<=": "cmp-le",
     ">=": "cmp-ge",
 }
+
+
+def group_label(class_name: str) -> str:
+    """The library-fingerprint label of one class.
+
+    The first two dot-separated package segments (``com.lge.app1.Main``
+    -> ``com.lge``) — the granularity at which real apps vendor
+    libraries.  Classes sharing a label render contiguously (classes
+    render sorted by name, and names under one package prefix are
+    lexicographically contiguous), so one label yields one group per
+    app.  Every position-dependent counter restarts at a group boundary.
+    """
+    parts = class_name.split(".")
+    return ".".join(parts[:2]) if len(parts) >= 2 else class_name
 
 
 class _InternPool:
@@ -123,10 +152,10 @@ class ClassSpan:
 
     Class sections are rendered back to back in sorted-name order, so
     spans tile the post-preamble disassembly.  The artifact store's
-    sharding layer groups consecutive spans by library prefix and keys
-    each group by its (position-independent) token content — which is
-    what lets two apps embedding the same library share one stored
-    shard.
+    sharding layer groups consecutive spans by library prefix
+    (:func:`group_label`) and keys each group by its position-independent
+    content — which is what lets two apps embedding the same library
+    share one stored shard.
     """
 
     class_name: str  # Java-style name, e.g. "com.lge.app1.MainActivity"
@@ -136,7 +165,11 @@ class ClassSpan:
 
 @dataclass
 class MethodBlock:
-    """The disassembly section of one method."""
+    """The disassembly section of one method.
+
+    Instruction lines are the block's last ``len(insns)`` lines, one
+    after another.
+    """
 
     signature: MethodSignature
     start_line: int
@@ -150,6 +183,27 @@ class MethodBlock:
         return None
 
 
+@dataclass
+class GroupColumns:
+    """One library group's method-block layout, captured while rendering.
+
+    Lines are relative to the group's first line.  Block ``i`` spans
+    ``block_starts[i]`` to ``block_ends[i]``, its last ``insn_counts[i]``
+    lines are instructions, and ``stmt_indices`` holds every instruction
+    line's statement index, block after block; ``signatures`` are the
+    blocks' dexdump-form method signatures.  The artifact store encodes
+    these columns as the group's layout section.
+    """
+
+    start_line: int
+    end_line: int = 0  # exclusive
+    block_starts: list[int] = field(default_factory=list)
+    block_ends: list[int] = field(default_factory=list)
+    insn_counts: list[int] = field(default_factory=list)
+    signatures: list[str] = field(default_factory=list)
+    stmt_indices: list[int] = field(default_factory=list)
+
+
 class Disassembly:
     """The full dexdump-style plaintext plus its method-block structure."""
 
@@ -159,6 +213,7 @@ class Disassembly:
         blocks: list[MethodBlock],
         tokens: Optional[list[LineToken]] = None,
         class_spans: Optional[list[ClassSpan]] = None,
+        group_columns: Optional[list[GroupColumns]] = None,
     ) -> None:
         self.lines = lines
         self.blocks = blocks
@@ -167,6 +222,9 @@ class Disassembly:
         #: the store's sharding layer then falls back to one app-wide
         #: shard group).
         self.class_spans = class_spans if class_spans is not None else []
+        #: Each library group's layout, as the renderer built it (empty
+        #: for hand-built disassemblies).
+        self.group_columns = group_columns if group_columns is not None else []
         self._block_starts = [b.start_line for b in blocks]
         self._by_signature = {b.signature: b for b in blocks}
 
@@ -196,6 +254,118 @@ class Disassembly:
         return self._by_signature.get(signature)
 
 
+class RenderMismatch(RuntimeError):
+    """A fresh render disagrees with the plaintext restored from a store."""
+
+
+class RestoredDisassembly(Disassembly):
+    """A disassembly rebuilt from stored plaintext and layout.
+
+    The lines and the method-block layout come from the artifact store
+    (:meth:`repro.store.ArtifactStore.load_disassembly`).  A block is
+    built on its first lookup, so a restore costs the text decode, not
+    one object per method and instruction.  Tokens, class spans and
+    group columns are not stored: the first access renders the app
+    afresh with ``render`` and takes them from that render, whose lines
+    must equal the restored lines — a mismatch raises
+    :class:`RenderMismatch` rather than mixing two renderings.
+
+    Block columns are app-absolute and in line order: ``starts``/``ends``
+    bound each block, ``insn_counts`` says how many of its last lines are
+    instructions, and ``stmt_indices`` holds every instruction line's
+    statement index, block after block.
+    """
+
+    def __init__(
+        self,
+        lines: list[str],
+        starts: list[int],
+        ends: list[int],
+        insn_counts: list[int],
+        signatures: list[str],
+        stmt_indices,
+        render: Callable[[], Disassembly],
+    ) -> None:
+        self.lines = lines
+        self._block_starts = starts
+        self._block_ends = ends
+        self._insn_counts = insn_counts
+        self._signatures = signatures
+        self._stmt_indices = stmt_indices
+        self._stmt_offsets = list(itertools.accumulate(insn_counts, initial=0))
+        self._built: dict[int, MethodBlock] = {}
+        self._by_signature: Optional[dict[MethodSignature, MethodBlock]] = None
+        self._render = render
+        self._fresh: Optional[Disassembly] = None
+
+    # ------------------------------------------------------------------
+    def _block(self, index: int) -> MethodBlock:
+        block = self._built.get(index)
+        if block is None:
+            end = self._block_ends[index]
+            first = end - self._insn_counts[index]
+            offset = self._stmt_offsets[index] - first
+            block = MethodBlock(
+                MethodSignature.parse_dex(self._signatures[index]),
+                self._block_starts[index],
+                end,
+                [
+                    InsnLine(
+                        line_no,
+                        self._stmt_indices[offset + line_no],
+                        _insn_text(self.lines[line_no]),
+                    )
+                    for line_no in range(first, end)
+                ],
+            )
+            self._built[index] = block
+        return block
+
+    @property
+    def blocks(self) -> list[MethodBlock]:
+        return [self._block(i) for i in range(len(self._block_starts))]
+
+    def block_at_line(self, line_no: int) -> Optional[MethodBlock]:
+        idx = bisect.bisect_right(self._block_starts, line_no) - 1
+        if idx < 0 or line_no >= self._block_ends[idx]:
+            return None
+        return self._block(idx)
+
+    def block_of(self, signature: MethodSignature) -> Optional[MethodBlock]:
+        if self._by_signature is None:
+            self._by_signature = {b.signature: b for b in self.blocks}
+        return self._by_signature.get(signature)
+
+    # ------------------------------------------------------------------
+    def _rendered(self) -> Disassembly:
+        if self._fresh is None:
+            fresh = self._render()
+            if fresh.lines != self.lines:
+                raise RenderMismatch(
+                    "a fresh render differs from the restored plaintext"
+                )
+            self._fresh = fresh
+        return self._fresh
+
+    @property
+    def tokens(self) -> list[LineToken]:
+        return self._rendered().tokens
+
+    @property
+    def class_spans(self) -> list[ClassSpan]:
+        return self._rendered().class_spans
+
+    @property
+    def group_columns(self) -> list[GroupColumns]:
+        return self._rendered().group_columns
+
+
+def _insn_text(line: str) -> str:
+    """The instruction text of a rendered instruction line (what follows
+    the address gutter and the ``|offset:`` slot)."""
+    return line.split("|", 1)[1].split(": ", 1)[1]
+
+
 class _Renderer:
     """Stateful renderer for one whole class pool."""
 
@@ -204,14 +374,23 @@ class _Renderer:
         self.blocks: list[MethodBlock] = []
         self.tokens: list[LineToken] = []
         self.class_spans: list[ClassSpan] = []
+        self.group_columns: list[GroupColumns] = []
+        #: rendered instruction text -> its searchable tokens.  Identical
+        #: texts always carry identical tokens, so a plain memo suffices.
+        self._line_tokens: dict[str, tuple[tuple[str, str], ...]] = {}
+
+    def _start_group(self) -> None:
+        """Restart every position-dependent counter (a group boundary)
+        and open the new group's layout columns."""
+        self._end_group()
+        self._group = GroupColumns(len(self.lines))
+        self.group_columns.append(self._group)
         self._methods = _InternPool()
         self._fields = _InternPool()
         self._types = _InternPool()
         self._strings = _InternPool()
-        #: rendered instruction text -> its searchable tokens.  Identical
-        #: texts always carry identical tokens, so a plain memo suffices.
-        self._line_tokens: dict[str, tuple[tuple[str, str], ...]] = {}
         self._addr = 0x10000
+        self._ordinal = 0
 
     # ------------------------------------------------------------------
     def _emit(self, text: str) -> int:
@@ -228,17 +407,29 @@ class _Renderer:
         return text
 
     def render_pool(self, pool: ClassPool) -> Disassembly:
-        self._emit("Processing merged classes.dex")
-        self._emit("Opened 'classes.dex', DEX version '035'")
-        for index, cls in enumerate(sorted(pool.application_classes(), key=lambda c: c.name)):
+        for line in PREAMBLE:
+            self._emit(line)
+        label = None
+        for cls in sorted(pool.application_classes(), key=lambda c: c.name):
+            cls_label = group_label(cls.name)
+            if cls_label != label:
+                self._start_group()
+                label = cls_label
             start = len(self.lines)
-            self._render_class(index, cls)
+            self._render_class(self._ordinal, cls)
+            self._ordinal += 1
             self.class_spans.append(
                 ClassSpan(cls.name, start, len(self.lines))
             )
+        self._end_group()
         return Disassembly(
-            self.lines, self.blocks, self.tokens, self.class_spans
+            self.lines, self.blocks, self.tokens, self.class_spans,
+            self.group_columns,
         )
+
+    def _end_group(self) -> None:
+        if self.group_columns:
+            self.group_columns[-1].end_line = len(self.lines)
 
     # ------------------------------------------------------------------
     def _render_class(self, index: int, cls: DexClass) -> None:
@@ -315,9 +506,18 @@ class _Renderer:
             self._emit("      code          : (none)")
         block.end_line = len(self.lines)
         self.blocks.append(block)
+        group = self._group
+        group.block_starts.append(start - group.start_line)
+        group.block_ends.append(block.end_line - group.start_line)
+        group.insn_counts.append(len(block.insns))
+        # sig.to_dex(), from the strings this method already built.
+        group.signatures.append(
+            f"{java_to_dex_type(method.declaring_class)}.{method.name}:{proto}"
+        )
 
     def _render_body(self, method: DexMethod, block: MethodBlock) -> None:
         registers = _RegisterMap()
+        stmt_indices = self._group.stmt_indices
         offset = 0
         for stmt_index, stmt in enumerate(method.body):
             for text in self._render_stmt(stmt, registers):
@@ -325,6 +525,7 @@ class _Renderer:
                     f"{self._addr:06x}: {'':>24}|{offset:04x}: {text}"
                 )
                 block.insns.append(InsnLine(line_no=line_no, stmt_index=stmt_index, text=text))
+                stmt_indices.append(stmt_index)
                 for kind, token in self._line_tokens.get(text, ()):
                     self.tokens.append(LineToken(line_no, kind, token))
                 self._addr += 6

@@ -260,17 +260,6 @@ class InvertedIndexBackend(SearchBackend):
     @property
     def index(self) -> TokenIndex:
         if self._index is None:
-            if not self.disassembly.tokens and len(self.disassembly.lines) > 2:
-                # Lines beyond the two-line preamble mean at least one
-                # rendered class, which always emits tokens — a token-less
-                # disassembly here was built outside the disassembler and
-                # would make every query silently return nothing.
-                raise ValueError(
-                    "disassembly carries no token stream; the indexed "
-                    "backend requires Disassembly objects produced by "
-                    "repro.dex.disassembler.disassemble (use the linear "
-                    "backend otherwise)"
-                )
             index = getattr(self.disassembly, "_token_index_cache", None)
             if index is None and self.store is not None:
                 with tracing.span("index.restore") as restore_span:
@@ -284,6 +273,23 @@ class InvertedIndexBackend(SearchBackend):
                     # Share the restored index with sibling searchers.
                     self.disassembly._token_index_cache = index
             if index is None:
+                # Only a fold reads the token stream (a restore never
+                # does, so a restored disassembly is never rendered
+                # for it).  Lines beyond the two-line preamble mean at
+                # least one rendered class, which always emits tokens —
+                # a token-less disassembly here was built outside the
+                # disassembler and would make every query silently
+                # return nothing.
+                if (
+                    not self.disassembly.tokens
+                    and len(self.disassembly.lines) > 2
+                ):
+                    raise ValueError(
+                        "disassembly carries no token stream; the indexed "
+                        "backend requires Disassembly objects produced by "
+                        "repro.dex.disassembler.disassemble (use the linear "
+                        "backend otherwise)"
+                    )
                 with tracing.span("index.fold") as fold_span:
                     index = TokenIndex.for_disassembly(self.disassembly)
                     fold_span.set_attr(

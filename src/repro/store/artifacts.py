@@ -9,14 +9,16 @@ batch run over an unchanged corpus restores each app's index instead of
 rebuilding it, and (in ``"full"`` mode) restores the finished per-app
 outcome instead of re-analyzing.
 
-Artifacts are **sharded**: an app's token stream and posting lists are
-split per class group (consecutive classes under one library prefix —
-see :mod:`repro.store.sharding`), each shard is keyed by a sha256 of its
-position-independent content, and the app entry stores a *manifest*
-listing shard keys instead of a monolithic blob.  Two apps embedding the
-same library therefore persist that library's artifacts exactly once,
-and restoring an app composes its shards back into a byte-identical
-token stream and index.
+Artifacts are **sharded**: an app's plaintext, layout, token stream and
+posting lists are split per class group (consecutive classes under one
+library prefix — see :mod:`repro.store.sharding`), each shard is keyed
+by a sha256 of its position-independent content, and the app entry
+stores a *manifest* listing shard keys instead of a monolithic blob.
+Two apps embedding the same library therefore persist that library's
+artifacts exactly once, and restoring an app composes its shards back
+into a byte-identical token stream and index — and, on an index hit,
+into the app's disassembly itself (:meth:`ArtifactStore.load_disassembly`),
+so the hit never renders the plaintext.
 
 Layout (see ``docs/STORE_FORMAT.md`` for the full spec)::
 
@@ -25,11 +27,12 @@ Layout (see ``docs/STORE_FORMAT.md`` for the full spec)::
         outcome-<config>.json   one finished batch outcome per config
     <root>/shards/<sha[:2]>/<sha>.bin
         one class group, v3 binary container (struct-packed sections;
-        see :mod:`repro.store.binshard`): relative tokens + prefolded
-        mini-index
+        see :mod:`repro.store.binshard`): text + layout + relative
+        tokens + prefolded mini-index
     <root>/shards/<sha[:2]>/<sha>.json
-        the same content in the legacy v2 JSON container — still
-        readable; ``gc``/``warm``/``migrate`` convert it in place
+        the same content in the legacy v2 JSON container (text and
+        layout base64-encoded) — still readable;
+        ``gc``/``warm``/``migrate`` convert it in place
     <root>/specmap/<fp[:2]>/<fp>.json
         app-spec fingerprint -> disassembly content key
 
@@ -55,6 +58,7 @@ re-indexing), and reads as a plain miss otherwise.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
@@ -65,14 +69,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
-from repro.dex.disassembler import Disassembly, LineToken
+from repro.dex.disassembler import (
+    PREAMBLE,
+    Disassembly,
+    LineToken,
+    RestoredDisassembly,
+)
 from repro.search.backends.indexed import TokenIndex
 from repro.store.binshard import (
+    SEC_LAYOUT,
+    SEC_TEXT,
     LazyShardView,
     ShardCorrupt,
     ShardStale,
     decode_shard,
     encode_shard,
+    shard_chunks,
 )
 from repro.store.lazy import DEFAULT_GROUP_CACHE, LazyTokenIndex
 from repro.store.sharding import (
@@ -80,7 +92,10 @@ from repro.store.sharding import (
     ShardGroup,
     compose_index,
     compose_tokens,
+    decode_layout,
+    encode_lines,
     fold_group,
+    group_texts,
     partition_disassembly,
     shard_key,
     shard_payload,
@@ -131,7 +146,8 @@ class StoreStats:
     shard_hits: int = 0
     shard_misses: int = 0
     #: Shards re-folded from a live disassembly to repair a partial
-    #: entry (the incremental re-indexing path).
+    #: entry (the incremental re-indexing path) or a damaged text or
+    #: layout section found by a disassembly restore.
     shards_patched: int = 0
     #: Shards a save skipped because identical content was already
     #: published (by this app earlier, or by another app sharing the
@@ -338,30 +354,54 @@ class VerifyEntry:
         return self.status in ("ok", "no-index", "stale")
 
 
+def _key_digest(preamble: bytes):
+    """The running app-key hash, fed the plaintext before any group."""
+    digest = hashlib.sha256()
+    digest.update(f"backdroid-store-v{KEY_VERSION}\n".encode())
+    digest.update(preamble)
+    return digest
+
+
 def store_key(disassembly: Disassembly) -> str:
     """The content address of one app's disassembly (memoized).
 
-    Hashes every plaintext line plus the :data:`KEY_VERSION`, so any
-    bytecode change — or any change to the hashed content itself —
-    yields a different key and naturally invalidates stale entries.
-    The *container* version is deliberately absent: re-encoding shards
-    (v2 JSON -> v3 binary) must not orphan every stored entry.
+    Hashes every plaintext line, each newline-terminated, plus the
+    :data:`KEY_VERSION`, so any bytecode change — or any change to the
+    hashed content itself — yields a different key and naturally
+    invalidates stale entries.  The text is fed group by group: the
+    bytes hashed here are the very bytes the shards' text sections
+    store, encoded once.  The *container* version is deliberately
+    absent: re-encoding shards (v2 JSON -> v3 binary) must not orphan
+    every stored entry.
     """
     cached = getattr(disassembly, "_store_key_cache", None)
     if cached is None:
-        digest = hashlib.sha256()
-        digest.update(f"backdroid-store-v{KEY_VERSION}\n".encode())
-        # One join + one update: the C fast path.  A trailing newline
-        # terminates the last line so "a", "b" never collides with
-        # "a\nb" split differently.
-        digest.update(
-            ("\n".join(disassembly.lines) + "\n").encode(
-                "utf-8", "surrogatepass"
-            )
+        groups = group_texts(disassembly)
+        digest = _key_digest(
+            encode_lines(disassembly.lines[:groups[0].start_line])
         )
+        for group in groups:
+            digest.update(group.text)
         cached = digest.hexdigest()
         disassembly._store_key_cache = cached
     return cached
+
+
+def _layout_digest(layouts) -> str:
+    """The digest an app's manifest records over its groups' layouts."""
+    digest = hashlib.sha256()
+    for layout in layouts:
+        digest.update(f"{len(layout)}\n".encode())
+        digest.update(layout)
+    return digest.hexdigest()
+
+
+def _json_bytes(value) -> str:
+    """``json.dumps`` hook: the JSON container stores the shard's text
+    and layout bytes base64-encoded."""
+    if isinstance(value, (bytes, bytearray)):
+        return base64.b64encode(value).decode("ascii")
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 #: One shared StoreStats per store root per process (see StoreStats).
@@ -491,20 +531,21 @@ class ArtifactStore:
     def _write_json(self, path: Path, payload: dict) -> None:
         self._write_bytes(
             path,
-            json.dumps(payload, separators=(",", ":")).encode(
-                "utf-8", "surrogatepass"
-            ),
+            json.dumps(
+                payload, separators=(",", ":"), default=_json_bytes
+            ).encode("utf-8", "surrogatepass"),
         )
 
-    def _write_bytes(self, path: Path, data: bytes) -> None:
-        """Publish ``data`` at ``path`` via the atomic-rename path."""
+    def _write_bytes(self, path: Path, *chunks: bytes) -> None:
+        """Publish ``chunks``, concatenated, at ``path`` via the
+        atomic-rename path."""
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
+                handle.writelines(chunks)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -574,7 +615,7 @@ class ArtifactStore:
         payload = shard_payload(group, sha, self._write_version)
         if self.shard_format == "binary":
             self._write_bytes(
-                self._shard_path_bin(sha), encode_shard(payload, sha)
+                self._shard_path_bin(sha), *shard_chunks(payload, sha)
             )
         else:
             self._write_json(self._shard_path_json(sha), payload)
@@ -614,10 +655,12 @@ class ArtifactStore:
         return {
             "version": self._write_version,
             "key": key,
+            "key_version": KEY_VERSION,
             "line_count": max(
                 (g.end_line for g, _ in groups), default=0
             ),
             "token_count": sum(len(g.tokens) for g, _ in groups),
+            "layout_digest": _layout_digest(g.layout for g, _ in groups),
             "groups": [
                 {
                     "shard": sha,
@@ -671,8 +714,20 @@ class ArtifactStore:
     #: poisoning the whole composition).
     _SHARD_KEYS = (
         "line_count", "tokens", "vocab", "postings", "string_ids",
-        "containing",
+        "containing", "text", "layout",
     )
+
+    def _json_shard(self, payload: dict) -> Optional[dict]:
+        """A JSON-container shard payload with its text and layout
+        decoded back to bytes, or None when its shape is wrong."""
+        if any(key not in payload for key in self._SHARD_KEYS):
+            return None
+        try:
+            for name in ("text", "layout"):
+                payload[name] = base64.b64decode(payload[name], validate=True)
+        except (TypeError, ValueError):
+            return None
+        return payload
 
     def _read_shard(self, sha: str) -> Optional[dict]:
         """A validated shard payload, or None (missing/corrupt/stale).
@@ -697,9 +752,9 @@ class ArtifactStore:
         payload = self._read_json(self._shard_path_json(sha), sha)
         if payload is None:
             return None
-        if any(key not in payload for key in self._SHARD_KEYS):
+        payload = self._json_shard(payload)
+        if payload is None:
             self.stats.corrupt_entries += 1
-            return None
         return payload
 
     def _classify_shard(self, sha: str) -> tuple[str, Optional[dict]]:
@@ -724,10 +779,10 @@ class ArtifactStore:
         status, payload = self._classify_payload(
             self._shard_path_json(sha), sha
         )
-        if status == "ok" and any(
-            key not in payload for key in self._SHARD_KEYS
-        ):
-            return "corrupt", None
+        if status == "ok":
+            payload = self._json_shard(payload)
+            if payload is None:
+                return "corrupt", None
         return status, payload
 
     # ------------------------------------------------------------------
@@ -914,11 +969,7 @@ class ArtifactStore:
         payload.
         """
         def heal(index: int) -> dict:
-            group, sha = self._groups(disassembly)[index]
-            payload = shard_payload(group, sha, FORMAT_VERSION)
-            self._write_bytes(
-                self._shard_path_bin(sha), encode_shard(payload, sha)
-            )
+            payload = self._write_shard(*self._groups(disassembly)[index])
             # Laziness only heals shards that existed but could not be
             # trusted, so every heal is also a corrupt-entry event.
             self.stats.corrupt_entries += 1
@@ -949,6 +1000,124 @@ class ArtifactStore:
             return None
         self.stats.shard_hits += len(parts)
         return index
+
+    # ------------------------------------------------------------------
+    # Disassembly restores (index hits skip the render)
+    # ------------------------------------------------------------------
+    def load_disassembly(
+        self, key: str, classes, render: Callable[[], Disassembly]
+    ) -> Optional[Disassembly]:
+        """The app's disassembly rebuilt from ``key``'s shards, or None.
+
+        ``key`` comes from the specmap, so the restore trusts nothing it
+        reads until two checks pass: the composed text must hash to
+        ``key``, and the restored class list must equal the app's own
+        (``classes``, the generated app's class pool) — a specmap entry
+        pointing at another app's intact entry passes the first check
+        and fails the second.  The layout must also match the digest
+        the manifest recorded, and every group must span the lines the
+        manifest says, so restored lines agree with the restored index.
+
+        Every refusal returns None and the caller renders.  A damaged
+        text or layout section (CRC, hash or digest failure) is first
+        healed: ``render`` renders the app afresh and every group whose
+        stored sections differ is republished.  The restored
+        disassembly also calls ``render`` for tokens or class spans,
+        which only the heal paths need.  An entry with a missing or
+        legacy-JSON group is left to the index path, which patches or
+        composes it.
+        """
+        manifest = self._read_manifest(key)
+        if manifest is None:
+            return None
+        groups = manifest["groups"]
+        if not groups or groups[0]["start_line"] != len(PREAMBLE):
+            return None
+        #: shard sha -> (text, layout), None when a section is damaged.
+        stored: dict[str, Optional[tuple[bytes, bytes]]] = {}
+        for group in groups:
+            path = self._shard_path_bin(group["shard"])
+            if not path.is_file():
+                return None
+            view = LazyShardView(path, group["shard"])
+            try:
+                stored[group["shard"]] = (
+                    view.section(SEC_TEXT), view.section(SEC_LAYOUT)
+                )
+            except ShardCorrupt:
+                stored[group["shard"]] = None
+            finally:
+                view.close()
+        intact = all(sections is not None for sections in stored.values())
+        if intact:
+            digest = _key_digest(encode_lines(PREAMBLE))
+            for group in groups:
+                digest.update(stored[group["shard"]][0])
+            intact = digest.hexdigest() == key and _layout_digest(
+                stored[group["shard"]][1] for group in groups
+            ) == manifest.get("layout_digest")
+        if not intact:
+            self.stats.corrupt_entries += 1
+            self._heal_sections(key, render(), stored)
+            return None
+
+        lines = list(PREAMBLE)
+        starts: list[int] = []
+        ends: list[int] = []
+        insn_counts: list[int] = []
+        signatures: list[str] = []
+        stmt_indices: list[int] = []
+        class_names: list[str] = []
+        try:
+            for group in groups:
+                text, layout = stored[group["shard"]]
+                base = len(lines)
+                chunk = text.decode("utf-8", "surrogatepass").split("\n")
+                # A line that embeds a newline splits into more lines
+                # than the manifest counts: render instead of shifting.
+                if (
+                    group["start_line"] != base
+                    or chunk.pop() != ""
+                    or len(chunk) != group.get("line_count")
+                ):
+                    return None
+                lines += chunk
+                decoded = decode_layout(layout)
+                class_names += decoded.class_names
+                starts += [base + rel for rel in decoded.starts]
+                ends += [base + rel for rel in decoded.ends]
+                insn_counts += decoded.insn_counts
+                signatures += decoded.signatures
+                stmt_indices += decoded.stmt_indices
+        except ValueError:
+            return None
+        if class_names != sorted(
+            cls.name for cls in classes.application_classes()
+        ):
+            return None
+        restored = RestoredDisassembly(
+            lines, starts, ends, insn_counts, signatures, stmt_indices, render
+        )
+        restored._store_key_cache = key
+        return restored
+
+    def _heal_sections(
+        self,
+        key: str,
+        fresh: Disassembly,
+        stored: dict[str, Optional[tuple[bytes, bytes]]],
+    ) -> None:
+        """Republish ``key``'s groups whose stored text or layout differs
+        from a fresh render, then its manifest.  A render hashing to
+        another key means the entry is not this app's: left alone."""
+        if store_key(fresh) != key:
+            return
+        groups = self._groups(fresh)
+        for group, sha in groups:
+            if stored.get(sha) != (group.text, group.layout):
+                self._write_shard(group, sha)
+                self.stats.shards_patched += 1
+        self._write_json(self._manifest_path(key), self._manifest(key, groups))
 
     # ------------------------------------------------------------------
     # Finished per-app outcomes (batch warm starts)
@@ -1215,8 +1384,9 @@ class ArtifactStore:
         ways:
 
         1. **content address** — the shard's sha256 is recomputed from
-           its stored tokens and must match its file name (rules out a
-           shard silently swapped for another group's content);
+           its stored tokens, text and layout and must match its file
+           name (rules out a shard silently swapped for another group's
+           content);
         2. **mini-index parity** — the stored vocabulary/posting
            lists/string ids must equal a fresh fold of the shard's own
            token stream, exactly the equality the backend-parity suite
@@ -1224,8 +1394,11 @@ class ArtifactStore:
         3. **presence/readability** — a referenced shard that is gone
            or unreadable is reported (``missing-shard`` / ``corrupt``).
 
-        Any divergence means on-disk corruption that the per-payload
-        validation cannot catch (valid JSON, wrong lists).
+        The groups' layouts must also hash to the manifest's layout
+        digest, and a manifest written under another ``KEY_VERSION``
+        reports ``stale``.  Any divergence means on-disk corruption
+        that the per-payload validation cannot catch (valid JSON, wrong
+        lists).
         """
         results: list[VerifyEntry] = []
         for entry in self.entries():
@@ -1253,6 +1426,13 @@ class ArtifactStore:
                     VerifyEntry(key, "corrupt", "manifest unreadable")
                 )
                 continue
+            if manifest.get("key_version") != KEY_VERSION:
+                results.append(
+                    VerifyEntry(key, "stale",
+                                "written under another KEY_VERSION; a "
+                                "live run rebuilds this entry")
+                )
+                continue
             results.append(self._verify_entry(key, manifest))
         return results
 
@@ -1269,6 +1449,7 @@ class ArtifactStore:
         witness.)
         """
         prev_end: Optional[int] = None
+        layouts: list[bytes] = []
         for group in manifest["groups"]:
             sha = group.get("shard")
             if not isinstance(sha, str) or not sha:
@@ -1302,6 +1483,8 @@ class ArtifactStore:
                     str(sub): [int(t) for t in tids]
                     for sub, tids in payload["containing"].items()
                 }
+                text = bytes(payload["text"])
+                layout = bytes(payload["layout"])
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 return VerifyEntry(
                     key, "corrupt", f"shard {sha[:12]} payload: {exc}"
@@ -1317,7 +1500,10 @@ class ArtifactStore:
                     f"{max(prev_end or 0, 0)}",
                 )
             prev_end = start_line + line_count
-            expected_sha = shard_key(ShardGroup("", 0, line_count, tokens))
+            layouts.append(layout)
+            expected_sha = shard_key(
+                ShardGroup("", 0, line_count, tokens, text, layout)
+            )
             if expected_sha != sha:
                 return VerifyEntry(
                     key, "mismatch",
@@ -1341,6 +1527,11 @@ class ArtifactStore:
                     f"shard {sha[:12]} diverges from a fresh fold on: "
                     + ", ".join(mismatched),
                 )
+        if _layout_digest(layouts) != manifest.get("layout_digest"):
+            return VerifyEntry(
+                key, "mismatch",
+                "shard layouts no longer match the manifest's layout digest",
+            )
         return VerifyEntry(
             key, "ok", f"{len(manifest['groups'])} shard(s) verified"
         )
@@ -1558,9 +1749,9 @@ class ArtifactStore:
             return None  # swept by a concurrent gc mid-pass
         if not bin_path.is_file():
             status, payload = self._classify_payload(path, sha)
-            if status != "ok" or any(
-                key not in payload for key in self._SHARD_KEYS
-            ):
+            if status == "ok":
+                payload = self._json_shard(payload)
+            if payload is None:
                 return None
             try:
                 data = encode_shard(payload, sha)

@@ -2,11 +2,12 @@
 
 A v2 shard is one JSON document; restoring it costs a full parse even
 when the session only ever queries a handful of library groups.  The v3
-container packs the same logical content — relative token records, the
-vocabulary, posting lists, string-token ids and the containment map —
-into independently decodable **sections** behind a fixed header and an
-offset table, so a reader can :func:`mmap.mmap` the file and decode
-*only the byte ranges a query actually touches*:
+container packs the same logical content — the group's plaintext and
+layout, relative token records, the vocabulary, posting lists,
+string-token ids and the containment map — into independently decodable
+**sections** behind a fixed header and an offset table, so a reader can
+:func:`mmap.mmap` the file and decode *only the byte ranges a query
+actually touches*:
 
 * the header + section table (96-odd bytes) identify the shard and
   locate every section;
@@ -15,11 +16,14 @@ offset table, so a reader can :func:`mmap.mmap` the file and decode
   possibly contain the needle?" with a zero-copy binary search;
 * the **vocabulary blob** answers substring-shaped candidacy with an
   ``mmap.find`` over the raw bytes — no decoding at all;
-* only a *candidate* group pays for decoding its mini-index sections.
+* only a *candidate* group pays for decoding its mini-index sections;
+* the **text** and **layout** sections are read only to rebuild the
+  app's disassembly on an index hit.
 
 Every section table entry carries a CRC32 of its section's bytes,
-verified on first use — corruption is caught exactly when (and only
-when) the damaged bytes would have been trusted, and surfaces as
+verified on first use — the index sections when a query first decodes
+them, the text and layout sections (which no query decodes) when a
+reader first maps the file.  Corruption surfaces as
 :class:`ShardCorrupt` so the store can re-fold the group from the live
 disassembly (the self-heal path).
 
@@ -45,6 +49,11 @@ Section encodings:
                   ``u32 text_tids[t]`` (texts dedup through the vocab)
 * ``FILTER``      sorted unique ``u32 crc32`` of every vocab text and
                   every containment key
+* ``TEXT``        the group's plaintext, raw UTF-8, every line
+                  newline-terminated
+* ``LAYOUT``      class names, method-block bounds with dex signatures,
+                  and each instruction line's statement index (see
+                  :func:`repro.store.sharding.encode_layout`)
 
 The container version is independent of the *content* addresses (see
 :data:`repro.store.sharding.KEY_VERSION`): a JSON shard and its binary
@@ -73,6 +82,8 @@ SEC_STRING_IDS = 3
 SEC_CONTAIN = 4
 SEC_TOKENS = 5
 SEC_FILTER = 6
+SEC_TEXT = 7
+SEC_LAYOUT = 8
 
 #: Sections whose decode yields the prefolded mini-index (what a lazy
 #: group materialization pays for).
@@ -142,7 +153,9 @@ def read_header(buf) -> BinHeader:
         if offset < table_end or offset + length > size:
             raise ShardCorrupt(f"section {sec_id} out of bounds")
         sections[sec_id] = (crc, offset, length)
-    for required in (*MINI_INDEX_SECTIONS, SEC_TOKENS, SEC_FILTER):
+    for required in (
+        *MINI_INDEX_SECTIONS, SEC_TOKENS, SEC_FILTER, SEC_TEXT, SEC_LAYOUT,
+    ):
         if required not in sections:
             raise ShardCorrupt(f"section {required} missing")
     return BinHeader(line_count, token_count, vocab_count, string_id_count,
@@ -154,11 +167,21 @@ def read_header(buf) -> BinHeader:
 # Encoding
 # ----------------------------------------------------------------------
 def encode_shard(payload: dict, key: str) -> bytes:
-    """Pack one shard payload (the v2 JSON shape) into the v3 container.
+    """Pack one shard payload (:func:`~repro.store.sharding.shard_payload`)
+    into the v3 container.
 
     ``key`` is the shard's hex content address; it is embedded raw in
     the header so a reader can reject a renamed/swapped file without
     rehashing the content.
+    """
+    return b"".join(shard_chunks(payload, key))
+
+
+def shard_chunks(payload: dict, key: str) -> list[bytes]:
+    """:func:`encode_shard`'s bytes as chunks — header and section
+    table, then each section — so a writer can stream them without a
+    joined copy.  The ``text`` and ``layout`` bytes pass through as
+    they are.
     """
     vocab = [str(text) for text in payload["vocab"]]
     postings = payload["postings"]
@@ -247,6 +270,8 @@ def encode_shard(payload: dict, key: str) -> bytes:
         (SEC_CONTAIN, sec_contain),
         (SEC_TOKENS, sec_tokens),
         (SEC_FILTER, sec_filter),
+        (SEC_TEXT, payload["text"]),
+        (SEC_LAYOUT, payload["layout"]),
     )
     table_end = _HEADER.size + _SECTION_ENTRY.size * len(ordered)
     header = _HEADER.pack(
@@ -261,7 +286,7 @@ def encode_shard(payload: dict, key: str) -> bytes:
             sec_id, 0, zlib.crc32(blob), offset, len(blob)
         ))
         offset += len(blob)
-    return b"".join((header, bytes(table), *(blob for _, blob in ordered)))
+    return [header + table, *(blob for _, blob in ordered)]
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +431,7 @@ def decode_mini_index(buf, header: BinHeader) -> dict:
 
 
 def decode_shard(buf, sha: Optional[str] = None) -> dict:
-    """Fully decode one binary shard into the v2 JSON payload shape.
+    """Fully decode one binary shard into the payload shape.
 
     With ``sha`` given, the header's embedded content address must
     match (the binary analogue of the JSON ``key`` field check).
@@ -420,6 +445,9 @@ def decode_shard(buf, sha: Optional[str] = None) -> dict:
     payload["tokens"] = _decode_tokens(
         buf, off, length, header.token_count, payload["vocab"]
     )
+    for name, sec_id in (("text", SEC_TEXT), ("layout", SEC_LAYOUT)):
+        off, length = _checked(buf, header, sec_id)
+        payload[name] = bytes(buf[off:off + length])
     payload["version"] = BIN_FORMAT_VERSION
     payload["key"] = header.sha
     payload["line_count"] = header.line_count
@@ -447,7 +475,6 @@ class LazyShardView:
     def __init__(self, path, sha: str) -> None:
         self.path = Path(path)
         self.sha = sha
-        self._file = None
         self._mm: Optional[mmap.mmap] = None
         self._header: Optional[BinHeader] = None
         self._verified: set[int] = set()
@@ -462,12 +489,15 @@ class LazyShardView:
             handle = open(self.path, "rb")
         except OSError as exc:
             raise ShardCorrupt(f"shard unreadable: {exc}") from exc
-        try:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError) as exc:
-            handle.close()
-            raise ShardCorrupt(f"shard unmappable: {exc}") from exc
-        self._file = handle
+        # The map holds its own duplicate descriptor, so the file object
+        # is closed as soon as the mapping exists.
+        with handle:
+            try:
+                mapped = mmap.mmap(
+                    handle.fileno(), 0, access=mmap.ACCESS_READ
+                )
+            except (OSError, ValueError) as exc:
+                raise ShardCorrupt(f"shard unmappable: {exc}") from exc
         self._mm = mapped
         self.bytes_mapped += len(mapped)
         try:
@@ -478,6 +508,16 @@ class LazyShardView:
         if header.sha != self.sha:
             self.reset()
             raise ShardCorrupt("embedded content address mismatch")
+        # No index query decodes the text or layout sections, so they
+        # are verified here, once per map: damage anywhere in the file
+        # then surfaces (and heals) on first use.
+        try:
+            for sec_id in (SEC_TEXT, SEC_LAYOUT):
+                _checked(mapped, header, sec_id)
+        except ShardCorrupt:
+            self.reset()
+            raise
+        self._verified.update((SEC_TEXT, SEC_LAYOUT))
         self._header = header
         self.bytes_decoded += header.table_bytes
         return header
@@ -551,6 +591,13 @@ class LazyShardView:
         )
         return payload
 
+    def section(self, sec_id: int) -> bytes:
+        """One section's bytes, CRC-verified (the text and layout reads
+        of a disassembly restore)."""
+        offset, length = self._section(sec_id)
+        self.bytes_decoded += length
+        return self._mm[offset:offset + length]
+
     def payload(self) -> dict:
         """Fully decode the shard (token records included)."""
         header = self._ensure()
@@ -568,9 +615,6 @@ class LazyShardView:
         if self._mm is not None:
             self._mm.close()
             self._mm = None
-        if self._file is not None:
-            self._file.close()
-            self._file = None
         self._header = None
         self._verified.clear()
 

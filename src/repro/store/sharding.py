@@ -10,14 +10,17 @@ content key, so two apps embedding the same library hash its group to
 the same shard no matter where the library lands in either app's
 rendered text.
 
-Position independence is what makes cross-app dedup possible: the raw
-rendered lines of a class differ between apps (dexdump-style ``Class
-#N`` counters, interned ``// method@NNNN`` ids, absolute addresses), but
-the *token stream* the search backends are built from carries none of
-that — only signatures, descriptors and literals.  A shard therefore
-stores the group's tokens with line numbers relative to the group start,
-plus a prefolded mini-index (vocabulary, posting lists, string-token
-ids) over those relative lines.
+Position independence is what makes cross-app dedup possible.  The
+disassembler restarts every position-dependent counter (``Class #N``
+ordinals, interned ``// method@NNNN`` ids, code addresses) at each group
+boundary, so a group renders byte-identical in every app that embeds
+it.  A shard therefore stores the group's plaintext and its *layout*
+(class names, method-block bounds with dex signatures, and each
+instruction line's statement index), plus the group's tokens with line
+numbers relative to the group start and a prefolded mini-index
+(vocabulary, posting lists, string-token ids) over those relative
+lines.  The text and layout let an index hit rebuild the app's
+:class:`~repro.dex.disassembler.Disassembly` without rendering it.
 
 Composition is exact: concatenating a manifest's groups in render order,
 re-basing each shard's relative lines onto the group's recorded start
@@ -30,37 +33,144 @@ structure (the parity suite enforces equality on ``vocab``,
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
+import struct
 import types
 from dataclasses import dataclass
 
-from repro.dex.disassembler import Disassembly, LineToken
+from repro.dex.disassembler import (
+    Disassembly,
+    GroupColumns,
+    LineToken,
+    group_label,
+)
 from repro.search.backends.indexed import TokenIndex
 
 #: The *content-address* version: feeds every app key and shard key.
-#: Deliberately decoupled from the store's container FORMAT_VERSION —
-#: v3 changed only the shard *encoding* (binary sections instead of
-#: JSON), not the logical content, so v2 JSON shards and v3 binary
-#: shards of the same class group share one sha and one manifest
+#: Deliberately decoupled from the store's container FORMAT_VERSION: a
+#: JSON shard and its binary twin share one sha and one manifest
 #: reference.  Bump this only when the hashed content itself changes
-#: (token shapes, line-count semantics), which orphans every stored
-#: entry.
-KEY_VERSION = 2
+#: (token shapes, line-count semantics, per-group numbering, the text
+#: and layout sections), which orphans every stored entry.
+KEY_VERSION = 3
 
 
-def group_label(class_name: str) -> str:
-    """The library-fingerprint label of one class.
+def encode_lines(lines) -> bytes:
+    """The UTF-8 plaintext of *lines*, each newline-terminated.
 
-    The first two dot-separated package segments (``com.lge.app1.Main``
-    -> ``com.lge``) — the granularity at which real apps vendor
-    libraries.  Classes sharing a label render contiguously (the
-    disassembler sorts classes by name, and names under one package
-    prefix are lexicographically contiguous), so one label yields one
-    group per app.
+    Concatenating the encodings of consecutive line runs gives the
+    encoding of the whole run, which is how an app key and its shards'
+    text sections hash the same bytes.
     """
-    parts = class_name.split(".")
-    return ".".join(parts[:2]) if len(parts) >= 2 else class_name
+    if not lines:
+        return b""
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
+
+
+#: Layout header: class count, block count, instruction-line count, and
+#: the byte lengths of the class-name and signature blobs.
+_LAYOUT_HEAD = struct.Struct("<5I")
+
+
+@dataclass(frozen=True)
+class GroupLayout:
+    """One group's decoded layout, lines relative to the group start."""
+
+    class_names: list[str]
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
+    #: Instruction lines per block (a block's last lines).
+    insn_counts: tuple[int, ...]
+    #: Each block's dexdump-form method signature.
+    signatures: list[str]
+    #: Statement index of every instruction line, block after block.
+    stmt_indices: tuple[int, ...]
+
+
+def encode_layout(class_names, columns: GroupColumns) -> bytes:
+    """The layout section of one group (see ``docs/STORE_FORMAT.md``).
+
+    Names and signatures are newline-joined: a decoder that splits them
+    back into a different count than the header records refuses the
+    section, so a name that embeds a newline can never shift the rest.
+    """
+    names = "\n".join(class_names).encode("utf-8", "surrogatepass")
+    signatures = "\n".join(columns.signatures).encode(
+        "utf-8", "surrogatepass"
+    )
+    blocks = len(columns.signatures)
+    stmts = columns.stmt_indices
+    return b"".join((
+        _LAYOUT_HEAD.pack(
+            len(class_names), blocks, len(stmts), len(names),
+            len(signatures),
+        ),
+        names,
+        signatures,
+        struct.pack(
+            f"<{3 * blocks}I", *columns.block_starts, *columns.block_ends,
+            *columns.insn_counts,
+        ),
+        struct.pack(f"<{len(stmts)}I", *stmts),
+    ))
+
+
+def _block_columns(disassembly: Disassembly, start: int, end: int):
+    """The layout columns of the blocks in ``[start, end)``, for line
+    ranges the renderer did not capture (hand-built disassemblies)."""
+    blocks = disassembly.blocks
+    starts = [b.start_line for b in blocks]
+    blocks = blocks[
+        bisect.bisect_left(starts, start):bisect.bisect_left(starts, end)
+    ]
+    return GroupColumns(
+        start, end,
+        [b.start_line - start for b in blocks],
+        [b.end_line - start for b in blocks],
+        [len(b.insns) for b in blocks],
+        [b.signature.to_dex() for b in blocks],
+        [insn.stmt_index for b in blocks for insn in b.insns],
+    )
+
+
+def _split_joined(blob: bytes, count: int) -> list[str]:
+    text = blob.decode("utf-8", "surrogatepass")
+    items = text.split("\n") if count else []
+    if len(items) != count or (not count and text):
+        raise ValueError("layout names disagree with their count")
+    return items
+
+
+def decode_layout(buf) -> GroupLayout:
+    """Decode one layout section; raises ``ValueError`` on any shape
+    mismatch (the restore then renders instead)."""
+    try:
+        (class_count, block_count, insn_count, names_len,
+         sigs_len) = _LAYOUT_HEAD.unpack_from(buf, 0)
+        cursor = _LAYOUT_HEAD.size
+        names = _split_joined(buf[cursor:cursor + names_len], class_count)
+        cursor += names_len
+        signatures = _split_joined(buf[cursor:cursor + sigs_len], block_count)
+        cursor += sigs_len
+        columns = struct.unpack_from(f"<{3 * block_count}I", buf, cursor)
+        cursor += 12 * block_count
+        stmts = struct.unpack_from(f"<{insn_count}I", buf, cursor)
+        cursor += 4 * insn_count
+    except struct.error as exc:
+        raise ValueError(f"layout truncated: {exc}") from exc
+    insn_counts = columns[2 * block_count:]
+    if cursor != len(buf) or sum(insn_counts) != insn_count:
+        raise ValueError("layout sizes disagree with its header")
+    return GroupLayout(
+        names,
+        columns[:block_count],
+        columns[block_count:2 * block_count],
+        insn_counts,
+        signatures,
+        stmts,
+    )
 
 
 @dataclass(frozen=True)
@@ -69,13 +179,19 @@ class ShardGroup:
 
     ``tokens`` holds ``(rel_line, kind, text)`` triples where
     ``rel_line = absolute_line - start_line``; identical library code
-    yields identical triples in every app that embeds it.
+    yields identical triples, text and layout in every app that embeds
+    it.
     """
 
     label: str
     start_line: int
     line_count: int
     tokens: tuple[tuple[int, str, str], ...]
+    #: The group's plaintext (:func:`encode_lines`), encoded once: the
+    #: app key hashes it and the text section stores it.
+    text: bytes = b""
+    #: The group's layout section (:func:`encode_layout`).
+    layout: bytes = b""
 
     @property
     def end_line(self) -> int:
@@ -103,62 +219,110 @@ class ShardGroup:
         return cached
 
 
-def partition_disassembly(disassembly: Disassembly) -> list[ShardGroup]:
-    """Split a disassembly into library-prefix shard groups.
+@dataclass(frozen=True)
+class GroupText:
+    """One library group's line range, class names and encoded text."""
+
+    label: str
+    start_line: int
+    end_line: int
+    class_names: tuple[str, ...]
+    text: bytes
+
+
+def group_texts(disassembly: Disassembly) -> list[GroupText]:
+    """The disassembly's library groups with their text (memoized).
 
     Consecutive :class:`~repro.dex.disassembler.ClassSpan` entries with
-    the same :func:`group_label` merge into one group.  A disassembly
-    without class spans (hand-built test doubles) degrades to a single
-    app-wide group, so every store code path works on any
-    :class:`Disassembly` — it just stops deduplicating.
+    the same :func:`group_label` merge into one group — exactly the runs
+    the disassembler numbers afresh.  A disassembly without class spans
+    (hand-built test doubles) degrades to a single app-wide group.
+    This is all an app key needs, so keying a rendered app encodes its
+    text once and touches neither tokens nor blocks.
     """
+    cached = getattr(disassembly, "_group_text_cache", None)
+    if cached is not None:
+        return cached
     spans = getattr(disassembly, "class_spans", None) or []
-    tokens = disassembly.tokens
-    if not spans:
-        whole = tuple(
-            (t.line_no, t.kind, t.text) for t in tokens
-        )
-        return [ShardGroup("app", 0, len(disassembly.lines), whole)]
-
-    # Merge consecutive spans sharing a label into (label, start, end).
-    ranges: list[list] = []
+    ranges: list[list] = []  # [label, start, end, class names]
     for span in spans:
         label = group_label(span.class_name)
         if ranges and ranges[-1][0] == label and ranges[-1][2] == span.start_line:
             ranges[-1][2] = span.end_line
+            ranges[-1][3].append(span.class_name)
         else:
-            ranges.append([label, span.start_line, span.end_line])
+            ranges.append(
+                [label, span.start_line, span.end_line, [span.class_name]]
+            )
+    if not ranges:
+        ranges = [["app", 0, len(disassembly.lines), []]]
+    cached = [
+        GroupText(
+            label, start, end, tuple(names),
+            encode_lines(disassembly.lines[start:end]),
+        )
+        for label, start, end, names in ranges
+    ]
+    disassembly._group_text_cache = cached
+    return cached
 
+
+def partition_disassembly(disassembly: Disassembly) -> list[ShardGroup]:
+    """Split a disassembly into library-prefix shard groups (memoized).
+
+    The groups are :func:`group_texts`' ranges, each carrying its
+    relative tokens, text and layout.  A disassembly without class
+    spans degrades to one app-wide group, so every store code path
+    works on any :class:`Disassembly` — it just stops deduplicating.
+    """
+    cached = getattr(disassembly, "_partition_cache", None)
+    if cached is not None:
+        return cached
+    captured = {
+        (columns.start_line, columns.end_line): columns
+        for columns in disassembly.group_columns
+    }
     # Tokens are emitted in line order, so one forward sweep assigns
     # each token to its group.
-    groups: list[ShardGroup] = []
+    tokens = disassembly.tokens
+    cached = []
     cursor = 0
-    for label, start, end in ranges:
+    for group in group_texts(disassembly):
+        start, end = group.start_line, group.end_line
         rel: list[tuple[int, str, str]] = []
         while cursor < len(tokens) and tokens[cursor].line_no < end:
             token = tokens[cursor]
             if token.line_no >= start:
                 rel.append((token.line_no - start, token.kind, token.text))
             cursor += 1
-        groups.append(ShardGroup(label, start, end - start, tuple(rel)))
-    return groups
+        columns = captured.get((start, end))
+        if columns is None:
+            columns = _block_columns(disassembly, start, end)
+        cached.append(ShardGroup(
+            group.label, start, end - start, tuple(rel), group.text,
+            encode_layout(group.class_names, columns),
+        ))
+    disassembly._partition_cache = cached
+    return cached
 
 
 def shard_key(group: ShardGroup, key_version: int = KEY_VERSION) -> str:
     """The content address of one shard group.
 
-    Hashes the group's relative token triples, its rendered line count
-    (later groups' offsets depend on it) and the :data:`KEY_VERSION` —
-    but *not* its label or absolute position, so identical library code
-    dedups across apps regardless of where each app renders it, and
-    *not* the container format, so a JSON shard and its binary
-    migration share one content address.
+    Hashes the group's relative token triples, its text and layout, its
+    rendered line count (later groups' offsets depend on it) and the
+    :data:`KEY_VERSION` — but *not* its label or absolute position, so
+    identical library code dedups across apps regardless of where each
+    app renders it, and *not* the container format, so a JSON shard and
+    its binary migration share one content address.
     """
     digest = hashlib.sha256()
-    digest.update(f"backdroid-shard-v{key_version}\n".encode())
-    digest.update(str(group.line_count).encode())
-    digest.update(b"\n")
-    digest.update(group.canonical_bytes())
+    digest.update(
+        f"backdroid-shard-v{key_version}\n{group.line_count}\n".encode()
+    )
+    for part in (group.canonical_bytes(), group.text, group.layout):
+        digest.update(f"{len(part)}\n".encode())
+        digest.update(part)
     return digest.hexdigest()
 
 
@@ -187,13 +351,14 @@ def fold_group(
 
 
 def shard_payload(group: ShardGroup, key: str, format_version: int) -> dict:
-    """The JSON payload published for one shard.
+    """The payload published for one shard.
 
-    Carries both restore products: the relative token stream (composed
-    back into per-app token streams) and the prefolded mini-index —
-    vocabulary, posting lists, string ids and the local containment map
-    (merged into per-app structures without re-folding any token or
-    re-running the containment regexes).
+    Carries every restore product: the group's text and layout (bytes;
+    composed back into the app's disassembly), the relative token
+    stream (composed back into per-app token streams) and the prefolded
+    mini-index — vocabulary, posting lists, string ids and the local
+    containment map (merged into per-app structures without re-folding
+    any token or re-running the containment regexes).
     """
     vocab, postings, string_ids, containing = fold_group(group.tokens)
     return {
@@ -205,6 +370,8 @@ def shard_payload(group: ShardGroup, key: str, format_version: int) -> dict:
         "postings": postings,
         "string_ids": string_ids,
         "containing": containing,
+        "text": group.text,
+        "layout": group.layout,
     }
 
 

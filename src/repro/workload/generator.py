@@ -66,7 +66,7 @@ class AppSpec:
 #: runs serve stored outcomes on that trust alone; bump this on any
 #: generator or disassembler change that alters a generated app's
 #: disassembly, so old specmap entries are orphaned instead of served.
-GENERATOR_VERSION = 1
+GENERATOR_VERSION = 2
 
 
 def spec_fingerprint(spec: AppSpec) -> str:

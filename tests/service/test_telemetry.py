@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.api.request import AnalysisRequest
 from repro.core import BackDroidConfig, analyze_spec
 from repro.service import AnalysisServer, ServiceClient, StoreAwareScheduler
 from repro.workload.corpus import benchmark_app_spec
@@ -49,6 +50,25 @@ class TestWarmTrace:
             assert by_name["dispatch"]["attrs"]["executor"] == "in-process"
             restore = by_name["store.outcome_restore"]["attrs"]
             assert restore["via"] == "specmap" and restore["hit"] is True
+
+    def test_rule_change_rescan_restores_the_disassembly(self, tmp_path):
+        config = _config(tmp_path)
+        spec = benchmark_app_spec(0, scale=SCALE)
+        assert analyze_spec(spec, config).ok
+        with StoreAwareScheduler(config, workers=1) as scheduler:
+            job = scheduler.submit(
+                spec, AnalysisRequest(rules=("open-port",))
+            )
+            done = scheduler.wait(job.id, timeout=60)
+            assert done.state == "done"
+            disassembles = [
+                span["attrs"] for span in done.trace
+                if span["name"] == "disassemble"
+            ]
+            # The plaintext came from the store; nothing rendered it.
+            assert [attrs["via"] for attrs in disassembles] == ["store"]
+            assert disassembles[0]["hit"] is True
+            assert {s["pid"] for s in done.trace} == {os.getpid()}
 
     def test_trace_spans_nest_under_the_job_root(self, tmp_path):
         with StoreAwareScheduler(_config(tmp_path), workers=1) as scheduler:

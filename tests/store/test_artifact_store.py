@@ -17,7 +17,13 @@ from repro.search.backends.indexed import TokenIndex
 from repro.search.index import BytecodeSearcher
 from repro.store import ArtifactStore, store_key
 from repro.store.artifacts import FORMAT_VERSION
-from repro.store.binshard import decode_shard, encode_shard
+from repro.store.binshard import (
+    SEC_LAYOUT,
+    SEC_TEXT,
+    decode_shard,
+    encode_shard,
+    read_header,
+)
 from repro.workload.corpus import benchmark_app_spec
 from repro.workload.generator import (
     AppSpec,
@@ -368,6 +374,140 @@ class TestOutcomeReuse:
         outcome = analyze_spec(benchmark_app_spec(0, scale=0.05), config)
         assert not outcome.ok
         assert "unknown store mode" in outcome.error
+
+
+#: Outcome fields an index hit legitimately reports differently from the
+#: cold run that published its entry: timing, and how the index was
+#: obtained (restored lazily instead of folded).
+_RESTORE_FIELDS = (
+    "seconds", "index_build_seconds", "index_restored",
+    "materialized_groups", "bytes_mapped", "bytes_decoded",
+)
+
+
+def _count_renders(monkeypatch):
+    """Count every fresh render (``disassemble`` calls) from here on."""
+    import repro.dex.disassembler as disassembler
+
+    calls = []
+    real = disassembler.disassemble
+
+    def counted(pool):
+        calls.append(pool)
+        return real(pool)
+
+    monkeypatch.setattr(disassembler, "disassemble", counted)
+    return calls
+
+
+class TestDisassemblyRestore:
+    def test_index_hit_restores_without_rendering(self, tmp_path, monkeypatch):
+        spec = benchmark_app_spec(0, scale=0.05)
+        config = _store_config(tmp_path, mode="index")
+        cold = analyze_spec(spec, config)
+
+        def refuse(pool):
+            raise AssertionError("an index hit rendered the app")
+
+        monkeypatch.setattr("repro.dex.disassembler.disassemble", refuse)
+        warm = analyze_spec(spec, config)
+        assert warm.ok, warm.error
+        assert warm.index_restored and not warm.store_hit
+        assert warm.shards_patched == 0
+        assert _payload_without(warm, *_RESTORE_FIELDS) == _payload_without(
+            cold, *_RESTORE_FIELDS
+        )
+
+    def test_full_mode_rescan_under_new_rules_restores_too(
+        self, tmp_path, monkeypatch
+    ):
+        spec = benchmark_app_spec(0, scale=0.05)
+        analyze_spec(spec, _store_config(tmp_path))
+        renders = _count_renders(monkeypatch)
+        rescan = analyze_spec(
+            spec, _store_config(tmp_path, sink_rules=("open-port",))
+        )
+        assert rescan.ok and not rescan.store_hit and rescan.index_restored
+        assert renders == []
+
+    @pytest.mark.parametrize("section", [SEC_TEXT, SEC_LAYOUT])
+    def test_damaged_section_is_refused_then_healed(
+        self, tmp_path, monkeypatch, section
+    ):
+        spec = benchmark_app_spec(0, scale=0.05)
+        config = _store_config(tmp_path, mode="index")
+        cold = analyze_spec(spec, config)
+        store = config.artifact_store()
+        groups = store._groups(generate_app(spec).apk.disassembly)
+        path = store._shard_path_bin(groups[0][1])
+        intact = path.read_bytes()
+        _, offset, length = read_header(intact).sections[section]
+        damaged = bytearray(intact)
+        damaged[offset + length // 2] ^= 0xFF
+        path.write_bytes(bytes(damaged))
+
+        renders = _count_renders(monkeypatch)
+        healed = analyze_spec(spec, config)
+        assert healed.ok, healed.error
+        assert renders  # refused: the run rendered
+        assert _payload_without(healed, *_RESTORE_FIELDS) == \
+            _payload_without(cold, *_RESTORE_FIELDS)
+        assert path.read_bytes() == intact
+        assert all(entry.ok for entry in store.verify())
+
+        renders.clear()
+        again = analyze_spec(spec, config)
+        assert again.ok and renders == []
+
+    @pytest.mark.parametrize("field", ["text", "layout"])
+    def test_crc_clean_rewrite_is_refused_by_the_digests(
+        self, tmp_path, monkeypatch, field
+    ):
+        # Re-encoded under the same content address, the section passes
+        # its CRC: the composed text must still hash to the app key and
+        # the layouts to the manifest's layout digest.
+        spec = benchmark_app_spec(0, scale=0.05)
+        config = _store_config(tmp_path, mode="index")
+        cold = analyze_spec(spec, config)
+        store = config.artifact_store()
+        groups = store._groups(generate_app(spec).apk.disassembly)
+        path = store._shard_path_bin(groups[0][1])
+        intact = path.read_bytes()
+        payload = decode_shard(intact)
+        blob = bytearray(payload[field])
+        blob[len(blob) // 2] ^= 0x01
+        payload[field] = bytes(blob)
+        path.write_bytes(encode_shard(payload, payload["key"]))
+
+        renders = _count_renders(monkeypatch)
+        healed = analyze_spec(spec, config)
+        assert healed.ok, healed.error
+        assert renders
+        assert _payload_without(healed, *_RESTORE_FIELDS) == \
+            _payload_without(cold, *_RESTORE_FIELDS)
+        assert path.read_bytes() == intact
+
+    def test_specmap_entry_pointing_at_another_apps_key_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        spec = benchmark_app_spec(0, scale=0.05)
+        other = benchmark_app_spec(1, scale=0.05)
+        config = _store_config(tmp_path, mode="index")
+        cold = analyze_spec(spec, config)
+        analyze_spec(other, config)
+        store = config.artifact_store()
+        own_key = store.load_spec_key(spec_fingerprint(spec))
+        store.save_spec_key(
+            spec_fingerprint(spec), store.load_spec_key(spec_fingerprint(other))
+        )
+        renders = _count_renders(monkeypatch)
+        warm = analyze_spec(spec, config)
+        assert warm.ok and warm.package == cold.package
+        assert renders  # the other app's text was not adopted
+        assert _payload_without(warm, *_RESTORE_FIELDS) == _payload_without(
+            cold, *_RESTORE_FIELDS
+        )
+        assert store.load_spec_key(spec_fingerprint(spec)) == own_key
 
 
 class TestConcurrency:

@@ -10,11 +10,14 @@ v2 JSON stores through in-place migration, with ``store verify``
 passing on v2, v3 and mixed stores throughout.
 """
 
+import gc
+import warnings
+
 import pytest
 
 from repro.search.backends.indexed import TokenIndex, _DESCRIPTOR_RE
 from repro.search.index import BytecodeSearcher
-from repro.store import ArtifactStore, store_key
+from repro.store import ArtifactStore, LazyShardView, store_key
 from repro.store.lazy import LazyTokenIndex
 from repro.workload.generator import AppSpec, LibrarySpec, generate_app
 
@@ -297,6 +300,24 @@ class TestMigration:
         assert not getattr(restored, "lazy", False)
         fresh = TokenIndex.for_disassembly(_build_apk().disassembly)
         assert restored.vocab == fresh.vocab
+
+
+class TestViewHandles:
+    def test_dropped_view_leaves_no_file_open(self, store):
+        # The mapping holds its own descriptor, so a view that is used
+        # and then dropped without reset() must not leak a file object.
+        apk = _build_apk()
+        store.save_index(
+            apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
+        )
+        sha = store._groups(apk.disassembly)[0][1]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            view = LazyShardView(store._shard_path_bin(sha), sha)
+            assert view.mini_index()["vocab"]
+            del view
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
 
 
 class TestProbeNeverParses:
