@@ -19,6 +19,18 @@ from repro.dex.hierarchy import ClassPool, DexClass
 from repro.telemetry import tracing
 
 
+def render_disassembly(classes: ClassPool) -> Disassembly:
+    """Render ``classes``' plaintext afresh, as a ``disassemble`` span.
+
+    A restored disassembly keeps its render callable, so a store restore
+    binds this to the app's class pool, never to the :class:`Apk` that
+    holds the disassembly: that would be a reference cycle only the
+    cyclic collector frees.
+    """
+    with tracing.span("disassemble", attrs={"via": "render"}):
+        return disassembler.disassemble(classes)
+
+
 @dataclass
 class Apk:
     """One analyzable app."""
@@ -64,17 +76,12 @@ class Apk:
         store rebuilds it from stored shards on an index hit.
         """
         if self._disassembly is None:
-            self._disassembly = self.render_disassembly()
+            self._disassembly = render_disassembly(self.classes)
         return self._disassembly
 
     @disassembly.setter
     def disassembly(self, disassembly: Disassembly) -> None:
         self._disassembly = disassembly
-
-    def render_disassembly(self) -> Disassembly:
-        """Render the app's plaintext afresh (never cached here)."""
-        with tracing.span("disassemble", attrs={"via": "render"}):
-            return disassembler.disassemble(self.classes)
 
     def invalidate_caches(self) -> None:
         """Drop the cached views after mutating ``classes``."""

@@ -18,6 +18,7 @@ mirroring how the paper's corpus runs tolerate per-app analyzer errors
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import os
 import statistics
@@ -31,6 +32,7 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from repro.android.apk import render_disassembly
 from repro.core.backdroid import BackDroidConfig
 from repro.store import WARM_LEVELS, ArtifactStore, store_key
 from repro.telemetry import tracing
@@ -177,7 +179,7 @@ def _restore_disassembly(store: ArtifactStore, key: str, apk) -> None:
     for it; otherwise leave it to render on first use."""
     with tracing.span("disassemble", attrs={"via": "store"}) as span:
         restored = store.load_disassembly(
-            key, apk.classes, apk.render_disassembly
+            key, apk.classes, functools.partial(render_disassembly, apk.classes)
         )
         span.set_attr("hit", restored is not None)
     if restored is not None:

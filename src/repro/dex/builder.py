@@ -25,7 +25,7 @@ code compactly.  Example — the paper's Fig. 3 caller::
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.dex.hierarchy import AccessFlags, ClassPool, DexClass, DexField, DexMethod
 from repro.dex.instructions import (
@@ -52,6 +52,7 @@ from repro.dex.instructions import (
     PhiExpr,
     ReturnStmt,
     StaticFieldRef,
+    Stmt,
     StringConstant,
     ThisRef,
     Value,
@@ -77,38 +78,42 @@ def _as_value(value: ValueLike) -> Value:
 
 
 class MethodBuilder:
-    """Builds one method body, handing out fresh SSA locals."""
+    """Builds one method body, handing out fresh SSA locals.
 
-    def __init__(self, method: DexMethod) -> None:
-        self.method = method
+    Statements go to ``body``: the method's own list, or a fresh one
+    when a deferred fill builds it (:meth:`ClassBuilder.defer_bodies`).
+    """
+
+    def __init__(
+        self, declaring_class: str, param_types: Sequence[str], body: list[Stmt]
+    ) -> None:
+        self.declaring_class = declaring_class
+        self.param_types = param_types
+        self.body = body
         self._counter = itertools.count()
 
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    @property
-    def signature(self) -> MethodSignature:
-        return self.method.signature()
-
     def fresh(self, java_type: str = "java.lang.Object", prefix: str = "$r") -> Local:
         """Allocate a fresh local of the given type."""
         return Local(f"{prefix}{next(self._counter)}", java_type)
 
-    def emit(self, stmt) -> None:
-        self.method.body.append(stmt)
+    def emit(self, stmt: Stmt) -> None:
+        self.body.append(stmt)
 
     # ------------------------------------------------------------------
     # Identity statements
     # ------------------------------------------------------------------
     def this(self) -> Local:
         """``r0 := @this`` — bind and return the receiver local."""
-        local = self.fresh(self.method.declaring_class, prefix="r")
-        self.emit(IdentityStmt(local=local, ref=ThisRef(self.method.declaring_class)))
+        local = self.fresh(self.declaring_class, prefix="r")
+        self.emit(IdentityStmt(local=local, ref=ThisRef(self.declaring_class)))
         return local
 
     def param(self, index: int) -> Local:
         """``rN := @parameterN`` — bind and return a formal parameter."""
-        java_type = self.method.param_types[index]
+        java_type = self.param_types[index]
         local = self.fresh(java_type, prefix="r")
         self.emit(IdentityStmt(local=local, ref=ParameterRef(index, java_type)))
         return local
@@ -330,6 +335,13 @@ class MethodBuilder:
     def return_value(self, value: ValueLike) -> None:
         self.emit(ReturnStmt(value=_as_value(value)))
 
+    def object_init(self) -> None:
+        """The whole body of an empty constructor: bind ``this``, call
+        ``Object.<init>`` on it, return."""
+        this = self.this()
+        self.invoke_special(this, MethodSignature("java.lang.Object", "<init>", (), "void"))
+        self.return_void()
+
 
 def _default_param_type(value: Value) -> str:
     if isinstance(value, StringConstant):
@@ -400,7 +412,7 @@ class ClassBuilder:
         method = self.dex_class.add_method(
             DexMethod(name=name, param_types=tuple(params), return_type=returns, flags=flags)
         )
-        return MethodBuilder(method)
+        return MethodBuilder(method.declaring_class, method.param_types, method.body)
 
     def constructor(
         self, params: Sequence[str] = (), flags: AccessFlags = AccessFlags.PUBLIC
@@ -410,16 +422,33 @@ class ClassBuilder:
     def default_constructor(self) -> MethodBuilder:
         """An empty ``<init>()`` calling ``Object.<init>`` and returning."""
         ctor = self.constructor()
-        this = ctor.this()
-        ctor.invoke_special(
-            this,
-            MethodSignature("java.lang.Object", "<init>", (), "void"),
-        )
-        ctor.return_void()
+        ctor.object_init()
         return ctor
 
     def static_initializer(self) -> MethodBuilder:
         return self.method("<clinit>")
+
+    def defer_bodies(self, fill: Callable[[list[MethodBuilder]], None]) -> None:
+        """Build every method declared so far on the first read of any
+        of their bodies, not now.
+
+        ``fill`` gets one builder per method, in declaration order, and
+        builds each body as it would have been built eagerly.  It runs
+        at most once, and may run on any thread, long after this call:
+        it must use only data captured now (never the class, its
+        methods or a shared random generator), so an app nobody reads
+        stays free of reference cycles and builds the same bodies
+        whenever it is read.
+        """
+        name = self.dex_class.name
+        params = [method.param_types for method in self.dex_class.methods]
+
+        def build() -> list[list[Stmt]]:
+            builders = [MethodBuilder(name, types, []) for types in params]
+            fill(builders)
+            return [builder.body for builder in builders]
+
+        self.dex_class.defer_bodies(build)
 
     def build(self) -> DexClass:
         return self.dex_class

@@ -10,9 +10,10 @@ sub-signature (Sec. IV-B).
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.dex.instructions import Stmt, invoked_signatures, referenced_classes
 from repro.dex.types import FieldSignature, MethodSignature
@@ -65,7 +66,12 @@ class DexField:
 
 @dataclass
 class DexMethod:
-    """A method declaration plus its IR body."""
+    """A method declaration plus its IR body.
+
+    ``body`` is a plain list, except in a class that deferred its
+    bodies (:meth:`DexClass.defer_bodies`): there the first read of any
+    method's ``body`` builds them all.
+    """
 
     name: str
     param_types: tuple[str, ...] = ()
@@ -122,6 +128,55 @@ class DexMethod:
         return self.signature().sub_signature()
 
 
+class _DeferredBodies:
+    """One class's method bodies, built together on the first read.
+
+    Soot builds a method's body only when an analysis first asks for it
+    (``SootMethod.retrieveActiveBody()``); a class with deferred bodies
+    does the same per class.  ``build`` returns every body in the
+    class's method order, and each method takes its own by slot.  It
+    runs at most once, under a lock, because sessions are shared across
+    threads.  Nothing here refers to the class or its methods, so a
+    pending class forms no reference cycle and an app nobody reads is
+    freed by reference counting alone.
+    """
+
+    __slots__ = ("_build", "_bodies", "_lock")
+
+    def __init__(self, build: Callable[[], list[list[Stmt]]]) -> None:
+        self._build: Optional[Callable[[], list[list[Stmt]]]] = build
+        self._bodies: Optional[list[list[Stmt]]] = None
+        self._lock = threading.Lock()
+
+    def body(self, slot: int) -> list[Stmt]:
+        bodies = self._bodies
+        if bodies is None:
+            with self._lock:
+                if self._bodies is None:
+                    self._bodies = self._build()
+                    self._build = None
+                bodies = self._bodies
+        return bodies[slot]
+
+
+def _read_body(method: DexMethod) -> list[Stmt]:
+    body = method._body
+    if body is None:
+        deferred, slot = method._pending
+        body = method._body = deferred.body(slot)
+    return body
+
+
+def _write_body(method: DexMethod, body: list[Stmt]) -> None:
+    method._body = body
+
+
+# ``body`` stays a dataclass field, so ``__init__``, ``__eq__`` and
+# ``__repr__`` handle it as before, but reads go through ``_body``: None
+# while the declaring class has not built it, after that the list.
+DexMethod.body = property(_read_body, _write_body)
+
+
 @dataclass
 class DexClass:
     """A class definition: hierarchy links, fields and methods."""
@@ -160,6 +215,17 @@ class DexClass:
         method.declaring_class = self.name
         self.methods.append(method)
         return method
+
+    def defer_bodies(self, build: Callable[[], list[list[Stmt]]]) -> None:
+        """Leave every declared method's body to ``build``, which runs on
+        the first read of any of them and returns the bodies in method
+        order (see :class:`_DeferredBodies`).  Call it once, before any
+        body is built; ``build`` must not refer to this class or its
+        methods."""
+        deferred = _DeferredBodies(build)
+        for slot, method in enumerate(self.methods):
+            method._body = None
+            method._pending = (deferred, slot)
 
     def find_method(
         self, name: str, param_types: Optional[Iterable[str]] = None

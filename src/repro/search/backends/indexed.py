@@ -29,6 +29,7 @@ from __future__ import annotations
 import bisect
 import re
 import time
+import weakref
 from typing import Optional
 
 from repro.dex.disassembler import Disassembly
@@ -261,6 +262,9 @@ class InvertedIndexBackend(SearchBackend):
     def index(self) -> TokenIndex:
         if self._index is None:
             index = getattr(self.disassembly, "_token_index_cache", None)
+            if index is None:
+                shared = getattr(self.disassembly, "_restored_index", None)
+                index = shared() if shared is not None else None
             if index is None and self.store is not None:
                 with tracing.span("index.restore") as restore_span:
                     index = self.store.load_index(self.disassembly)
@@ -270,8 +274,11 @@ class InvertedIndexBackend(SearchBackend):
                         bytes_mapped=getattr(index, "bytes_mapped", 0),
                     )
                 if index is not None:
-                    # Share the restored index with sibling searchers.
-                    self.disassembly._token_index_cache = index
+                    # Share the restored index with sibling searchers,
+                    # weakly: a lazy index's heal callback holds this
+                    # disassembly, so a strong reference back would be
+                    # a cycle only the cyclic collector frees.
+                    self.disassembly._restored_index = weakref.ref(index)
             if index is None:
                 # Only a fold reads the token stream (a restore never
                 # does, so a restored disassembly is never rendered

@@ -910,14 +910,16 @@ class _NodeProcess:
     def _drain(self) -> None:
         # Keeps the child's stdout pipe from filling (a full pipe
         # deadlocks the service's print statements) while retaining
-        # the log for debugging.
-        for line in self.process.stdout:
-            self.log.append(line.rstrip("\n"))
-            if self.address is None:
-                match = _BANNER_RE.search(line)
-                if match:
-                    self.address = (match.group(1), int(match.group(2)))
-                    self._banner.set()
+        # the log for debugging.  The pump owns the pipe and closes it
+        # at EOF, which a worker that outlives its node can delay.
+        with self.process.stdout as stdout:
+            for line in stdout:
+                self.log.append(line.rstrip("\n"))
+                if self.address is None:
+                    match = _BANNER_RE.search(line)
+                    if match:
+                        self.address = (match.group(1), int(match.group(2)))
+                        self._banner.set()
         self._banner.set()  # EOF: unblock waiters even without a banner
 
     def wait_banner(self, timeout: float) -> tuple:
@@ -1107,6 +1109,8 @@ class ClusterHarness:
                 except ProcessLookupError:
                     pass
                 node.process.wait(timeout=10.0)
+        for node in self.nodes.values():
+            node._pump.join(timeout=5.0)  # it closes the pipe at EOF
 
     def __enter__(self) -> "ClusterHarness":
         return self.start()

@@ -12,13 +12,14 @@ and VI-D measure.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass, field
 
 from repro.android.apk import Apk
 from repro.android.manifest import ComponentKind, Manifest
-from repro.dex.builder import AppBuilder
+from repro.dex.builder import AppBuilder, MethodBuilder
 from repro.workload.patterns import (
     PATTERN_BUILDERS,
     GroundTruth,
@@ -127,7 +128,10 @@ def _build_filler(
     ``FillerK`` classes extend one shared ``BaseTask`` and override
     ``step()``; the launcher walks the chain through base-typed calls, so
     a class-hierarchy analysis resolves each dispatch against *every*
-    filler subclass.
+    filler subclass.  Each filler class declares its methods and draws
+    its constants now but builds its bodies on first read
+    (:meth:`~repro.dex.builder.ClassBuilder.defer_bodies`): a targeted
+    analysis never reads them, a whole-app one reads them all.
     """
     if spec.filler_classes <= 0:
         return
@@ -142,31 +146,19 @@ def _build_filler(
     class_names = [f"{package}.gen.Filler{index}" for index in range(spec.filler_classes)]
     for index, name in enumerate(class_names):
         filler = app.new_class(name, superclass=base_name)
-        filler.default_constructor()
-        step = filler.method("step", params=["int"], returns="int")
-        step.this()
-        arg = step.param(0)
-        value = step.binop("+", arg, rng.randint(1, 99))
-        step.return_value(value)
+        filler.constructor()
+        filler.method("step", params=["int"], returns="int")
+        step_addend = rng.randint(1, 99)
+        work_constants = []
         for m_index in range(spec.methods_per_filler):
-            method = filler.method(f"work{m_index}", params=["int"], returns="int",
-                                   static=True)
-            arg = method.param(0)
-            acc = method.binop("*", arg, rng.randint(2, 9))
-            acc = method.binop("+", acc, rng.randint(1, 999))
-            if m_index + 1 < spec.methods_per_filler:
-                nxt = method.invoke_static(name, f"work{m_index + 1}", args=[acc],
-                                           params=["int"], returns="int")
-                method.return_value(nxt)
-            else:
-                # Cross-class dispatch through the base type.
-                obj = method.new_init(
-                    class_names[(index + 1) % len(class_names)]
-                )
-                up = method.cast(base_name, obj)
-                out = method.invoke_virtual(up, base_name, "step", args=[acc],
-                                            params=["int"], returns="int")
-                method.return_value(out)
+            filler.method(f"work{m_index}", params=["int"], returns="int",
+                          static=True)
+            work_constants.append((rng.randint(2, 9), rng.randint(1, 999)))
+        filler.defer_bodies(functools.partial(
+            _fill_filler, name, base_name,
+            class_names[(index + 1) % len(class_names)],
+            step_addend, work_constants,
+        ))
 
     launcher_name = f"{package}.gen.LauncherActivity"
     launcher = app.new_class(launcher_name, superclass="android.app.Activity")
@@ -185,6 +177,35 @@ def _build_filler(
     )
 
 
+def _fill_filler(
+    name: str, base_name: str, next_name: str, step_addend: int,
+    work_constants: list[tuple[int, int]], builders: list[MethodBuilder],
+) -> None:
+    """The bodies of one filler class: ``<init>``, ``step`` and the
+    ``workN`` chain, whose last link dispatches to ``next_name``."""
+    ctor, step, *work = builders
+    ctor.object_init()
+    step.this()
+    arg = step.param(0)
+    value = step.binop("+", arg, step_addend)
+    step.return_value(value)
+    for m_index, (method, (factor, addend)) in enumerate(zip(work, work_constants)):
+        arg = method.param(0)
+        acc = method.binop("*", arg, factor)
+        acc = method.binop("+", acc, addend)
+        if m_index + 1 < len(work):
+            nxt = method.invoke_static(name, f"work{m_index + 1}", args=[acc],
+                                       params=["int"], returns="int")
+            method.return_value(nxt)
+        else:
+            # Cross-class dispatch through the base type.
+            obj = method.new_init(next_name)
+            up = method.cast(base_name, obj)
+            out = method.invoke_virtual(up, base_name, "step", args=[acc],
+                                        params=["int"], returns="int")
+            method.return_value(out)
+
+
 def _build_library(app: AppBuilder, lib: LibrarySpec) -> None:
     """Embed one shared library's classes, app-independently.
 
@@ -192,6 +213,7 @@ def _build_library(app: AppBuilder, lib: LibrarySpec) -> None:
     library spec alone, and every emitted name/signature/string refers
     only to the library's own package — so the rendered class group
     (and hence its store shard) is identical in every embedding app.
+    Component classes build their bodies on first read, like filler.
     """
     if lib.classes <= 0:
         return
@@ -209,36 +231,54 @@ def _build_library(app: AppBuilder, lib: LibrarySpec) -> None:
     ]
     for index, name in enumerate(class_names):
         component = app.new_class(name, superclass=base_name)
-        component.default_constructor()
-        step = component.method("transform", params=["int"], returns="int")
-        step.this()
-        arg = step.param(0)
-        value = step.binop("+", arg, rng.randint(1, 99))
-        step.return_value(value)
+        component.constructor()
+        component.method("transform", params=["int"], returns="int")
+        transform_addend = rng.randint(1, 99)
+        stage_factors = []
         for m_index in range(lib.methods_per_class):
-            method = component.method(
+            component.method(
                 f"stage{m_index}", params=["int"], returns="int", static=True
             )
-            arg = method.param(0)
-            acc = method.binop("*", arg, rng.randint(2, 9))
-            if m_index + 1 < lib.methods_per_class:
-                nxt = method.invoke_static(
-                    name, f"stage{m_index + 1}", args=[acc],
-                    params=["int"], returns="int",
-                )
-                method.return_value(nxt)
-            else:
-                # Library-internal cross-class dispatch, mirroring real
-                # SDKs' intra-library call graphs.
-                obj = method.new_init(
-                    class_names[(index + 1) % len(class_names)]
-                )
-                up = method.cast(base_name, obj)
-                out = method.invoke_virtual(
-                    up, base_name, "transform", args=[acc],
-                    params=["int"], returns="int",
-                )
-                method.return_value(out)
+            stage_factors.append(rng.randint(2, 9))
+        component.defer_bodies(functools.partial(
+            _fill_component, name, base_name,
+            class_names[(index + 1) % len(class_names)],
+            transform_addend, stage_factors,
+        ))
+
+
+def _fill_component(
+    name: str, base_name: str, next_name: str, transform_addend: int,
+    stage_factors: list[int], builders: list[MethodBuilder],
+) -> None:
+    """The bodies of one library component: ``<init>``, ``transform``
+    and the ``stageN`` chain, whose last link dispatches to
+    ``next_name``."""
+    ctor, transform, *stages = builders
+    ctor.object_init()
+    transform.this()
+    arg = transform.param(0)
+    value = transform.binop("+", arg, transform_addend)
+    transform.return_value(value)
+    for m_index, (method, factor) in enumerate(zip(stages, stage_factors)):
+        arg = method.param(0)
+        acc = method.binop("*", arg, factor)
+        if m_index + 1 < len(stages):
+            nxt = method.invoke_static(
+                name, f"stage{m_index + 1}", args=[acc],
+                params=["int"], returns="int",
+            )
+            method.return_value(nxt)
+        else:
+            # Library-internal cross-class dispatch, mirroring real
+            # SDKs' intra-library call graphs.
+            obj = method.new_init(next_name)
+            up = method.cast(base_name, obj)
+            out = method.invoke_virtual(
+                up, base_name, "transform", args=[acc],
+                params=["int"], returns="int",
+            )
+            method.return_value(out)
 
 
 def generate_app(spec: AppSpec) -> GeneratedApp:
@@ -268,6 +308,8 @@ def generate_app(spec: AppSpec) -> GeneratedApp:
     )
     if apk.size_mb <= 0:
         # Rough DEX-size model: ~3 KB per IR statement keeps generated
-        # apps in the paper's MB range.
+        # apps in the paper's MB range.  Counting statements reads every
+        # body, so an unsized spec builds its deferred bodies here;
+        # corpus and service specs all carry a size.
         apk.size_mb = round(apk.code_units() * 0.003, 1)
     return GeneratedApp(apk=apk, spec=spec, truths=truths)

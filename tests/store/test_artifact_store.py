@@ -7,6 +7,8 @@ rebuild instead of failing, and the atomic-rename write protocol keeps
 concurrent process-pool writers safe.
 """
 
+import dataclasses
+import gc
 import json
 
 import pytest
@@ -508,6 +510,93 @@ class TestDisassemblyRestore:
             cold, *_RESTORE_FIELDS
         )
         assert store.load_spec_key(spec_fingerprint(spec)) == own_key
+
+
+def _generated_apks(monkeypatch):
+    """Every app ``analyze_spec`` generates from here on."""
+    import repro.core.batch as batch
+
+    apks = []
+    real = batch.generate_app
+
+    def capture(spec):
+        app = real(spec)
+        apks.append(app.apk)
+        return app
+
+    monkeypatch.setattr(batch, "generate_app", capture)
+    return apks
+
+
+def _bulk_classes(apk):
+    """Filler and library classes: name -> whether any body was built."""
+    return {
+        cls.name: any(method._body is not None for method in cls.methods)
+        for cls in apk.classes.application_classes()
+        if ".gen.Filler" in cls.name or ".core.Component" in cls.name
+    }
+
+
+class TestLazyBodies:
+    """Bulk classes build their bodies on first read (deferred fills)."""
+
+    SPEC = dataclasses.replace(
+        benchmark_app_spec(3, scale=0.2),
+        libraries=(LibrarySpec("com.lib.lazy", seed=4),),
+    )
+
+    def test_index_hit_builds_no_bulk_class(self, tmp_path, monkeypatch):
+        config = _store_config(tmp_path, mode="index")
+        cold = analyze_spec(self.SPEC, config)
+        apks = _generated_apks(monkeypatch)
+        warm = analyze_spec(self.SPEC, config)
+        assert warm.ok and warm.index_restored, warm.error
+        (apk,) = apks
+        bulk = _bulk_classes(apk)
+        assert any(".gen.Filler" in name for name in bulk)
+        assert any(".core.Component" in name for name in bulk)
+        assert not any(bulk.values()), sorted(n for n, b in bulk.items() if b)
+        assert _payload_without(warm, *_RESTORE_FIELDS) == _payload_without(
+            cold, *_RESTORE_FIELDS
+        )
+
+    def test_cold_run_renders_what_prebuilt_bodies_render(self, tmp_path, monkeypatch):
+        config = _store_config(tmp_path)
+        apks = _generated_apks(monkeypatch)
+        assert analyze_spec(self.SPEC, config).ok
+        (apk,) = apks
+        assert all(_bulk_classes(apk).values())  # its render built them
+        prebuilt = generate_app(self.SPEC).apk
+        for cls in prebuilt.classes.application_classes():
+            for method in cls.methods:
+                method.body
+        assert apk.disassembly.lines == prebuilt.disassembly.lines
+        store = config.artifact_store()
+        assert store.load_spec_key(spec_fingerprint(self.SPEC)) == store_key(
+            prebuilt.disassembly
+        )
+
+
+class TestNoReferenceCycles:
+    def test_jobs_leave_nothing_for_the_cyclic_collector(self, tmp_path):
+        spec = benchmark_app_spec(1, scale=0.2)
+
+        def run(config):
+            gc.collect()
+            gc.disable()
+            try:
+                outcome = analyze_spec(spec, config)
+                return outcome, gc.collect()
+            finally:
+                gc.enable()
+
+        cold, cold_garbage = run(_store_config(tmp_path))
+        index_hit, index_garbage = run(_store_config(tmp_path, mode="index"))
+        outcome_hit, outcome_garbage = run(_store_config(tmp_path))
+        assert cold.ok and not cold.store_hit, cold.error
+        assert index_hit.index_restored and not index_hit.store_hit
+        assert outcome_hit.store_hit
+        assert (cold_garbage, index_garbage, outcome_garbage) == (0, 0, 0)
 
 
 class TestConcurrency:

@@ -9,9 +9,11 @@ class spans.  Per-group numbering is what makes the text shareable, so
 a library group must render byte-identical in two different apps.
 """
 
+import functools
+
 import pytest
 
-from repro.android.apk import Apk
+from repro.android.apk import Apk, render_disassembly
 from repro.dex.builder import AppBuilder
 from repro.dex.disassembler import RenderMismatch, RestoredDisassembly
 from repro.search.backends.indexed import TokenIndex
@@ -70,7 +72,9 @@ def _publish(store, apk):
 
 
 def _restore(store, key, apk):
-    return store.load_disassembly(key, apk.classes, apk.render_disassembly)
+    return store.load_disassembly(
+        key, apk.classes, functools.partial(render_disassembly, apk.classes)
+    )
 
 
 def _block_shape(block):
@@ -122,7 +126,7 @@ class TestParity:
 
         def counted():
             renders.append(1)
-            return apk.render_disassembly()
+            return render_disassembly(apk.classes)
 
         restored = store.load_disassembly(key, apk.classes, counted)
         fresh = build().disassembly
@@ -136,7 +140,7 @@ class TestParity:
         apk = build_heyzap()
         other = build_palcomp3()
         restored = store.load_disassembly(
-            key, apk.classes, other.render_disassembly
+            key, apk.classes, functools.partial(render_disassembly, other.classes)
         )
         with pytest.raises(RenderMismatch):
             restored.tokens
