@@ -19,7 +19,6 @@ Commands::
     backdroid store warm bench:0..50 --store .bdstore
     backdroid store stats --store .bdstore
     backdroid store verify --store .bdstore
-    backdroid store migrate --store .bdstore
     backdroid store gc --store .bdstore --max-age-hours 48
     backdroid serve --port 8099 --store .bdstore --cold-workers 4 --fast-lane-workers 1
     backdroid inventory bench:3
@@ -243,9 +242,7 @@ def cmd_batch(args) -> int:
 def _require_store(args) -> ArtifactStore:
     if not args.store:
         raise SystemExit("a store directory is required: pass --store DIR")
-    return ArtifactStore(
-        args.store, shard_format=getattr(args, "shard_format", "binary")
-    )
+    return ArtifactStore(args.store)
 
 
 def cmd_store(args) -> int:
@@ -280,26 +277,12 @@ def cmd_store(args) -> int:
         if args.max_age_hours < 0:
             raise SystemExit("--max-age-hours must be >= 0")
         result = store.gc(args.max_age_hours * 3600.0)
-        migrated = (
-            f", migrated {result.shards_migrated} legacy shard(s)"
-            if result.shards_migrated
-            else ""
-        )
         print(
             f"removed {result.entries_removed} entry(ies) and "
             f"{result.shards_removed} unreferenced shard(s), "
-            f"reclaimed {result.bytes_reclaimed} bytes{migrated}"
-        )
-        return 0
-
-    if args.action == "migrate":
-        result = _require_store(args).migrate()
-        print(
-            f"migrated {result.shards_migrated} legacy JSON shard(s) to "
-            f"the binary container, {result.shards_failed} failure(s), "
             f"reclaimed {result.bytes_reclaimed} bytes"
         )
-        return 1 if result.shards_failed else 0
+        return 0
 
     # warm: prebuild artifacts so later runs start hot.  "index" mode
     # builds and persists each app's inverted index; "full" mode runs
@@ -334,14 +317,6 @@ def cmd_store(args) -> int:
                 spec_fingerprint(spec), store_key(apk.disassembly)
             )
             warmed += 1
-    if store.shard_format == "binary":
-        # Warming an older store is the natural moment to finish its
-        # v2 -> v3 conversion: everything it still holds as legacy
-        # JSON becomes mmap-able.
-        migrated = store.migrate()
-        if migrated.shards_migrated:
-            print(f"migrated {migrated.shards_migrated} legacy JSON "
-                  "shard(s) to the binary container")
     print(f"warmed {warmed}/{len(specs)} app(s) into {args.store} "
           f"(mode: {args.store_mode})")
     return 0
@@ -424,7 +399,7 @@ def _serve_front_end(args) -> int:
     host, port = front.address
     print(f"backdroid cluster front end listening on http://{host}:{port}")
     print(f"  routing over store {args.store} "
-          f"(lease ttl {args.lease_ttl:g}s); nodes register by "
+          f"(node ttl {args.lease_ttl:g}s); nodes register by "
           "heartbeating the same store")
     stop = threading.Event()
 
@@ -462,13 +437,6 @@ def cmd_serve(args) -> int:
                          "mutually exclusive")
     if peers:
         return _serve_front_end(args)
-    if node_id:
-        # Installed before the scheduler is built: the cold lane's
-        # worker processes fork at construction and must inherit the
-        # guard so only the lease holder publishes specmap entries.
-        from repro.service.cluster import install_specmap_guard
-
-        install_specmap_guard(args.store, node_id)
     server = build_server(args)
     server.start()
     host, port = server.address
@@ -503,7 +471,7 @@ def cmd_serve(args) -> int:
           f"({args.loop} front end)")
     print(f"  {cold_note}, {store_note}")
     if node is not None:
-        print(f"  cluster node {node_id} (lease ttl {args.lease_ttl:g}s, "
+        print(f"  cluster node {node_id} (node ttl {args.lease_ttl:g}s, "
               f"heartbeat {node.heartbeat_interval:g}s)")
     metrics_note = (
         "GET /metrics, " if scheduler.metrics is not None else ""
@@ -667,9 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "returns 404 and /v1/stats omits the snapshot")
     serve.add_argument("--node-id", default=None, metavar="ID",
                        help="join the cluster on the shared --store as "
-                       "this node: heartbeat the node directory, contend "
-                       "for the specmap lease, stamp node_id on "
-                       "jobs/results and metrics")
+                       "this node: heartbeat the node directory, stamp "
+                       "node_id on jobs/results and metrics")
     serve.add_argument("--peers", default=None, metavar="MODE",
                        choices=("auto", "store"),
                        help="run the cluster *front end* instead of a "
@@ -677,13 +644,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "through the shared --store's gossip directory "
                        "('auto' and 'store' are synonyms)")
     serve.add_argument("--lease-ttl", type=float, default=10.0,
-                       help="cluster lease/heartbeat TTL in seconds: a "
-                       "node silent this long is treated as dead and its "
-                       "lease and in-flight jobs are reclaimed "
-                       "(default: 10)")
+                       help="cluster node-silence TTL in seconds: a node "
+                       "silent this long is treated as dead and its "
+                       "in-flight jobs are reclaimed (default: 10)")
     serve.add_argument("--heartbeat-interval", type=float, default=None,
                        help="seconds between cluster heartbeats "
-                       "(default: lease TTL / 3)")
+                       "(default: TTL / 3)")
     serve.add_argument("--rules", default="")
     add_backend_flag(serve)
     add_store_flags(serve)
@@ -708,12 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
     warm.add_argument("--scale", type=float, default=1.0,
                       help="bulk-code scale factor (default: 1.0)")
     warm.add_argument("--rules", default="")
-    warm.add_argument(
-        "--shard-format", choices=ArtifactStore.SHARD_FORMATS,
-        default="binary",
-        help="shard container to publish (json emulates a v2-era "
-        "writer, e.g. to seed a migration test; default: binary)",
-    )
     add_store_flags(warm)
     warm.set_defaults(func=cmd_store)
 
@@ -738,15 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
         "i.e. clear everything)",
     )
     gc.set_defaults(func=cmd_store)
-
-    migrate = store_sub.add_parser(
-        "migrate",
-        help="convert legacy v2 JSON shards to the v3 binary container "
-        "in place (content addresses are container-independent, so "
-        "manifests need no rewrite)",
-    )
-    migrate.add_argument("--store", default=None, metavar="DIR")
-    migrate.set_defaults(func=cmd_store)
 
     corpus = sub.add_parser("corpus", help="sample a Table-I year corpus")
     corpus.add_argument("--year", type=int, default=2018)

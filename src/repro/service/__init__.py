@@ -29,11 +29,10 @@ would run:
   :class:`ThreadedAnalysisServer` baseline, and the matching (retrying)
   :class:`ServiceClient`;
 * :mod:`repro.service.cluster` — multi-node sharding over one shared
-  store: :class:`NodeDirectory` heartbeat gossip, the fenced
-  :class:`SpecmapLease`, the content-key-routing :class:`ClusterRouter`
-  / :class:`ClusterFrontEnd` (failover re-dispatch under the same
-  trace), and the subprocess :class:`ClusterHarness` used by tests,
-  CI and the scaling benchmark.
+  store: :class:`NodeDirectory` heartbeat gossip, the
+  content-key-routing :class:`ClusterRouter` / :class:`ClusterFrontEnd`
+  (failover re-dispatch under the same trace), and the subprocess
+  :class:`ClusterHarness` used by tests, CI and the scaling benchmark.
 
 The CLI front end is ``backdroid serve`` (``--node-id`` joins a
 cluster; ``--peers store`` runs the front end).
@@ -41,14 +40,11 @@ cluster; ``--peers store`` runs the front end).
 
 from repro.service.cluster import (
     DEFAULT_LEASE_TTL,
-    SPECMAP_LEASE,
     ClusterFrontEnd,
     ClusterHarness,
     ClusterNode,
     ClusterRouter,
     NodeDirectory,
-    SpecmapLease,
-    install_specmap_guard,
 )
 from repro.service.jobs import (
     CANCELLED,
@@ -92,11 +88,8 @@ __all__ = [
     "LaneStats",
     "NodeDirectory",
     "ProcessLane",
-    "SPECMAP_LEASE",
     "ServiceAPI",
     "ServiceClient",
-    "SpecmapLease",
     "StoreAwareScheduler",
     "ThreadedAnalysisServer",
-    "install_specmap_guard",
 ]

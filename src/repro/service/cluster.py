@@ -10,14 +10,8 @@ makes whole *services* shareable:
   ``<store>/cluster/nodes/``.  A node that stops heartbeating simply
   ages out: liveness is a property of the file's freshness, no
   membership protocol required.
-* :class:`SpecmapLease` — an advisory file lease (TTL + monotonic
-  fencing token) under ``<store>/cluster/leases/`` so exactly one node
-  owns spec → key mapping writes; expired leases are reclaimable by
-  any peer, and the fencing token makes each ownership generation
-  distinguishable after the fact.
 * :class:`ClusterNode` — the per-``serve``-process agent: heartbeats
-  the directory, renews (or reclaims) the specmap lease, and installs
-  the store's specmap write guard so non-holders skip the write.
+  the directory with the node's address, load and warm keys.
 * :class:`ClusterRouter` / :class:`ClusterFrontEnd` — the front end:
   routes ``POST /v1/jobs`` to the node already holding the app's
   shards (content-key affinity via gossip + rendezvous hashing,
@@ -31,12 +25,12 @@ makes whole *services* shareable:
   benchmark.
 
 Failure model: nodes fail by *silence* (crash, SIGKILL, partition).
-A silent node's manifest goes stale after one TTL, the front end
-reclaims its in-flight jobs onto live peers, and the specmap lease —
-if the node held it — expires and is reclaimed with a bumped fencing
-token.  Everything is advisory and idempotent: the worst outcome of a
-race is a duplicate analysis or a skipped specmap write, both of
-which the store's content addressing absorbs.
+A silent node's manifest goes stale after one TTL and the front end
+reclaims its in-flight jobs onto live peers.  Nodes coordinate through
+their heartbeat manifests alone: every node publishes store artifacts,
+specmap entries included, because each publish is an atomic rename of
+deterministic content.  The worst outcome of a race is a duplicate
+analysis, which the store's content addressing absorbs.
 """
 
 from __future__ import annotations
@@ -58,76 +52,21 @@ from urllib.error import URLError
 from repro.core.batch import probe_spec
 from repro.service.jobs import TERMINAL_STATES
 from repro.service.server import ServiceClient, _ServiceHTTPServer
-from repro.store.artifacts import ArtifactStore, set_specmap_guard
+from repro.store.artifacts import ArtifactStore
 from repro.telemetry import tracing
 from repro.telemetry.logs import get_logger
 from repro.workload.corpus import app_spec_from_request
 
 _log = get_logger("repro.service.cluster")
 
-#: Default lease/heartbeat TTL (seconds): a node silent this long is
-#: treated as dead.
+#: Default node-silence TTL (seconds): a node silent this long is
+#: treated as dead.  Heartbeats default to a third of it.
 DEFAULT_LEASE_TTL = 10.0
 
-#: The lease name guarding spec → content-key mapping writes.
-SPECMAP_LEASE = "specmap"
-
 
 # ----------------------------------------------------------------------
-# Lease + directory (thin OO faces over the store primitives)
+# The node directory (a thin OO face over the store's node manifests)
 # ----------------------------------------------------------------------
-class SpecmapLease:
-    """One node's handle on an advisory store lease.
-
-    ``try_acquire`` both acquires and renews; the store serializes
-    reclaim races with an ``O_EXCL`` claim file per fencing-token
-    generation (see :meth:`ArtifactStore.acquire_lease`).
-    """
-
-    def __init__(
-        self,
-        store: ArtifactStore,
-        owner: str,
-        ttl_seconds: float = DEFAULT_LEASE_TTL,
-        name: str = SPECMAP_LEASE,
-    ) -> None:
-        self.store = store
-        self.owner = owner
-        self.ttl_seconds = ttl_seconds
-        self.name = name
-        #: Fencing token of the last successful acquire/renew.
-        self.token: Optional[int] = None
-        #: Successful acquisitions/renewals (observability).
-        self.acquisitions = 0
-
-    def try_acquire(self) -> bool:
-        """Acquire or renew; False when another owner holds the lease
-        (or a reclaim race was lost — just retry next heartbeat)."""
-        payload = self.store.acquire_lease(
-            self.name, self.owner, self.ttl_seconds
-        )
-        if payload is None:
-            return False
-        self.token = payload.get("token")
-        self.acquisitions += 1
-        return True
-
-    def holds(self) -> bool:
-        """Disk-checked ownership: unexpired and ours, right now."""
-        lease = self.store.read_lease(self.name)
-        if lease is None or lease.get("owner") != self.owner:
-            return False
-        expires = lease.get("expires_at")
-        return isinstance(expires, (int, float)) and expires > time.time()
-
-    def release(self) -> bool:
-        return self.store.release_lease(self.name, self.owner)
-
-    def info(self) -> Optional[dict]:
-        """The on-disk lease payload (any owner's), or None."""
-        return self.store.read_lease(self.name)
-
-
 class NodeDirectory:
     """The gossip view: every node manifest, aged against one TTL."""
 
@@ -167,42 +106,17 @@ class NodeDirectory:
         self.store.remove_node_manifest(node_id)
 
 
-def install_specmap_guard(
-    store_root, node_id: str, lease_name: str = SPECMAP_LEASE
-):
-    """Gate specmap writes on holding the lease **on disk**.
-
-    Installed before the scheduler is built so the cold lane's forked
-    worker processes inherit it; the predicate deliberately reads the
-    lease from disk on every call (no captured token or in-memory
-    state), so a worker forked long ago still evaluates current
-    ownership.  Returns the guard (tests call it directly).
-    """
-    store = ArtifactStore(store_root)
-
-    def guard() -> bool:
-        lease = store.read_lease(lease_name)
-        if lease is None or lease.get("owner") != node_id:
-            return False
-        expires = lease.get("expires_at")
-        return isinstance(expires, (int, float)) and expires > time.time()
-
-    set_specmap_guard(store_root, guard)
-    return guard
-
-
 # ----------------------------------------------------------------------
 # The per-process cluster agent
 # ----------------------------------------------------------------------
 class ClusterNode:
     """Heartbeat agent attached to one running ``serve`` process.
 
-    Each beat renews (or tries to reclaim) the specmap lease and
-    publishes the node manifest: address, queue depth, busy workers
-    and the node's recently served content keys — the gossip a front
-    end routes on.  The first beat runs synchronously in
+    Each beat publishes the node manifest: address, queue depth, busy
+    workers and the node's recently served content keys — the gossip a
+    front end routes on.  The first beat runs synchronously in
     :meth:`start`, so by the time the serve banner prints the node is
-    routable and (if uncontended) the lease has an owner.
+    routable.
     """
 
     def __init__(
@@ -219,7 +133,6 @@ class ClusterNode:
         self.node_id = node_id
         self.address = address
         self.store = ArtifactStore(store_root)
-        self.lease = SpecmapLease(self.store, node_id, lease_ttl)
         self.directory = NodeDirectory(self.store, lease_ttl)
         self.heartbeat_interval = (
             heartbeat_interval
@@ -232,8 +145,7 @@ class ClusterNode:
         self._thread: Optional[threading.Thread] = None
 
     def beat(self) -> None:
-        """One heartbeat: lease renew/reclaim attempt + manifest."""
-        held = self.lease.try_acquire()
+        """One heartbeat: publish the node manifest."""
         counts = self.scheduler.queue.counts()["by_state"]
         host, port = self.address
         self.directory.announce(
@@ -247,8 +159,6 @@ class ClusterNode:
                     lane.busy for lane in self.scheduler.lanes.values()
                 ),
                 "warm_keys": self.scheduler.warm_keys(self.gossip_keys),
-                "lease_held": held,
-                "lease_token": self.lease.token,
             },
         )
         self.beats += 1
@@ -279,18 +189,12 @@ class ClusterNode:
         return self
 
     def stop(self) -> None:
-        """Withdraw cleanly: stop beating, release the lease, remove
-        the manifest, clear the specmap guard."""
+        """Withdraw cleanly: stop beating, remove the manifest."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-        try:
-            self.lease.release()
-            self.directory.remove(self.node_id)
-        except OSError:
-            pass
-        set_specmap_guard(self.store.root, None)
+        self.directory.remove(self.node_id)
 
     def __enter__(self) -> "ClusterNode":
         return self.start()
@@ -828,11 +732,9 @@ class ClusterRouter:
                 "reclaims": self.reclaims,
                 "forward_failovers": self.forward_failovers,
             }
-        lease = self.store.read_lease(SPECMAP_LEASE)
         return {
             "role": "front-end",
             "nodes": self.directory.nodes(include_stale=True),
-            "lease": lease,
             "jobs": states,
             "routing": counters,
             "draining": self.draining,
@@ -934,8 +836,7 @@ class _NodeProcess:
 class ClusterHarness:
     """N real ``backdroid serve`` subprocesses over one shared store.
 
-    Nodes are spawned sequentially (``n1`` first, so the first node
-    deterministically grabs the specmap lease), each on an ephemeral
+    Nodes are spawned sequentially (``n1`` first), each on an ephemeral
     port, and health-checked before the next starts.  Teardown is
     guaranteed: ``stop()`` terminates then kills every child, and the
     context manager/fixture finalizer always runs it.

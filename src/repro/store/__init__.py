@@ -21,19 +21,15 @@ The on-disk format is specified in ``docs/STORE_FORMAT.md``.
 """
 
 from repro.store.artifacts import (
-    COMPAT_VERSIONS,
     FORMAT_VERSION,
-    LEGACY_FORMAT_VERSION,
     PROBE_LEVELS,
     WARM_LEVELS,
     ArtifactStore,
     GcResult,
-    MigrateResult,
     StoreInventory,
     StoreProbe,
     StoreStats,
     VerifyEntry,
-    set_specmap_guard,
     store_key,
 )
 from repro.store.binshard import (
@@ -55,18 +51,15 @@ from repro.store.sharding import (
 
 __all__ = [
     "BIN_FORMAT_VERSION",
-    "COMPAT_VERSIONS",
     "DEFAULT_GROUP_CACHE",
     "FORMAT_VERSION",
     "KEY_VERSION",
-    "LEGACY_FORMAT_VERSION",
     "PROBE_LEVELS",
     "WARM_LEVELS",
     "ArtifactStore",
     "GcResult",
     "LazyShardView",
     "LazyTokenIndex",
-    "MigrateResult",
     "ShardCorrupt",
     "ShardGroup",
     "ShardStale",
@@ -78,7 +71,6 @@ __all__ = [
     "encode_shard",
     "group_label",
     "partition_disassembly",
-    "set_specmap_guard",
     "shard_key",
     "store_key",
 ]

@@ -29,14 +29,10 @@ Layout (see ``docs/STORE_FORMAT.md`` for the full spec)::
         one class group, v3 binary container (struct-packed sections;
         see :mod:`repro.store.binshard`): text + layout + relative
         tokens + prefolded mini-index
-    <root>/shards/<sha[:2]>/<sha>.json
-        the same content in the legacy v2 JSON container (text and
-        layout base64-encoded) — still readable;
-        ``gc``/``warm``/``migrate`` convert it in place
     <root>/specmap/<fp[:2]>/<fp>.json
         app-spec fingerprint -> disassembly content key
 
-Restores are **lazy**: a fully binary warm entry returns a
+Restores are **lazy**: a warm entry returns a
 :class:`~repro.store.lazy.LazyTokenIndex` that mmaps each shard and
 materializes a group's posting lists only when a query touches it, so
 warm sessions pay decode cost proportional to the groups they query,
@@ -58,7 +54,6 @@ re-indexing), and reads as a plain miss otherwise.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
@@ -69,12 +64,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
-from repro.dex.disassembler import (
-    PREAMBLE,
-    Disassembly,
-    LineToken,
-    RestoredDisassembly,
-)
+from repro.dex.disassembler import PREAMBLE, Disassembly, RestoredDisassembly
 from repro.search.backends.indexed import TokenIndex
 from repro.store.binshard import (
     SEC_LAYOUT,
@@ -83,7 +73,6 @@ from repro.store.binshard import (
     ShardCorrupt,
     ShardStale,
     decode_shard,
-    encode_shard,
     shard_chunks,
 )
 from repro.store.lazy import DEFAULT_GROUP_CACHE, LazyTokenIndex
@@ -91,7 +80,6 @@ from repro.store.sharding import (
     KEY_VERSION,
     ShardGroup,
     compose_index,
-    compose_tokens,
     decode_layout,
     encode_lines,
     fold_group,
@@ -102,22 +90,12 @@ from repro.store.sharding import (
     tokens_from_shard,
 )
 
-#: The *container* version new writers publish.  v2 introduced the
-#: shard/manifest layout (v1 monolithic entries read as misses and are
-#: swept by ``gc``); v3 re-encodes shards as the mmap-friendly binary
-#: container.  v3 changed no logical content, so content addresses
-#: still hash under :data:`~repro.store.sharding.KEY_VERSION` and v2
-#: JSON artifacts remain readable (see :data:`COMPAT_VERSIONS`) until
-#: migrated in place.
+#: The container version every writer publishes and the only one the
+#: read path accepts: an entry of any other version reads as stale, and
+#: the next run that touches it rebuilds and republishes it.  Content
+#: addresses hash under :data:`~repro.store.sharding.KEY_VERSION`
+#: instead, so a container change alone moves no key.
 FORMAT_VERSION = 3
-
-#: Container versions the read path accepts.  Anything else — v1, or a
-#: future writer — reads as stale and is rebuilt/swept.
-COMPAT_VERSIONS = (2, FORMAT_VERSION)
-
-#: The legacy JSON container version (what ``shard_format="json"``
-#: handles write, for tooling that must produce v2 stores).
-LEGACY_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -138,8 +116,6 @@ class StoreStats:
     #: missing groups were re-folded and published, the rest composed
     #: from disk.
     partial_hits: int = 0
-    token_hits: int = 0
-    token_misses: int = 0
     outcome_hits: int = 0
     outcome_misses: int = 0
     #: Per-shard read results across all composed restores.
@@ -166,12 +142,6 @@ class StoreStats:
     #: Decoded groups dropped by the lazy index's LRU bound (each later
     #: re-touch is a re-fault counted in ``groups_materialized``).
     group_cache_evictions: int = 0
-    #: Legacy JSON shards converted to the binary container in place
-    #: (``gc``/``warm``/``migrate``).
-    shards_migrated: int = 0
-    #: Specmap writes suppressed by an installed advisory guard (a
-    #: cluster node that does not hold the specmap lease).
-    specmap_writes_skipped: int = 0
 
     def as_dict(self) -> dict:
         """All counters as a JSON-able dict (service ``/v1/stats``)."""
@@ -179,8 +149,6 @@ class StoreStats:
             "index_hits": self.index_hits,
             "index_misses": self.index_misses,
             "partial_hits": self.partial_hits,
-            "token_hits": self.token_hits,
-            "token_misses": self.token_misses,
             "outcome_hits": self.outcome_hits,
             "outcome_misses": self.outcome_misses,
             "shard_hits": self.shard_hits,
@@ -192,8 +160,6 @@ class StoreStats:
             "lazy_restores": self.lazy_restores,
             "groups_materialized": self.groups_materialized,
             "group_cache_evictions": self.group_cache_evictions,
-            "shards_migrated": self.shards_migrated,
-            "specmap_writes_skipped": self.specmap_writes_skipped,
         }
 
 
@@ -220,9 +186,6 @@ class StoreInventory:
     shard_refs: int = 0
     #: Bytes the referenced shards would occupy without dedup.
     logical_shard_bytes: int = 0
-    #: Shard files still in the legacy v2 JSON container (``store
-    #: migrate`` converts them; 0 on a fully migrated store).
-    legacy_json_shards: int = 0
 
     @property
     def bytes_saved(self) -> int:
@@ -250,8 +213,6 @@ class StoreInventory:
             f"(logical {self.logical_shard_bytes}, "
             f"saved {self.bytes_saved})",
             f"  dedup ratio : {self.dedup_ratio:.2f}x",
-            f"  containers  : {self.shards - self.legacy_json_shards} "
-            f"binary, {self.legacy_json_shards} legacy JSON",
         ]
         for kind in sorted(self.files_by_kind):
             lines.append(f"  {kind:11} : {self.files_by_kind[kind]} file(s)")
@@ -270,7 +231,6 @@ class StoreInventory:
             "logical_shard_bytes": self.logical_shard_bytes,
             "bytes_saved": self.bytes_saved,
             "dedup_ratio": self.dedup_ratio,
-            "legacy_json_shards": self.legacy_json_shards,
         }
 
 
@@ -280,22 +240,6 @@ class GcResult:
 
     entries_removed: int = 0
     shards_removed: int = 0
-    bytes_reclaimed: int = 0
-    #: Surviving legacy JSON shards converted to the binary container
-    #: during the sweep (binary-format stores only).
-    shards_migrated: int = 0
-
-
-@dataclass
-class MigrateResult:
-    """What one :meth:`ArtifactStore.migrate` pass converted."""
-
-    shards_migrated: int = 0
-    #: Legacy shards that failed validation and were left in place (a
-    #: live run patches them from the disassembly instead).
-    shards_failed: int = 0
-    #: JSON bytes dropped minus binary bytes added (the container is
-    #: denser, so this is normally positive).
     bytes_reclaimed: int = 0
 
 
@@ -340,7 +284,7 @@ class VerifyEntry:
     key-mismatched payload) and ``missing-shard`` (the manifest
     references a shard that is gone — a live run patches it, so it is
     flagged rather than fatal).  ``no-index`` (outcome-only entry) and
-    ``stale`` (older format version — the runtime load path treats
+    ``stale`` (another format version — the runtime load path treats
     these as harmless misses and rebuilds) are skips, not failures.
     """
 
@@ -371,8 +315,7 @@ def store_key(disassembly: Disassembly) -> str:
     invalidates stale entries.  The text is fed group by group: the
     bytes hashed here are the very bytes the shards' text sections
     store, encoded once.  The *container* version is deliberately
-    absent: re-encoding shards (v2 JSON -> v3 binary) must not orphan
-    every stored entry.
+    absent: it describes how shards are encoded, not what they hold.
     """
     cached = getattr(disassembly, "_store_key_cache", None)
     if cached is None:
@@ -396,41 +339,8 @@ def _layout_digest(layouts) -> str:
     return digest.hexdigest()
 
 
-def _json_bytes(value) -> str:
-    """``json.dumps`` hook: the JSON container stores the shard's text
-    and layout bytes base64-encoded."""
-    if isinstance(value, (bytes, bytearray)):
-        return base64.b64encode(value).decode("ascii")
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 #: One shared StoreStats per store root per process (see StoreStats).
 _STATS_BY_ROOT: dict[str, StoreStats] = {}
-
-#: Advisory per-root predicates consulted before specmap writes.  A
-#: cluster node installs one so only the lease holder publishes spec →
-#: key mappings (see :mod:`repro.service.cluster`); the registry lives
-#: at module level so every handle on the root — including ones
-#: constructed inside forked cold workers — sees the same policy.
-_SPECMAP_GUARDS: dict[str, Callable[[], bool]] = {}
-
-
-def set_specmap_guard(
-    root, guard: Optional[Callable[[], bool]] = None
-) -> None:
-    """Install (or clear, with ``guard=None``) a specmap write guard.
-
-    The guard is called with no arguments just before each
-    :meth:`ArtifactStore.save_spec_key` write on ``root``; returning
-    False suppresses the write (counted as ``specmap_writes_skipped``).
-    The predicate must rely on on-disk state only: cold worker
-    processes forked after installation re-evaluate it independently.
-    """
-    key = os.path.abspath(str(root))
-    if guard is None:
-        _SPECMAP_GUARDS.pop(key, None)
-    else:
-        _SPECMAP_GUARDS[key] = guard
 
 
 class ArtifactStore:
@@ -440,34 +350,14 @@ class ArtifactStore:
     state lives on disk, and every publish is an atomic rename.
     """
 
-    #: Container formats a handle can write.  ``"binary"`` (default)
-    #: publishes v3 mmap-friendly shards and serves lazy restores;
-    #: ``"json"`` emulates a v2-era writer — legacy JSON shards and
-    #: version-2 payloads, eager restores — for migration tooling,
-    #: A/B benchmarks and fixtures.
-    SHARD_FORMATS = ("binary", "json")
-
     def __init__(
-        self,
-        root,
-        shard_format: str = "binary",
-        group_cache: int = DEFAULT_GROUP_CACHE,
+        self, root, group_cache: int = DEFAULT_GROUP_CACHE
     ) -> None:
         """Open (lazily) the store rooted at ``root``; never touches
         disk until the first read or write.  ``group_cache`` bounds how
         many materialized groups each lazy restore keeps resident."""
-        if shard_format not in self.SHARD_FORMATS:
-            raise ValueError(
-                f"unknown shard format {shard_format!r}: "
-                f"choose from {self.SHARD_FORMATS}"
-            )
         self.root = Path(root)
-        self.shard_format = shard_format
         self._group_cache = group_cache
-        self._write_version = (
-            FORMAT_VERSION if shard_format == "binary"
-            else LEGACY_FORMAT_VERSION
-        )
         self.stats = _STATS_BY_ROOT.setdefault(
             os.path.abspath(str(self.root)), StoreStats()
         )
@@ -482,39 +372,20 @@ class ArtifactStore:
     def _manifest_path(self, key: str) -> Path:
         return self.entry_dir(key) / "manifest.json"
 
-    def _shard_path_bin(self, sha: str) -> Path:
-        return self.root / "shards" / sha[:2] / f"{sha}.bin"
-
-    def _shard_path_json(self, sha: str) -> Path:
-        return self.root / "shards" / sha[:2] / f"{sha}.json"
-
     def _shard_path(self, sha: str) -> Path:
-        """Where *this handle's* configured format publishes a shard."""
-        if self.shard_format == "binary":
-            return self._shard_path_bin(sha)
-        return self._shard_path_json(sha)
-
-    def _find_shard(self, sha: str) -> Optional[Path]:
-        """The on-disk file (either container) holding ``sha``, if any."""
-        for path in (self._shard_path_bin(sha), self._shard_path_json(sha)):
-            if path.is_file():
-                return path
-        return None
+        return self.root / "shards" / sha[:2] / f"{sha}.bin"
 
     def _shard_present(self, sha: str) -> bool:
         """Stat/size-only presence probe — never parses a payload.
 
-        Advisory paths (scheduler probes, publish dedup, gc refcounts)
-        call this per shard; decoding there would make every probe cost
-        O(shard bytes) instead of one ``stat``.
+        Probes and the index slow path call this per shard; decoding
+        there would make every probe cost O(shard bytes) instead of one
+        ``stat``.
         """
-        for path in (self._shard_path_bin(sha), self._shard_path_json(sha)):
-            try:
-                if path.stat().st_size > 0:
-                    return True
-            except OSError:
-                continue
-        return False
+        try:
+            return self._shard_path(sha).stat().st_size > 0
+        except OSError:
+            return False
 
     def _outcome_path(self, key: str, config_fingerprint: str) -> Path:
         return self.entry_dir(key) / f"outcome-{config_fingerprint}.json"
@@ -531,9 +402,9 @@ class ArtifactStore:
     def _write_json(self, path: Path, payload: dict) -> None:
         self._write_bytes(
             path,
-            json.dumps(
-                payload, separators=(",", ":"), default=_json_bytes
-            ).encode("utf-8", "surrogatepass"),
+            json.dumps(payload, separators=(",", ":")).encode(
+                "utf-8", "surrogatepass"
+            ),
         )
 
     def _write_bytes(self, path: Path, *chunks: bytes) -> None:
@@ -586,7 +457,7 @@ class ArtifactStore:
             return "corrupt", None
         if not isinstance(payload, dict):
             return "corrupt", None
-        if payload.get("version") not in COMPAT_VERSIONS:
+        if payload.get("version") != FORMAT_VERSION:
             return "stale", None
         if payload.get("key") != key:
             return "corrupt", None
@@ -611,30 +482,23 @@ class ArtifactStore:
         return cached
 
     def _write_shard(self, group: ShardGroup, sha: str) -> dict:
-        """Publish one shard in this handle's container format."""
-        payload = shard_payload(group, sha, self._write_version)
-        if self.shard_format == "binary":
-            self._write_bytes(
-                self._shard_path_bin(sha), *shard_chunks(payload, sha)
-            )
-        else:
-            self._write_json(self._shard_path_json(sha), payload)
+        """Publish one shard; returns its payload."""
+        payload = shard_payload(group, sha)
+        self._write_bytes(self._shard_path(sha), *shard_chunks(payload, sha))
         return payload
 
     def _publish_entry(self, disassembly: Disassembly) -> None:
         """Write any missing shards plus the app's manifest.
 
-        A shard whose content key already exists on disk — in *either*
-        container — is *shared*, not rewritten: that is the cross-app
-        dedup (the second app embedding a library publishes only its
-        manifest reference), and it keeps publishing from re-encoding
-        legacy shards (migration is an explicit maintenance action).
+        A shard whose content key already exists on disk is *shared*,
+        not rewritten: that is the cross-app dedup (the second app
+        embedding a library publishes only its manifest reference).
         """
         key = store_key(disassembly)
         groups = self._groups(disassembly)
         for group, sha in groups:
-            existing = self._find_shard(sha)
-            if existing is not None:
+            existing = self._shard_path(sha)
+            if existing.is_file():
                 self.stats.shards_shared += 1
                 try:
                     # Refresh the shared shard's mtime so gc's age gate
@@ -653,7 +517,7 @@ class ArtifactStore:
         self, key: str, groups: list[tuple[ShardGroup, str]]
     ) -> dict:
         return {
-            "version": self._write_version,
+            "version": FORMAT_VERSION,
             "key": key,
             "key_version": KEY_VERSION,
             "line_count": max(
@@ -709,123 +573,32 @@ class ArtifactStore:
             return None
         return payload
 
-    #: Keys every readable shard payload must carry (shape-truncated
-    #: payloads read as corrupt, so one bad shard is patched instead of
-    #: poisoning the whole composition).
-    _SHARD_KEYS = (
-        "line_count", "tokens", "vocab", "postings", "string_ids",
-        "containing", "text", "layout",
-    )
-
-    def _json_shard(self, payload: dict) -> Optional[dict]:
-        """A JSON-container shard payload with its text and layout
-        decoded back to bytes, or None when its shape is wrong."""
-        if any(key not in payload for key in self._SHARD_KEYS):
-            return None
-        try:
-            for name in ("text", "layout"):
-                payload[name] = base64.b64decode(payload[name], validate=True)
-        except (TypeError, ValueError):
-            return None
-        return payload
-
-    def _read_shard(self, sha: str) -> Optional[dict]:
-        """A validated shard payload, or None (missing/corrupt/stale).
-
-        Container-agnostic: the binary file is preferred when both
-        exist (migration unlinks the JSON twin last, so a reader racing
-        a migration still finds one complete container either way).
-        """
-        try:
-            data = self._shard_path_bin(sha).read_bytes()
-        except FileNotFoundError:
-            data = None
-        except OSError:
-            self.stats.corrupt_entries += 1
-            data = None
-        if data is not None:
-            try:
-                return decode_shard(data, sha)
-            except ShardCorrupt:
-                self.stats.corrupt_entries += 1
-                return None
-        payload = self._read_json(self._shard_path_json(sha), sha)
-        if payload is None:
-            return None
-        payload = self._json_shard(payload)
-        if payload is None:
-            self.stats.corrupt_entries += 1
-        return payload
-
     def _classify_shard(self, sha: str) -> tuple[str, Optional[dict]]:
         """``(status, payload)`` for the shard holding ``sha``.
 
-        The verifier's container-aware read: a foreign container
-        version reports ``"stale"`` (a live run rebuilds it), bit rot
-        reports ``"corrupt"``.
+        ``"ok"`` / ``"missing"`` / ``"corrupt"`` / ``"stale"``: a
+        foreign container version reports ``"stale"`` (a live run
+        rebuilds it), bit rot reports ``"corrupt"``.
         """
-        path_bin = self._shard_path_bin(sha)
-        if path_bin.is_file():
-            try:
-                data = path_bin.read_bytes()
-            except OSError:
-                return "corrupt", None
-            try:
-                return "ok", decode_shard(data, sha)
-            except ShardStale:
-                return "stale", None
-            except ShardCorrupt:
-                return "corrupt", None
-        status, payload = self._classify_payload(
-            self._shard_path_json(sha), sha
-        )
-        if status == "ok":
-            payload = self._json_shard(payload)
-            if payload is None:
-                return "corrupt", None
-        return status, payload
-
-    # ------------------------------------------------------------------
-    # Token-stream artifacts
-    # ------------------------------------------------------------------
-    def save_tokens(self, disassembly: Disassembly) -> None:
-        """Persist the app's token stream as shards plus a manifest.
-
-        Shards also carry the prefolded mini-index, so a later
-        :meth:`load_index` over the same bytecode composes posting
-        lists without any token-stream fold.
-        """
-        self._publish_entry(disassembly)
-
-    def load_tokens(self, disassembly: Disassembly) -> Optional[list[LineToken]]:
-        """The app's token stream composed from its shards, or None.
-
-        Any missing or unreadable shard reads as a plain miss (the
-        entry self-heals on the next save); a full composition is
-        byte-identical to ``disassembly.tokens``.
-        """
-        key = store_key(disassembly)
-        manifest = self._read_manifest(key)
-        if manifest is None:
-            self.stats.token_misses += 1
-            return None
-        parts: list[tuple[int, dict]] = []
-        for group in manifest["groups"]:
-            payload = self._read_shard(group["shard"])
-            if payload is None:
-                self.stats.shard_misses += 1
-                self.stats.token_misses += 1
-                return None
-            self.stats.shard_hits += 1
-            parts.append((group["start_line"], payload))
         try:
-            tokens = compose_tokens(parts)
-        except (KeyError, TypeError, ValueError):
+            data = self._shard_path(sha).read_bytes()
+        except FileNotFoundError:
+            return "missing", None
+        except OSError:
+            return "corrupt", None
+        try:
+            return "ok", decode_shard(data, sha)
+        except ShardStale:
+            return "stale", None
+        except ShardCorrupt:
+            return "corrupt", None
+
+    def _read_shard(self, sha: str) -> Optional[dict]:
+        """A validated shard payload, or None (missing/corrupt/stale)."""
+        status, payload = self._classify_shard(sha)
+        if status in ("corrupt", "stale"):
             self.stats.corrupt_entries += 1
-            self.stats.token_misses += 1
-            return None
-        self.stats.token_hits += 1
-        return tokens
+        return payload
 
     # ------------------------------------------------------------------
     # Inverted-index artifacts
@@ -862,28 +635,21 @@ class ArtifactStore:
         * no shards present — a plain miss (returns None); the caller
           builds fresh and saves, which publishes every shard.
 
-        On a ``"binary"`` handle, a full warm hit whose groups are all
-        in the binary container is served as a
+        A full warm hit is served as a
         :class:`~repro.store.lazy.LazyTokenIndex` — shards are mmapped,
         not parsed, and a group decodes on the first query that touches
-        it.  Mixed or legacy entries (any group still JSON) restore
-        eagerly, exactly as before.
+        it.
         """
         started = time.perf_counter()
         key = store_key(disassembly)
         manifest = self._read_manifest(key)
         if manifest is not None:
-            if self.shard_format == "binary":
-                lazy = self._lazy_from_manifest(manifest, disassembly)
-                if lazy is not None:
-                    self.stats.index_hits += 1
-                    self.stats.lazy_restores += 1
-                    self.stats.shard_hits += len(manifest["groups"])
-                    return lazy
-            index = self._compose_from_manifest(manifest)
-            if index is not None:
+            lazy = self._lazy_from_manifest(manifest, disassembly)
+            if lazy is not None:
                 self.stats.index_hits += 1
-                return index
+                self.stats.lazy_restores += 1
+                self.stats.shard_hits += len(manifest["groups"])
+                return lazy
         # Slow path: no manifest, or a shard is missing/corrupt.  The
         # disassembly is authoritative — partition it, hash each group,
         # and compose from whatever shards exist (patching the rest).
@@ -934,18 +700,17 @@ class ArtifactStore:
     def _lazy_from_manifest(
         self, manifest: dict, disassembly: Disassembly
     ) -> Optional[LazyTokenIndex]:
-        """A lazy index over the manifest's binary shards, or None.
+        """A lazy index over the manifest's shards, or None.
 
         Presence is checked by ``stat`` only — no shard byte is read or
         parsed here; the first query pays for candidacy probes and any
-        materialization.  Any group lacking a binary container (legacy
-        JSON, or gone) disqualifies the whole entry, and the caller
-        falls back to the eager/patching paths.
+        materialization.  A missing or empty shard disqualifies the
+        whole entry, and the caller falls back to the patching path.
         """
         parts: list[tuple[int, LazyShardView]] = []
         for group in manifest["groups"]:
             sha = group["shard"]
-            path = self._shard_path_bin(sha)
+            path = self._shard_path(sha)
             try:
                 if path.stat().st_size <= 0:
                     return None
@@ -964,7 +729,7 @@ class ArtifactStore:
 
         Re-folds group *i* from the live disassembly (manifest group
         order is :meth:`_groups` order — both derive deterministically
-        from the same bytecode) and republishes its binary shard; the
+        from the same bytecode) and republishes its shard; the
         caller drops its stale mapping and proceeds with the repaired
         payload.
         """
@@ -977,29 +742,6 @@ class ArtifactStore:
             return payload
 
         return heal
-
-    def _compose_from_manifest(self, manifest: dict) -> Optional[TokenIndex]:
-        """The fast restore path: manifest-listed shards, no hashing.
-
-        A published manifest already records every group's shard key
-        and line offset, so a fully warm entry composes without
-        partitioning or re-hashing the disassembly.  Returns None on
-        any gap (missing/corrupt shard, compose failure) — the caller
-        then falls back to the authoritative disassembly-derived path.
-        """
-        parts: list[tuple[int, dict]] = []
-        for group in manifest["groups"]:
-            payload = self._read_shard(group["shard"])
-            if payload is None:
-                return None
-            parts.append((group["start_line"], payload))
-        try:
-            index = compose_index(parts)
-        except (KeyError, TypeError, ValueError):
-            self.stats.corrupt_entries += 1
-            return None
-        self.stats.shard_hits += len(parts)
-        return index
 
     # ------------------------------------------------------------------
     # Disassembly restores (index hits skip the render)
@@ -1023,9 +765,8 @@ class ArtifactStore:
         healed: ``render`` renders the app afresh and every group whose
         stored sections differ is republished.  The restored
         disassembly also calls ``render`` for tokens or class spans,
-        which only the heal paths need.  An entry with a missing or
-        legacy-JSON group is left to the index path, which patches or
-        composes it.
+        which only the heal paths need.  An entry with a missing group
+        is left to the index path, which patches it.
         """
         manifest = self._read_manifest(key)
         if manifest is None:
@@ -1036,7 +777,7 @@ class ArtifactStore:
         #: shard sha -> (text, layout), None when a section is damaged.
         stored: dict[str, Optional[tuple[bytes, bytes]]] = {}
         for group in groups:
-            path = self._shard_path_bin(group["shard"])
+            path = self._shard_path(group["shard"])
             if not path.is_file():
                 return None
             view = LazyShardView(path, group["shard"])
@@ -1130,7 +871,7 @@ class ArtifactStore:
         self._write_json(
             self._outcome_path(key, config_fingerprint),
             {
-                "version": self._write_version,
+                "version": FORMAT_VERSION,
                 "key": key,
                 "config": config_fingerprint,
                 "outcome": outcome,
@@ -1203,17 +944,17 @@ class ArtifactStore:
         treated as cold.  An entry pointing at a different
         key (a generator change survived by the store) is overwritten,
         so the map self-heals on the next analysis.
+
+        Any process may write: the mapping is deterministic (the spec
+        fingerprint folds in the generator version), so concurrent
+        writers publish the same bytes, each by atomic rename.
         """
         if self.load_spec_key(spec_fingerprint) == key:
             return  # already current
-        guard = _SPECMAP_GUARDS.get(os.path.abspath(str(self.root)))
-        if guard is not None and not guard():
-            self.stats.specmap_writes_skipped += 1
-            return
         self._write_json(
             self._spec_path(spec_fingerprint),
             {
-                "version": self._write_version,
+                "version": FORMAT_VERSION,
                 "key": spec_fingerprint,
                 "target": key,
             },
@@ -1232,27 +973,22 @@ class ArtifactStore:
         return target
 
     # ------------------------------------------------------------------
-    # Cluster coordination (node manifests + advisory leases)
+    # Cluster coordination (node manifests)
     # ------------------------------------------------------------------
     # The store doubles as the coordination substrate for multi-node
     # ``backdroid serve``: nodes gossip liveness/shard availability as
-    # small JSON manifests under ``cluster/nodes/`` and serialize
-    # specmap ownership through an advisory lease under
-    # ``cluster/leases/``.  Both reuse the atomic-rename publish and
-    # version/key payload validation of every other artifact, so a torn
-    # or stale file degrades to "absent" rather than corrupting
-    # routing.
+    # small JSON manifests under ``cluster/nodes/``.  They reuse the
+    # atomic-rename publish and version/key payload validation of every
+    # other artifact, so a torn or stale file degrades to "absent"
+    # rather than corrupting routing.
 
     def _node_path(self, node_id: str) -> Path:
         return self.root / "cluster" / "nodes" / f"{node_id}.json"
 
-    def _lease_path(self, name: str) -> Path:
-        return self.root / "cluster" / "leases" / f"{name}.json"
-
     def save_node_manifest(self, node_id: str, payload: dict) -> None:
         """Publish one node's heartbeat/gossip manifest (atomic)."""
         body = dict(payload)
-        body["version"] = self._write_version
+        body["version"] = FORMAT_VERSION
         body["key"] = node_id
         body["node_id"] = node_id
         body["updated_at"] = time.time()
@@ -1282,97 +1018,6 @@ class ArtifactStore:
             self._node_path(node_id).unlink()
         except OSError:
             pass
-
-    def read_lease(self, name: str) -> Optional[dict]:
-        """The current lease payload, or None when never acquired."""
-        return self._read_json(self._lease_path(name), name)
-
-    def acquire_lease(
-        self, name: str, owner: str, ttl_seconds: float
-    ) -> Optional[dict]:
-        """Acquire or renew the advisory lease ``name`` for ``owner``.
-
-        Returns the written lease payload on success, None when another
-        owner holds an unexpired lease.  Renewal by the current owner
-        keeps its fencing token; reclaiming an expired (or absent)
-        lease bumps it.  Reclaim races between peers are serialized by
-        an ``O_EXCL`` claim file per candidate token: exactly one
-        contender creates ``<name>.<token>.claim`` and publishes the
-        lease, the loser backs off and re-reads.  The lease is
-        *advisory* — it gates cooperative writers (the specmap guard),
-        it does not fence arbitrary I/O.
-        """
-        now = time.time()
-        current = self.read_lease(name)
-        if current is not None:
-            expires = current.get("expires_at")
-            unexpired = isinstance(expires, (int, float)) and expires > now
-            if unexpired and current.get("owner") != owner:
-                return None
-            if unexpired and current.get("owner") == owner:
-                payload = {
-                    "version": self._write_version,
-                    "key": name,
-                    "owner": owner,
-                    "token": current.get("token"),
-                    "acquired_at": current.get("acquired_at", now),
-                    "expires_at": now + ttl_seconds,
-                }
-                self._write_json(self._lease_path(name), payload)
-                return payload
-        prior_token = (current or {}).get("token")
-        if not isinstance(prior_token, int):
-            prior_token = 0
-        next_token = prior_token + 1
-        lease_dir = self._lease_path(name).parent
-        lease_dir.mkdir(parents=True, exist_ok=True)
-        claim = lease_dir / f"{name}.{next_token}.claim"
-        try:
-            fd = os.open(
-                claim, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-            )
-        except FileExistsError:
-            return None  # a peer is reclaiming this generation
-        with os.fdopen(fd, "w") as handle:
-            handle.write(owner)
-        payload = {
-            "version": self._write_version,
-            "key": name,
-            "owner": owner,
-            "token": next_token,
-            "acquired_at": now,
-            "expires_at": now + ttl_seconds,
-        }
-        self._write_json(self._lease_path(name), payload)
-        # Sweep claim markers from settled generations (including our
-        # own once the lease is published).
-        for stale in lease_dir.glob(f"{name}.*.claim"):
-            try:
-                tok = int(stale.name.split(".")[-2])
-            except (ValueError, IndexError):
-                continue
-            if tok <= next_token:
-                try:
-                    stale.unlink()
-                except OSError:
-                    pass
-        return payload
-
-    def release_lease(self, name: str, owner: str) -> bool:
-        """Expire the lease if ``owner`` holds it.  True when released.
-
-        The payload is rewritten with ``expires_at`` in the past rather
-        than unlinked: the fencing token's history must survive a
-        voluntary release, so the next owner still gets a strictly
-        larger generation.
-        """
-        current = self.read_lease(name)
-        if current is None or current.get("owner") != owner:
-            return False
-        released = dict(current)
-        released["expires_at"] = 0.0
-        self._write_json(self._lease_path(name), released)
-        return True
 
     # ------------------------------------------------------------------
     # Verification (the ``backdroid store verify`` action)
@@ -1551,8 +1196,10 @@ class ArtifactStore:
                 if entry.is_dir():
                     yield entry
 
-    def _shard_files(self) -> Iterator[Path]:
-        """Every published shard file."""
+    def _shard_files(self, retired: bool = False) -> Iterator[Path]:
+        """Every published shard file; with ``retired``, also the files
+        an older container left under ``shards/`` (a v2 store's
+        ``.json`` shards), which no reader opens and only gc sweeps."""
         shards = self.root / "shards"
         if not shards.is_dir():
             return
@@ -1560,7 +1207,9 @@ class ArtifactStore:
             if not prefix.is_dir():
                 continue
             for shard in sorted(prefix.iterdir()):
-                if shard.is_file() and shard.suffix in (".bin", ".json"):
+                if not shard.is_file() or shard.suffix == ".tmp":
+                    continue
+                if retired or shard.suffix == ".bin":
                     yield shard
 
     def _spec_files(self) -> Iterator[Path]:
@@ -1599,8 +1248,6 @@ class ArtifactStore:
             inventory.shards += 1
             inventory.shard_bytes += size
             inventory.total_bytes += size
-            if shard.suffix == ".json":
-                inventory.legacy_json_shards += 1
             inventory.files_by_kind["shard"] = (
                 inventory.files_by_kind.get("shard", 0) + 1
             )
@@ -1648,18 +1295,14 @@ class ArtifactStore:
         kept regardless of age; an unreferenced shard older than the
         cutoff is reclaimed.  The age gate on shards keeps a concurrent
         writer's freshly published shards safe while its manifest is
-        still in flight.
+        still in flight.  Files a retired container left under
+        ``shards/`` are never referenced, so they age out the same way.
 
         ``max_age_seconds == 0`` clears the whole store — entries,
         shards and specmap.  Specmap files are swept by the same age
         rule (a dangling mapping is harmless — it only costs a cold
         probe — but a long-lived store must not leak one file per spec
         forever).
-
-        On a ``"binary"`` handle, surviving *referenced* legacy JSON
-        shards are additionally migrated to the binary container in
-        place (``shards_migrated``), so routine collection steadily
-        converts a v2 store without a dedicated maintenance pass.
         """
         cutoff = time.time() - max_age_seconds
         result = GcResult()
@@ -1681,8 +1324,8 @@ class ArtifactStore:
                 # leave it for the next collection.
                 continue
         referenced = self._referenced_shards()
-        for shard in list(self._shard_files()):
-            if shard.stem in referenced:
+        for shard in list(self._shard_files(retired=True)):
+            if shard.suffix == ".bin" and shard.stem in referenced:
                 continue
             try:
                 stat = shard.stat()
@@ -1704,10 +1347,9 @@ class ArtifactStore:
                 result.bytes_reclaimed += size
             except OSError:
                 continue
-        # Cluster coordination files (node manifests, leases, claim
-        # markers) age out by the same rule: a heartbeating node
-        # refreshes its files far more often than any sane cutoff, so
-        # only debris from departed nodes is swept.
+        # Cluster node manifests age out by the same rule: a
+        # heartbeating node refreshes its manifest far more often than
+        # any sane cutoff, so only debris from departed nodes is swept.
         cluster_dir = self.root / "cluster"
         if cluster_dir.is_dir():
             for path in cluster_dir.rglob("*"):
@@ -1722,73 +1364,4 @@ class ArtifactStore:
                     result.bytes_reclaimed += size
                 except OSError:
                     continue
-        if self.shard_format == "binary":
-            for shard in list(self._shard_files()):
-                if shard.suffix != ".json" or shard.stem not in referenced:
-                    continue
-                if self._migrate_shard(shard) is not None:
-                    result.shards_migrated += 1
-        return result
-
-    def _migrate_shard(self, path: Path) -> Optional[int]:
-        """Convert one legacy JSON shard to the binary container.
-
-        The content address is container-independent, so the binary
-        twin is published at the same sha (no manifest rewrite) and the
-        JSON file is unlinked last — a reader racing the migration
-        always finds one complete container.  Returns the bytes
-        reclaimed (JSON size minus binary size; the binary container is
-        denser, so normally positive), or None when the legacy payload
-        fails validation and is left in place for the live patch path.
-        """
-        sha = path.stem
-        bin_path = self._shard_path_bin(sha)
-        try:
-            json_size = path.stat().st_size
-        except OSError:
-            return None  # swept by a concurrent gc mid-pass
-        if not bin_path.is_file():
-            status, payload = self._classify_payload(path, sha)
-            if status == "ok":
-                payload = self._json_shard(payload)
-            if payload is None:
-                return None
-            try:
-                data = encode_shard(payload, sha)
-            except (KeyError, TypeError, ValueError):
-                # CRC-clean JSON whose structure lies (a token text
-                # missing from its own vocabulary): not convertible.
-                return None
-            self._write_bytes(bin_path, data)
-        try:
-            bin_size = bin_path.stat().st_size
-        except OSError:
-            bin_size = 0
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        self.stats.shards_migrated += 1
-        return json_size - bin_size
-
-    def migrate(self) -> MigrateResult:
-        """Convert every legacy JSON shard to the binary container.
-
-        In place and idempotent (``backdroid store migrate``): shard
-        content addresses name logical content, not containers, so
-        manifests keep referencing the same shas and a partially
-        migrated (mixed) store stays fully readable throughout.
-        Legacy shards that fail validation are counted and left on
-        disk — a live run holding the disassembly patches them.
-        """
-        result = MigrateResult()
-        for shard in list(self._shard_files()):
-            if shard.suffix != ".json":
-                continue
-            reclaimed = self._migrate_shard(shard)
-            if reclaimed is None:
-                result.shards_failed += 1
-            else:
-                result.shards_migrated += 1
-                result.bytes_reclaimed += reclaimed
         return result

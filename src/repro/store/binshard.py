@@ -1,13 +1,13 @@
 """The v3 binary shard container: struct-packed sections over mmap.
 
-A v2 shard is one JSON document; restoring it costs a full parse even
-when the session only ever queries a handful of library groups.  The v3
-container packs the same logical content — the group's plaintext and
-layout, relative token records, the vocabulary, posting lists,
-string-token ids and the containment map — into independently decodable
-**sections** behind a fixed header and an offset table, so a reader can
-:func:`mmap.mmap` the file and decode *only the byte ranges a query
-actually touches*:
+A whole-document shard encoding would cost a full parse on every
+restore, even when the session only ever queries a handful of library
+groups.  The v3 container packs a shard's logical content — the group's
+plaintext and layout, relative token records, the vocabulary, posting
+lists, string-token ids and the containment map — into independently
+decodable **sections** behind a fixed header and an offset table, so a
+reader can :func:`mmap.mmap` the file and decode *only the byte ranges
+a query actually touches*:
 
 * the header + section table (96-odd bytes) identify the shard and
   locate every section;
@@ -56,8 +56,8 @@ Section encodings:
                   :func:`repro.store.sharding.encode_layout`)
 
 The container version is independent of the *content* addresses (see
-:data:`repro.store.sharding.KEY_VERSION`): a JSON shard and its binary
-migration carry the same sha and satisfy the same manifest reference.
+:data:`repro.store.sharding.KEY_VERSION`): a shard's sha names what it
+holds, not how it is encoded.
 """
 
 from __future__ import annotations
@@ -411,7 +411,7 @@ def _decode_tokens(
 
 
 def decode_mini_index(buf, header: BinHeader) -> dict:
-    """The prefolded mini-index sections as the v2 payload keys."""
+    """The prefolded mini-index sections as shard payload keys."""
     off, length = _checked(buf, header, SEC_VOCAB)
     vocab = _decode_vocab(buf, off, length, header.vocab_count)
     off, length = _checked(buf, header, SEC_POSTINGS)
@@ -434,7 +434,7 @@ def decode_shard(buf, sha: Optional[str] = None) -> dict:
     """Fully decode one binary shard into the payload shape.
 
     With ``sha`` given, the header's embedded content address must
-    match (the binary analogue of the JSON ``key`` field check).
+    match (the analogue of the JSON artifacts' ``key`` field check).
     Raises :class:`ShardCorrupt`/:class:`ShardStale` as appropriate.
     """
     header = read_header(buf)

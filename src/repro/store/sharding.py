@@ -22,10 +22,9 @@ numbers relative to the group start and a prefolded mini-index
 lines.  The text and layout let an index hit rebuild the app's
 :class:`~repro.dex.disassembler.Disassembly` without rendering it.
 
-Composition is exact: concatenating a manifest's groups in render order,
-re-basing each shard's relative lines onto the group's recorded start
-line, reproduces the app's token stream byte for byte — and merging the
-mini-indexes in the same order reproduces a freshly built
+Composition is exact: merging a manifest's mini-indexes in render
+order, re-basing each shard's relative lines onto the group's recorded
+start line, reproduces a freshly built
 :class:`~repro.search.backends.indexed.TokenIndex` structure for
 structure (the parity suite enforces equality on ``vocab``,
 ``postings``, ``exact``, ``containing`` and the string-id list).
@@ -49,11 +48,11 @@ from repro.dex.disassembler import (
 from repro.search.backends.indexed import TokenIndex
 
 #: The *content-address* version: feeds every app key and shard key.
-#: Deliberately decoupled from the store's container FORMAT_VERSION: a
-#: JSON shard and its binary twin share one sha and one manifest
-#: reference.  Bump this only when the hashed content itself changes
-#: (token shapes, line-count semantics, per-group numbering, the text
-#: and layout sections), which orphans every stored entry.
+#: Deliberately decoupled from the store's container FORMAT_VERSION,
+#: which describes how a shard is encoded, not what it holds.  Bump
+#: this only when the hashed content itself changes (token shapes,
+#: line-count semantics, per-group numbering, the text and layout
+#: sections), which orphans every stored entry.
 KEY_VERSION = 3
 
 
@@ -205,8 +204,8 @@ class ShardGroup:
         structural ambiguity (kind/text containing separators) is
         handled by JSON string escaping.  Cached on the group object so
         a save that hashes the group and anything downstream that needs
-        the same bytes (verification replay, legacy-JSON encoding)
-        serializes the token list exactly once per group.
+        the same bytes (verification replay) serializes the token list
+        exactly once per group.
         """
         cached = self.__dict__.get("_canonical_bytes")
         if cached is None:
@@ -313,8 +312,7 @@ def shard_key(group: ShardGroup, key_version: int = KEY_VERSION) -> str:
     rendered line count (later groups' offsets depend on it) and the
     :data:`KEY_VERSION` — but *not* its label or absolute position, so
     identical library code dedups across apps regardless of where each
-    app renders it, and *not* the container format, so a JSON shard and
-    its binary migration share one content address.
+    app renders it, and *not* the container format.
     """
     digest = hashlib.sha256()
     digest.update(
@@ -350,19 +348,19 @@ def fold_group(
     return index.vocab, index.postings, index._string_ids, index.containing
 
 
-def shard_payload(group: ShardGroup, key: str, format_version: int) -> dict:
+def shard_payload(group: ShardGroup, key: str) -> dict:
     """The payload published for one shard.
 
     Carries every restore product: the group's text and layout (bytes;
-    composed back into the app's disassembly), the relative token
-    stream (composed back into per-app token streams) and the prefolded
+    composed back into the app's disassembly) and the prefolded
     mini-index — vocabulary, posting lists, string ids and the local
     containment map (merged into per-app structures without re-folding
-    any token or re-running the containment regexes).
+    any token or re-running the containment regexes) — plus the
+    relative token stream the mini-index was folded from, which
+    ``store verify`` refolds and hashes.
     """
     vocab, postings, string_ids, containing = fold_group(group.tokens)
     return {
-        "version": format_version,
         "key": key,
         "line_count": group.line_count,
         "tokens": [[rel, kind, text] for rel, kind, text in group.tokens],
@@ -385,20 +383,6 @@ def tokens_from_shard(payload: dict) -> tuple[tuple[int, str, str], ...]:
         (int(rel), str(kind), str(text))
         for rel, kind, text in payload["tokens"]
     )
-
-
-def compose_tokens(parts: list[tuple[int, dict]]) -> list[LineToken]:
-    """Rebase shard token streams onto absolute lines, in group order.
-
-    ``parts`` is ``(start_line, shard_payload)`` per manifest group.
-    The result is byte-identical to the original
-    ``disassembly.tokens`` list the shards were split from.
-    """
-    tokens: list[LineToken] = []
-    for start_line, payload in parts:
-        for rel, kind, text in tokens_from_shard(payload):
-            tokens.append(LineToken(start_line + rel, kind, text))
-    return tokens
 
 
 def compose_index(parts: list[tuple[int, dict]]) -> TokenIndex:

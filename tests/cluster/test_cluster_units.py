@@ -1,82 +1,22 @@
-"""In-process units: leases, node gossip, the specmap guard, routing."""
+"""In-process units: node gossip, the node agent and routing."""
 
 import json
+import os
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from repro.service.cluster import (
-    ClusterRouter,
-    NodeDirectory,
-    SpecmapLease,
-    install_specmap_guard,
-)
-from repro.store import ArtifactStore, set_specmap_guard
+from repro.service import ServiceClient
+from repro.service.cluster import ClusterNode, ClusterRouter, NodeDirectory
+from repro.store import ArtifactStore
+from repro.workload.corpus import benchmark_app_spec
+from repro.workload.generator import spec_fingerprint
 
 
 @pytest.fixture
 def store(tmp_path):
     return ArtifactStore(tmp_path / "store")
-
-
-class TestLease:
-    def test_acquire_then_renew_keeps_token(self, store):
-        lease = SpecmapLease(store, "n1", ttl_seconds=5.0)
-        assert lease.try_acquire()
-        assert lease.token == 1
-        assert lease.holds()
-        assert lease.try_acquire()  # renew
-        assert lease.token == 1
-        assert lease.acquisitions == 2
-
-    def test_unexpired_lease_excludes_other_owners(self, store):
-        assert SpecmapLease(store, "n1", ttl_seconds=5.0).try_acquire()
-        other = SpecmapLease(store, "n2", ttl_seconds=5.0)
-        assert not other.try_acquire()
-        assert not other.holds()
-        assert other.info()["owner"] == "n1"
-
-    def test_expired_lease_reclaim_bumps_fencing_token(self, store):
-        first = SpecmapLease(store, "n1", ttl_seconds=0.1)
-        assert first.try_acquire()
-        time.sleep(0.15)
-        assert not first.holds()
-        second = SpecmapLease(store, "n2", ttl_seconds=5.0)
-        assert second.try_acquire()
-        assert second.token == 2  # a new ownership generation
-        # The stale owner can no longer renew.
-        assert not first.try_acquire()
-
-    def test_release_frees_the_lease_but_keeps_token_history(self, store):
-        lease = SpecmapLease(store, "n1", ttl_seconds=5.0)
-        assert lease.try_acquire()
-        assert lease.release()
-        assert not lease.holds()
-        # Released != unlinked: the fencing-token history survives, so
-        # the next owner's generation is still strictly larger.
-        assert store.read_lease("specmap")["token"] == 1
-        other = SpecmapLease(store, "n2", ttl_seconds=5.0)
-        assert other.try_acquire()
-        assert other.token == 2
-
-    def test_release_refused_for_non_owner(self, store):
-        assert SpecmapLease(store, "n1", ttl_seconds=5.0).try_acquire()
-        assert not SpecmapLease(store, "n2").release()
-        assert store.read_lease("specmap")["owner"] == "n1"
-
-    def test_claim_race_loser_backs_off(self, store):
-        # A peer mid-reclaim holds the O_EXCL claim marker for the next
-        # fencing generation; the loser's acquire returns None instead
-        # of double-claiming.
-        claims = store.root / "cluster" / "leases"
-        claims.mkdir(parents=True)
-        (claims / "specmap.1.claim").write_text("peer")
-        assert store.acquire_lease("specmap", "n1", 5.0) is None
-
-    def test_corrupt_lease_file_reads_as_absent(self, store):
-        assert store.acquire_lease("specmap", "n1", 5.0)
-        store._lease_path("specmap").write_text("not json")
-        assert store.read_lease("specmap") is None
 
 
 class TestNodeDirectory:
@@ -110,46 +50,138 @@ class TestNodeDirectory:
     def test_gc_sweeps_aged_cluster_files(self, store):
         directory = NodeDirectory(store, ttl_seconds=5.0)
         directory.announce("n1", {})
-        assert store.acquire_lease("specmap", "n1", 5.0)
         store.gc(max_age_seconds=0.0)
         assert store.load_node_manifests() == []
-        assert store.read_lease("specmap") is None
 
 
-class TestSpecmapGuard:
-    def test_non_holder_writes_are_skipped_and_counted(self, tmp_path):
-        root = tmp_path / "store"
-        store = ArtifactStore(root)
-        install_specmap_guard(root, "n2")
+    def test_gc_ages_out_lease_files_an_older_deployment_left(self, store):
+        # Nodes coordinate through heartbeat manifests alone; lease
+        # files a lease-era deployment left under cluster/ are debris
+        # that gc's age rule reclaims while live manifests survive.
+        NodeDirectory(store, ttl_seconds=5.0).announce("n1", {})
+        leases = store.root / "cluster" / "leases"
+        leases.mkdir(parents=True)
+        debris = [leases / "specmap.json", leases / "specmap.1.claim"]
+        aged = time.time() - 7200.0
+        for path in debris:
+            path.write_text("{}")
+            os.utime(path, (aged, aged))
+        store.gc(max_age_seconds=3600.0)
+        assert not any(path.exists() for path in debris)
+        assert [m["node_id"] for m in store.load_node_manifests()] == ["n1"]
+
+
+class _IdleScheduler:
+    """The slice of a scheduler a node heartbeat reads."""
+
+    def __init__(self):
+        self.queue = SimpleNamespace(
+            counts=lambda: {"by_state": {"queued": 2, "running": 1}}
+        )
+        self.lanes = {
+            "fast": SimpleNamespace(busy=0),
+            "main": SimpleNamespace(busy=1),
+        }
+
+    def warm_keys(self, limit):
+        return ["k-new", "k-old"][:limit]
+
+
+class TestClusterNode:
+    def _node(self, store, **kwargs):
+        return ClusterNode(
+            _IdleScheduler(), store.root, "n1", ("127.0.0.1", 4321),
+            **kwargs,
+        )
+
+    def test_heartbeat_interval_derives_from_the_node_ttl(self, store):
+        # The TTL is the node-silence threshold; heartbeats default to
+        # a third of it, floored, unless set explicitly.
+        node = self._node(store, lease_ttl=3.0)
+        assert node.directory.ttl_seconds == 3.0
+        assert node.heartbeat_interval == pytest.approx(1.0)
+        assert self._node(store, lease_ttl=0.03).heartbeat_interval == 0.05
+        assert self._node(
+            store, lease_ttl=3.0, heartbeat_interval=0.2
+        ).heartbeat_interval == 0.2
+
+    def test_router_monitors_nodes_on_the_same_ttl(self, tmp_path):
+        router = ClusterRouter(tmp_path / "store", lease_ttl=2.0)
+        assert router.directory.ttl_seconds == 2.0
+        assert router.monitor_interval == pytest.approx(0.5)
+        assert ClusterRouter(
+            tmp_path / "store", lease_ttl=2.0, monitor_interval=0.1
+        ).monitor_interval == 0.1
+
+    def test_start_announces_and_stop_withdraws(self, store):
+        node = self._node(store, lease_ttl=5.0, heartbeat_interval=60.0)
+        with node:
+            # The first beat is synchronous: routable on return.
+            manifest = store.load_node_manifest("n1")
+            assert (manifest["host"], manifest["port"]) == ("127.0.0.1", 4321)
+            assert manifest["depth"] == 3 and manifest["busy"] == 1
+            assert manifest["warm_keys"] == ["k-new", "k-old"]
+            assert node.beats == 1
+            with pytest.raises(RuntimeError, match="already started"):
+                node.start()
+        assert store.load_node_manifest("n1") is None
+
+    def test_failed_heartbeat_keeps_the_agent_beating(self, store):
+        node = self._node(store, lease_ttl=5.0, heartbeat_interval=0.01)
+        announce = node.directory.announce
+        calls = []
+
+        def flaky(node_id, payload):
+            calls.append(node_id)
+            if len(calls) == 2:
+                raise OSError("store unavailable")
+            announce(node_id, payload)
+
+        node.directory.announce = flaky
+        with node:
+            deadline = time.monotonic() + 10.0
+            while node.beats < 3:
+                assert time.monotonic() < deadline, "heartbeats stopped"
+                time.sleep(0.01)
+        assert len(calls) >= 4
+
+    def test_node_publishes_the_specmap_entry_of_its_cold_job(self, tmp_path):
+        # Every node writes specmap entries: a cold job leaves the
+        # mapping, so a resubmission resolves warm and rides the fast
+        # lane, and the node gossips the content key it now serves.
+        from repro.cli import build_parser, build_server
+
+        store_dir = tmp_path / "store"
+        args = build_parser().parse_args(
+            ["serve", "--port", "0", "--store", str(store_dir),
+             "--node-id", "n2", "--backend", "indexed",
+             "--cold-workers", "0", "--workers", "1"]
+        )
+        server = build_server(args)
+        server.start()
         try:
-            skipped_before = store.stats.specmap_writes_skipped
-            store.save_spec_key("aa" * 20, "bb" * 20)
-            assert store.load_spec_key("aa" * 20) is None
-            assert (
-                store.stats.specmap_writes_skipped == skipped_before + 1
-            )
-            # Once n2 holds the lease, the same write goes through.
-            assert store.acquire_lease("specmap", "n2", 5.0)
-            store.save_spec_key("aa" * 20, "bb" * 20)
-            assert store.load_spec_key("aa" * 20) == "bb" * 20
-        finally:
-            set_specmap_guard(root, None)
+            with ClusterNode(
+                server.scheduler, store_dir, "n2", server.address,
+                lease_ttl=args.lease_ttl, heartbeat_interval=60.0,
+            ) as node:
+                client = ServiceClient(*server.address, timeout=15.0)
+                request = {"app": "bench:1", "scale": 0.05}
+                cold = client.wait(client.submit(request)["id"], timeout=60.0)
+                assert cold["state"] == "done", cold.get("error")
+                assert (cold["lane"], cold["node_id"]) == ("main", "n2")
+                store = ArtifactStore(store_dir)
+                key = store.load_spec_key(
+                    spec_fingerprint(benchmark_app_spec(1, scale=0.05))
+                )
+                assert key is not None
 
-    def test_guard_checks_disk_not_memory(self, tmp_path):
-        # The guard must re-read ownership per call (forked cold
-        # workers evaluate it long after installation): losing the
-        # lease flips the verdict without reinstalling anything.
-        root = tmp_path / "store"
-        store = ArtifactStore(root)
-        guard = install_specmap_guard(root, "n1")
-        try:
-            assert store.acquire_lease("specmap", "n1", 5.0)
-            assert guard() is True
-            store.release_lease("specmap", "n1")
-            assert store.acquire_lease("specmap", "n2", 5.0)
-            assert guard() is False
+                warm = client.wait(client.submit(request)["id"], timeout=60.0)
+                assert warm["state"] == "done", warm.get("error")
+                assert warm["lane"] == "fast"
+                node.beat()
+                assert store.load_node_manifest("n2")["warm_keys"][0] == key
         finally:
-            set_specmap_guard(root, None)
+            server.shutdown(drain=True)
 
 
 class TestRouting:

@@ -7,9 +7,15 @@ rebuild instead of failing, and the atomic-rename write protocol keeps
 concurrent process-pool writers safe.
 """
 
+import base64
 import dataclasses
 import gc
+import hashlib
 import json
+import multiprocessing
+import os
+import struct
+import time
 
 import pytest
 
@@ -19,6 +25,7 @@ from repro.search.backends.indexed import TokenIndex
 from repro.search.index import BytecodeSearcher
 from repro.store import ArtifactStore, store_key
 from repro.store.artifacts import FORMAT_VERSION
+from repro.store.lazy import LazyTokenIndex
 from repro.store.binshard import (
     SEC_LAYOUT,
     SEC_TEXT,
@@ -83,13 +90,6 @@ class TestIndexRoundTrip:
         assert restored.posting_entries == fresh.posting_entries
         assert store.stats.index_hits == 1
 
-    def test_token_stream_round_trip(self, store):
-        apk = build_heyzap()
-        store.save_tokens(apk.disassembly)
-        tokens = store.load_tokens(build_heyzap().disassembly)
-        assert tokens == apk.disassembly.tokens
-        assert store.stats.token_hits == 1
-
     def test_backend_restores_and_reports_zero_build(self, store):
         cold = _fresh_searcher(build_heyzap(), store=store)
         cold.backend.index  # build + save
@@ -114,6 +114,35 @@ def _only_shard_path(store, disassembly):
     groups = store._groups(disassembly)
     assert len(groups) == 1
     return store._shard_path(groups[0][1])
+
+
+def _set_container_version(path, version):
+    """Rewrite a binary shard's header container version in place."""
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<H", blob, 4, version)
+    path.write_bytes(bytes(blob))
+
+
+def _retire_to_json_layout(store, disassembly):
+    """Lay a published entry out as the retired v2 container did:
+    ``.json`` shards (bytes as base64) beside a version-2 manifest.
+    Returns the ``.json`` shard paths."""
+    retired = []
+    for _, sha in store._groups(disassembly):
+        path = store._shard_path(sha)
+        payload = decode_shard(path.read_bytes())
+        payload["version"] = 2
+        for name in ("text", "layout"):
+            payload[name] = base64.b64encode(payload[name]).decode("ascii")
+        json_path = path.with_suffix(".json")
+        json_path.write_text(json.dumps(payload))
+        path.unlink()
+        retired.append(json_path)
+    manifest_path = store._manifest_path(store_key(disassembly))
+    manifest = json.loads(manifest_path.read_text())
+    manifest["version"] = 2
+    manifest_path.write_text(json.dumps(manifest))
+    return retired
 
 
 class TestInvalidation:
@@ -143,28 +172,39 @@ class TestInvalidation:
             store.probe(key)
         assert store.stats.corrupt_entries == before
 
+    def _assert_manifest_rejected_then_republished(self, store, key):
+        # The probe trusts no rejected manifest; the load composes the
+        # intact shards eagerly and republishes the manifest, so the
+        # next load is lazy again.
+        assert store.probe(key).level == "none"
+        restored = store.load_index(build_heyzap().disassembly)
+        assert restored is not None and not getattr(restored, "lazy", False)
+        assert store.stats.corrupt_entries >= 1
+        assert store.probe(key).level == "index"
+        again = store.load_index(build_heyzap().disassembly)
+        assert isinstance(again, LazyTokenIndex)
+
     def test_manifest_version_mismatch_is_a_token_miss(self, store):
         apk = build_heyzap()
         store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
-        path = store._manifest_path(store_key(apk.disassembly))
+        key = store_key(apk.disassembly)
+        path = store._manifest_path(key)
         payload = json.loads(path.read_text())
         payload["version"] = FORMAT_VERSION + 1
         path.write_text(json.dumps(payload))
 
-        assert store.load_tokens(build_heyzap().disassembly) is None
-        assert store.probe(store_key(apk.disassembly)).level == "none"
-        assert store.stats.corrupt_entries >= 1
+        self._assert_manifest_rejected_then_republished(store, key)
 
     def test_manifest_key_mismatch_is_a_token_miss(self, store):
         apk = build_heyzap()
         store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
-        path = store._manifest_path(store_key(apk.disassembly))
+        key = store_key(apk.disassembly)
+        path = store._manifest_path(key)
         payload = json.loads(path.read_text())
         payload["key"] = "0" * 64
         path.write_text(json.dumps(payload))
 
-        assert store.load_tokens(build_heyzap().disassembly) is None
-        assert store.stats.corrupt_entries >= 1
+        self._assert_manifest_rejected_then_republished(store, key)
 
     def test_changed_bytecode_never_hits_old_entry(self, store):
         apk = build_heyzap()
@@ -192,22 +232,60 @@ class TestInvalidation:
         assert third.backend.stats.shards_patched == 0
         assert third.backend.stats.index_build_seconds == 0.0
 
-    def test_truncated_shard_shape_is_patched(self, tmp_path):
-        # Shape truncation is a JSON-container failure mode (the binary
-        # container catches truncation structurally); the legacy writer
-        # must patch it the same way.
-        store = ArtifactStore(tmp_path / "store", shard_format="json")
+
+class TestRetiredContainer:
+    def test_v2_store_reads_as_a_miss_then_republishes(self, store):
+        # Readers accept FORMAT_VERSION only: a store last written by
+        # the retired JSON container is a cold miss, never an error,
+        # and the rebuild publishes a lazily restorable v3 entry.
         apk = build_heyzap()
-        store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
-        path = _only_shard_path(store, apk.disassembly)
-        payload = json.loads(path.read_text())
-        del payload["postings"]
-        path.write_text(json.dumps(payload))
+        store.save_index(apk.disassembly)
+        key = store_key(apk.disassembly)
+        _retire_to_json_layout(store, apk.disassembly)
+
+        assert store.probe(key).level == "none"
+        assert store.describe().shards == 0
+        (entry,) = store.verify()
+        assert entry.status == "stale" and entry.ok
+        assert store.load_index(build_heyzap().disassembly) is None
+
+        store.save_index(apk.disassembly)
         restored = store.load_index(build_heyzap().disassembly)
-        assert restored is not None and restored.patched_groups == 1
-        assert restored.vocab == TokenIndex.for_disassembly(
-            build_heyzap().disassembly
-        ).vocab
+        assert isinstance(restored, LazyTokenIndex)
+        assert restored.materialize().vocab == \
+            TokenIndex.for_disassembly(build_heyzap().disassembly).vocab
+        (entry,) = store.verify()
+        assert entry.status == "ok"
+
+    def test_gc_sweeps_retired_shard_files_by_age(self, store):
+        # No manifest references a retired file and no reader opens
+        # one, so gc reclaims them by the unreferenced-shard age rule
+        # while the live entry's shards stay put.
+        retired_apk = build_heyzap()
+        store.save_index(retired_apk.disassembly)
+        retired = _retire_to_json_layout(store, retired_apk.disassembly)
+        live = build_palcomp3()
+        store.save_index(live.disassembly)
+
+        result = store.gc(max_age_seconds=3600.0)
+        assert result.shards_removed == 0
+        assert all(path.is_file() for path in retired)
+
+        aged = time.time() - 7200.0
+        for path in retired:
+            os.utime(path, (aged, aged))
+        result = store.gc(max_age_seconds=3600.0)
+        assert result.shards_removed == len(retired)
+        assert not any(path.exists() for path in retired)
+        assert isinstance(
+            store.load_index(build_palcomp3().disassembly), LazyTokenIndex
+        )
+
+        # gc(0) still clears the whole store, retired files included.
+        store.save_index(build_heyzap().disassembly)
+        _retire_to_json_layout(store, build_heyzap().disassembly)
+        store.gc()
+        assert [p for p in store.root.rglob("*") if p.is_file()] == []
 
 
 def _payload_without(outcome, *fields):
@@ -441,7 +519,7 @@ class TestDisassemblyRestore:
         cold = analyze_spec(spec, config)
         store = config.artifact_store()
         groups = store._groups(generate_app(spec).apk.disassembly)
-        path = store._shard_path_bin(groups[0][1])
+        path = store._shard_path(groups[0][1])
         intact = path.read_bytes()
         _, offset, length = read_header(intact).sections[section]
         damaged = bytearray(intact)
@@ -473,7 +551,7 @@ class TestDisassemblyRestore:
         cold = analyze_spec(spec, config)
         store = config.artifact_store()
         groups = store._groups(generate_app(spec).apk.disassembly)
-        path = store._shard_path_bin(groups[0][1])
+        path = store._shard_path(groups[0][1])
         intact = path.read_bytes()
         payload = decode_shard(intact)
         blob = bytearray(payload[field])
@@ -632,6 +710,49 @@ class TestConcurrency:
         restored = store.load_index(generate_app(specs[0]).apk.disassembly)
         assert restored is not None
 
+    def test_concurrent_specmap_writers_never_tear_a_read(self, tmp_path):
+        # Every cluster node publishes specmap entries.  Writers racing
+        # on one fingerprint publish identical content by atomic rename,
+        # so a reader polling throughout sees no entry or the right one.
+        # One race is short, so it runs on a few fresh stores.
+        mapping = {
+            hashlib.sha256(b"spec%d" % i).hexdigest(): hashlib.sha256(
+                b"key%d" % i
+            ).hexdigest()
+            for i in range(200)
+        }
+        context = multiprocessing.get_context("fork")
+        for round_no in range(5):
+            root = tmp_path / f"store{round_no}"
+            writers = [
+                context.Process(target=_publish_specmap, args=(root, mapping))
+                for _ in range(4)
+            ]
+            for writer in writers:
+                writer.start()
+            store = ArtifactStore(root)
+            deadline = time.monotonic() + 30.0
+            polls = 0
+            while polls == 0 or any(writer.is_alive() for writer in writers):
+                assert time.monotonic() < deadline, "specmap writers hung"
+                for fingerprint, key in mapping.items():
+                    assert store.load_spec_key(fingerprint) in (None, key)
+                polls += 1
+            for writer in writers:
+                writer.join(timeout=10.0)
+                assert writer.exitcode == 0
+            assert store.stats.corrupt_entries == 0
+            for fingerprint, key in mapping.items():
+                assert store.load_spec_key(fingerprint) == key
+            assert list((root / "specmap").rglob("*.tmp")) == []
+
+
+def _publish_specmap(root, mapping):
+    """One forked specmap writer (see the concurrency test above)."""
+    store = ArtifactStore(root)
+    for fingerprint, key in mapping.items():
+        store.save_spec_key(fingerprint, key)
+
 
 class TestMaintenance:
     def test_describe_counts_entries_and_kinds(self, store):
@@ -679,9 +800,9 @@ class TestProbe:
         key = store_key(apk.disassembly)
         assert store.probe(key).level == "none"
 
-        # Shards carry both the token stream and the mini-index, so the
-        # token save already publishes a fully restorable entry.
-        store.save_tokens(apk.disassembly)
+        # Shards fold their own mini-indexes, so a save without a
+        # prebuilt index already publishes a fully restorable entry.
+        store.save_index(apk.disassembly)
         probe = store.probe(key)
         assert probe.level == "index" and probe.warm
         assert probe.shards_total == probe.shards_present >= 1
@@ -746,6 +867,67 @@ class TestProbe:
         key = store.load_spec_key(spec_fingerprint(spec))
         assert key == store_key(generate_app(spec).apk.disassembly)
         assert store.probe(key).warm
+
+
+class TestSpecmapWrites:
+    FINGERPRINT = "ab" * 8
+    TARGET = "deadbeef" * 8
+
+    def test_current_entry_is_not_rewritten(self, store):
+        store.save_spec_key(self.FINGERPRINT, self.TARGET)
+        writes = store.stats.writes
+        store.save_spec_key(self.FINGERPRINT, self.TARGET)
+        assert store.stats.writes == writes
+        assert store.load_spec_key(self.FINGERPRINT) == self.TARGET
+
+    def test_torn_entry_reads_as_a_miss_then_is_rewritten(self, store):
+        store.save_spec_key(self.FINGERPRINT, self.TARGET)
+        store._spec_path(self.FINGERPRINT).write_text("{torn")
+        before = store.stats.corrupt_entries
+        assert store.load_spec_key(self.FINGERPRINT) is None
+        assert store.stats.corrupt_entries == before + 1
+        store.save_spec_key(self.FINGERPRINT, self.TARGET)
+        assert store.load_spec_key(self.FINGERPRINT) == self.TARGET
+
+    def test_foreign_version_entry_reads_as_a_miss(self, store):
+        # One accepted version for every artifact, specmap included: an
+        # entry of any other version is stale, and the next save
+        # republishes it under FORMAT_VERSION.
+        path = store._spec_path(self.FINGERPRINT)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({
+            "version": 2, "key": self.FINGERPRINT, "target": self.TARGET,
+        }))
+        assert store.load_spec_key(self.FINGERPRINT) is None
+        store.save_spec_key(self.FINGERPRINT, self.TARGET)
+        assert json.loads(path.read_text())["version"] == FORMAT_VERSION
+        assert store.load_spec_key(self.FINGERPRINT) == self.TARGET
+
+    def test_entry_without_a_target_reads_as_a_miss(self, store):
+        path = store._spec_path(self.FINGERPRINT)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({
+            "version": FORMAT_VERSION, "key": self.FINGERPRINT, "target": "",
+        }))
+        before = store.stats.corrupt_entries
+        assert store.load_spec_key(self.FINGERPRINT) is None
+        assert store.stats.corrupt_entries == before + 1
+
+    def test_failed_publish_keeps_the_previous_entry(self, store, monkeypatch):
+        # The write protocol is temp file + atomic rename: a publish
+        # that dies before the rename leaves the old entry readable
+        # and removes its temp file.
+        store.save_spec_key(self.FINGERPRINT, "old0" * 16)
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("repro.store.artifacts.os.replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            store.save_spec_key(self.FINGERPRINT, self.TARGET)
+        monkeypatch.undo()
+        assert store.load_spec_key(self.FINGERPRINT) == "old0" * 16
+        assert list((store.root / "specmap").rglob("*.tmp")) == []
 
 
 class TestVerify:
@@ -850,9 +1032,36 @@ class TestVerify:
         key = self._populate(store, build_heyzap())
         path = store._manifest_path(key)
         payload = json.loads(path.read_text())
-        # v1 predates the compat window (v2 JSON is still readable).
-        payload["version"] = 1
-        path.write_text(json.dumps(payload))
+        # v1 predates shards; v2 is the retired JSON shard container.
+        for version in (1, 2):
+            payload["version"] = version
+            path.write_text(json.dumps(payload))
 
+            (entry,) = store.verify()
+            assert entry.status == "stale" and entry.ok, version
+
+    def test_foreign_container_version_shard_is_a_skip(self, store):
+        # A shard of another container version is stale, not corrupt:
+        # the next load re-folds it from the live disassembly.
+        apk = build_heyzap()
+        self._populate(store, apk)
+        _set_container_version(_only_shard_path(store, apk.disassembly), 2)
         (entry,) = store.verify()
         assert entry.status == "stale" and entry.ok
+        assert "older format version" in entry.detail
+
+    def test_tampered_token_stream_breaks_the_content_address(self, store):
+        # Shards keep their token stream so verify can hash it: a
+        # CRC-clean stream that no longer matches the shard's name is
+        # caught even though the stored mini-index is untouched.
+        apk = build_heyzap()
+        self._populate(store, apk)
+        path = _only_shard_path(store, apk.disassembly)
+        payload = decode_shard(path.read_bytes())
+        rel, kind, text = payload["tokens"][0]
+        payload["tokens"][0] = (rel + 1, kind, text)
+        path.write_bytes(encode_shard(payload, payload["key"]))
+
+        (entry,) = store.verify()
+        assert entry.status == "mismatch" and not entry.ok
+        assert "content address" in entry.detail

@@ -4,13 +4,12 @@ Covers the laziness contract end to end: a fully binary warm entry
 restores as a :class:`LazyTokenIndex` that (1) answers every needle
 shape identically to a fresh fold, (2) decodes only the groups a query
 touches — strictly fewer bytes than full materialization, (3) survives
-LRU eviction and re-faults correctly, (4) self-heals corrupt shard
-sections from the live disassembly, and (5) interoperates with legacy
-v2 JSON stores through in-place migration, with ``store verify``
-passing on v2, v3 and mixed stores throughout.
+LRU eviction and re-faults correctly, and (4) self-heals corrupt shard
+sections from the live disassembly.
 """
 
 import gc
+import struct
 import warnings
 
 import pytest
@@ -18,6 +17,7 @@ import pytest
 from repro.search.backends.indexed import TokenIndex, _DESCRIPTOR_RE
 from repro.search.index import BytecodeSearcher
 from repro.store import ArtifactStore, LazyShardView, store_key
+from repro.store.binshard import BIN_FORMAT_VERSION
 from repro.store.lazy import LazyTokenIndex
 from repro.workload.generator import AppSpec, LibrarySpec, generate_app
 
@@ -85,20 +85,31 @@ class TestLazyRestoreShape:
         assert restored.materialized_groups == 0
         assert store.stats.lazy_restores == 1
 
-    def test_json_store_never_serves_lazy(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store", shard_format="json")
+
+    def test_empty_shard_takes_the_patching_path(self, store):
+        # An empty file is the one shard state the stat-only lazy check
+        # rejects: the load composes eagerly, patching just that group,
+        # and republishes so the next restore is lazy again.
         apk = _build_apk()
         store.save_index(
             apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
         )
+        key = store_key(apk.disassembly)
+        victim = store._shard_path(store._groups(apk.disassembly)[1][1])
+        victim.write_bytes(b"")
+        assert store.probe(key).level == "partial"
+
         restored = store.load_index(_build_apk().disassembly)
         assert restored is not None
         assert not getattr(restored, "lazy", False)
-        assert store.stats.lazy_restores == 0
-
-    def test_unknown_shard_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="shard format"):
-            ArtifactStore(tmp_path / "store", shard_format="msgpack")
+        assert restored.patched_groups == 1
+        fresh = TokenIndex.for_disassembly(_build_apk().disassembly)
+        assert restored.vocab == fresh.vocab
+        assert restored.postings == fresh.postings
+        assert victim.stat().st_size > 0
+        assert isinstance(
+            store.load_index(_build_apk().disassembly), LazyTokenIndex
+        )
 
 
 class TestQueryParity:
@@ -176,7 +187,7 @@ class TestSelfHeal:
         )
         # Flip bytes in the middle of one shard file: the header may
         # still parse, but a section CRC cannot.
-        victim = store._shard_path_bin(store._groups(apk.disassembly)[2][1])
+        victim = store._shard_path(store._groups(apk.disassembly)[2][1])
         blob = bytearray(victim.read_bytes())
         mid = len(blob) // 2
         for i in range(mid, mid + 16):
@@ -198,6 +209,46 @@ class TestSelfHeal:
         again.materialize()
         assert again.patched_groups == 0
 
+    def _assert_heals_to_parity(self, store, victim):
+        restored = store.load_index(_build_apk().disassembly)
+        assert isinstance(restored, LazyTokenIndex)  # stat-only check
+        fresh = TokenIndex.for_disassembly(_build_apk().disassembly)
+        full = restored.materialize()
+        assert full.vocab == fresh.vocab
+        assert full.postings == fresh.postings
+        assert full.containing == fresh.containing
+        assert restored.patched_groups == 1
+        # The heal republished a current shard in place.
+        assert all(entry.ok for entry in store.verify())
+        assert struct.unpack_from("<H", victim.read_bytes(), 4)[0] == \
+            BIN_FORMAT_VERSION
+
+    def test_truncated_shard_heals_from_live_disassembly(self, store):
+        # Truncation leaves a parseable header whose section table
+        # points past the end of the file: the container rejects it
+        # structurally and the group is re-folded.
+        apk = _build_apk()
+        store.save_index(
+            apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
+        )
+        victim = store._shard_path(store._groups(apk.disassembly)[2][1])
+        blob = victim.read_bytes()
+        victim.write_bytes(blob[: len(blob) // 2])
+        self._assert_heals_to_parity(store, victim)
+
+    def test_foreign_container_version_heals_like_rot(self, store):
+        # One container version is accepted; a shard of any other
+        # version is re-folded on first touch, never decoded.
+        apk = _build_apk()
+        store.save_index(
+            apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
+        )
+        victim = store._shard_path(store._groups(apk.disassembly)[2][1])
+        blob = bytearray(victim.read_bytes())
+        struct.pack_into("<H", blob, 4, 2)
+        victim.write_bytes(bytes(blob))
+        self._assert_heals_to_parity(store, victim)
+
     def test_backend_surfaces_lazy_stats(self, store):
         apk = _build_apk()
         store.save_index(
@@ -215,93 +266,6 @@ class TestSelfHeal:
         assert 0 < described["bytes_decoded"] < described["bytes_mapped"]
 
 
-class TestMigration:
-    def _seed_v2(self, root, seed=1):
-        legacy = ArtifactStore(root, shard_format="json")
-        apk = _build_apk(seed)
-        legacy.save_index(
-            apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
-        )
-        return legacy
-
-    def test_v2_round_trip_through_migration(self, tmp_path):
-        root = tmp_path / "store"
-        legacy = self._seed_v2(root)
-        assert legacy.describe().legacy_json_shards > 0
-
-        store = ArtifactStore(root)
-        result = store.migrate()
-        assert result.shards_migrated > 0 and result.shards_failed == 0
-        inventory = store.describe()
-        assert inventory.legacy_json_shards == 0
-        # Same content addresses: the old manifest still resolves, and
-        # the restored index now rides the lazy path.
-        restored = store.load_index(_build_apk().disassembly)
-        assert isinstance(restored, LazyTokenIndex)
-        fresh = TokenIndex.for_disassembly(_build_apk().disassembly)
-        full = restored.materialize()
-        assert full.vocab == fresh.vocab
-        assert full.postings == fresh.postings
-        assert full.containing == fresh.containing
-        assert all(entry.ok for entry in store.verify())
-
-    def test_migrate_is_idempotent(self, tmp_path):
-        root = tmp_path / "store"
-        self._seed_v2(root)
-        store = ArtifactStore(root)
-        first = store.migrate()
-        second = store.migrate()
-        assert first.shards_migrated > 0
-        assert second.shards_migrated == 0 and second.shards_failed == 0
-
-    def test_gc_migrates_surviving_legacy_shards(self, tmp_path):
-        root = tmp_path / "store"
-        self._seed_v2(root)
-        store = ArtifactStore(root)
-        result = store.gc(max_age_seconds=3600.0)  # nothing is old yet
-        assert result.entries_removed == 0
-        assert result.shards_migrated > 0
-        assert store.describe().legacy_json_shards == 0
-
-    def test_verify_passes_on_v2_v3_and_mixed_stores(self, tmp_path):
-        # v2-only store.
-        v2_root = tmp_path / "v2"
-        self._seed_v2(v2_root)
-        assert all(e.ok for e in ArtifactStore(v2_root).verify())
-        # Mixed store: a second app published binary alongside.
-        mixed = ArtifactStore(v2_root)
-        other = generate_app(
-            AppSpec(package="com.mixed.app", seed=7, libraries=_LIBS[:2])
-        ).apk
-        mixed.save_index(
-            other.disassembly, TokenIndex.for_disassembly(other.disassembly)
-        )
-        inventory = mixed.describe()
-        assert 0 < inventory.legacy_json_shards < inventory.shards
-        assert all(e.ok for e in mixed.verify())
-        # v3-only store.
-        v3 = ArtifactStore(tmp_path / "v3")
-        apk = _build_apk()
-        v3.save_index(
-            apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
-        )
-        assert all(e.ok for e in v3.verify())
-
-    def test_mixed_entry_restores_eagerly_not_lazily(self, tmp_path):
-        # An entry with any legacy-JSON group falls back to the eager
-        # composed restore — correct, just not zero-copy.
-        root = tmp_path / "store"
-        self._seed_v2(root)
-        store = ArtifactStore(root)
-        sha = store._groups(_build_apk().disassembly)[0][1]
-        store._migrate_shard(store._shard_path_json(sha))
-        restored = store.load_index(_build_apk().disassembly)
-        assert restored is not None
-        assert not getattr(restored, "lazy", False)
-        fresh = TokenIndex.for_disassembly(_build_apk().disassembly)
-        assert restored.vocab == fresh.vocab
-
-
 class TestViewHandles:
     def test_dropped_view_leaves_no_file_open(self, store):
         # The mapping holds its own descriptor, so a view that is used
@@ -313,7 +277,7 @@ class TestViewHandles:
         sha = store._groups(apk.disassembly)[0][1]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            view = LazyShardView(store._shard_path_bin(sha), sha)
+            view = LazyShardView(store._shard_path(sha), sha)
             assert view.mini_index()["vocab"]
             del view
             gc.collect()
@@ -330,7 +294,7 @@ class TestProbeNeverParses:
         store.save_index(
             apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
         )
-        victim = store._shard_path_bin(store._groups(apk.disassembly)[0][1])
+        victim = store._shard_path(store._groups(apk.disassembly)[0][1])
         victim.write_bytes(b"\x00" * victim.stat().st_size)
         probe = store.probe(key)
         assert probe.level == "index"

@@ -22,8 +22,13 @@ from repro.store import (
     shard_key,
     store_key,
 )
-from repro.store.artifacts import FORMAT_VERSION
-from repro.store.sharding import compose_index, fold_group, shard_payload
+from repro.store.binshard import decode_shard, encode_shard
+from repro.store.sharding import (
+    compose_index,
+    fold_group,
+    shard_payload,
+    tokens_from_shard,
+)
 from repro.workload.generator import AppSpec, LibrarySpec, generate_app
 from repro.workload.paperapps import build_heyzap, build_lg_tv_plus
 
@@ -138,7 +143,7 @@ class TestCrossAppDedup:
         writes_before = store.stats.writes
         shared_before = store.stats.shards_shared
         rebuilt = generate_app(_app("com.alpha", 1)).apk.disassembly
-        store.save_tokens(rebuilt)
+        store.save_index(rebuilt)
         assert store.stats.shards_shared - shared_before == \
             len(store._groups(rebuilt))
         # Only the manifest was rewritten.
@@ -221,10 +226,7 @@ class TestRefcountedGc:
         # aged gc must not reclaim them mid-publish.
         one = generate_app(_app("com.alpha", 1)).apk.disassembly
         for group, sha in store._groups(one):
-            store._write_json(
-                store._shard_path(sha),
-                shard_payload(group, sha, FORMAT_VERSION),
-            )
+            store._write_shard(group, sha)
         result = store.gc(max_age_seconds=3600.0)
         assert result.shards_removed == 0
         assert store.describe().shards == len(store._groups(one))
@@ -248,12 +250,6 @@ class TestComposeParity:
             assert restored.build_seconds == 0.0
             self._parity(restored, TokenIndex.for_disassembly(disassembly))
 
-    def test_composed_tokens_match_fresh_render(self, store):
-        disassembly = generate_app(_app("com.alpha", 1)).apk.disassembly
-        store.save_tokens(disassembly)
-        rebuilt = generate_app(_app("com.alpha", 1)).apk.disassembly
-        assert store.load_tokens(rebuilt) == disassembly.tokens
-
     def test_patched_composition_is_still_byte_identical(self, store):
         disassembly = generate_app(_app("com.alpha", 1)).apk.disassembly
         store.save_index(disassembly, TokenIndex.for_disassembly(disassembly))
@@ -272,10 +268,28 @@ class TestComposeParity:
         for group in partition_disassembly(disassembly):
             sha = shard_key(group)
             parts.append(
-                (group.start_line, shard_payload(group, sha, FORMAT_VERSION))
+                (group.start_line, shard_payload(group, sha))
             )
         composed = compose_index(parts)
         self._parity(composed, TokenIndex(disassembly))
+
+    def test_payloads_survive_the_binary_container(self):
+        # Every payload field goes through the one container intact,
+        # so composing decoded shards still matches a fresh fold.
+        disassembly = build_lg_tv_plus().disassembly
+        parts = []
+        for group in partition_disassembly(disassembly):
+            sha = shard_key(group)
+            payload = shard_payload(group, sha)
+            decoded = decode_shard(encode_shard(payload, sha), sha)
+            for name, value in payload.items():
+                if name == "tokens":
+                    assert tokens_from_shard(decoded) == \
+                        tokens_from_shard(payload)
+                else:
+                    assert decoded[name] == value, name
+            parts.append((group.start_line, decoded))
+        self._parity(compose_index(parts), TokenIndex(disassembly))
 
     def test_fold_group_matches_token_index_fold(self):
         disassembly = build_heyzap().disassembly

@@ -1,5 +1,7 @@
 """Unit tests for the command-line front end."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -255,6 +257,35 @@ class TestStoreVerify:
         assert main(["store", "verify", "--store", store_dir]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "1 failure(s)" in out
+
+    def test_warm_republishes_entries_of_a_retired_format(
+        self, tmp_path, capsys
+    ):
+        # There is no migrator: entries of another format version are
+        # skipped by verify and rebuilt current by the next warm.
+        from repro.store import ArtifactStore
+
+        store_dir = str(tmp_path / "s")
+        warm = ["store", "warm", "bench:0..2", "--scale", "0.05",
+                "--store", store_dir]
+        assert main(warm) == 0
+        for entry in ArtifactStore(store_dir).entries():
+            path = entry / "manifest.json"
+            payload = json.loads(path.read_text())
+            payload["version"] = 2
+            path.write_text(json.dumps(payload))
+        capsys.readouterr()
+
+        assert main(["store", "verify", "--store", store_dir]) == 0
+        out = capsys.readouterr().out
+        assert out.count("SKIP") == 2
+        assert "verified 0 stored index(es), 0 failure(s)" in out
+
+        assert main(warm) == 0
+        capsys.readouterr()
+        assert main(["store", "verify", "--store", store_dir]) == 0
+        out = capsys.readouterr().out
+        assert "verified 2 stored index(es), 0 failure(s)" in out
 
     def test_verify_requires_store_dir(self):
         with pytest.raises(SystemExit, match="--store"):
