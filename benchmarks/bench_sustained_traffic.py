@@ -13,35 +13,35 @@ queried with a single-group needle.  Bars:
 * it **materializes strictly fewer groups** than the app has, i.e.
   untouched groups stay raw.
 
-**Phase B — sustained HTTP traffic, threaded vs async stacks.**  A
+**Phase B — sustained HTTP traffic, thread vs process cold lane.**  A
 pre-warmed corpus plus a trickle of cold submissions is pushed over
-HTTP (keep-alive) through *both* service stacks until saturation:
+HTTP (keep-alive) through the asyncio ``AnalysisServer`` until
+saturation, once per cold executor:
 
-* the **threaded baseline** — ``ThreadedAnalysisServer`` over an
-  all-in-process scheduler (``cold_executor="thread"``): warm restores
-  share the GIL with cold disassembly/index folds;
-* the **async stack** — the asyncio ``AnalysisServer`` over a
-  process-isolated cold lane (``cold_executor="process"``): the service
+* the **thread baseline** — an all-in-process scheduler
+  (``cold_executor="thread"``): warm restores share the GIL with cold
+  disassembly/index folds;
+* the **process cold lane** — ``cold_executor="process"``: the service
   interpreter only runs the event loop and warm mmap-backed restores.
 
-Each stack gets its own store directory and its own pre-warm, so cold
+Each run gets its own store directory and its own pre-warm, so cold
 submissions in one run never warm the other.  Bars (enforced on the
-async stack; the threaded run is the comparison baseline):
+process run; the thread run is the comparison baseline):
 
 * p99 warm **service time** (queue wait excluded — turnaround at
   saturation is dominated by queue depth; measured over steady-state
   warm jobs, i.e. those started after the submission burst, for both
-  stacks alike) beats the mean **cold turnaround**: even the worst
+  runs alike) beats the mean **cold turnaround**: even the worst
   warm job finishes its work before an average cold submission gets
   through the system;
 * submission ingest sustains **>= 100 submissions/sec** over HTTP —
   probes are stat-only, so enqueueing must never parse shard payloads;
 * warm p99 service time under the saturating cold load is **>= 2x
-  better** on the async stack than the threaded baseline — the
+  better** with the process cold lane than the thread baseline — the
   GIL-isolation payoff, measured end to end;
-* **telemetry overhead**: a third async run with tracing and the
-  metrics registry disabled; warm p99 service time with telemetry ON
-  must stay within 5% (plus a 1ms timer-resolution grace) of the
+* **telemetry overhead**: a third process-lane run with tracing and
+  the metrics registry disabled; warm p99 service time with telemetry
+  ON must stay within 5% (plus a 1ms timer-resolution grace) of the
   disabled run.
 
 Usage::
@@ -72,11 +72,7 @@ for _p in (str(_ROOT), str(_ROOT / "src")):
 from benchmarks.conftest import emit_table, render_table  # noqa: E402
 from repro.core import BackDroidConfig, analyze_spec  # noqa: E402
 from repro.search.backends.indexed import TokenIndex  # noqa: E402
-from repro.service import (  # noqa: E402
-    AnalysisServer,
-    StoreAwareScheduler,
-    ThreadedAnalysisServer,
-)
+from repro.service import AnalysisServer, StoreAwareScheduler  # noqa: E402
 from repro.store import ArtifactStore  # noqa: E402
 from repro.workload.corpus import benchmark_app_spec  # noqa: E402
 from repro.workload.generator import (  # noqa: E402
@@ -87,7 +83,7 @@ from repro.workload.generator import (  # noqa: E402
 
 #: Submission ingest bar: probes are stat-only, enqueue must be cheap.
 INGEST_BAR = 100.0
-#: Warm-p99 isolation bar: async + process cold lane vs threaded + GIL.
+#: Warm-p99 isolation bar: process cold lane vs in-process threads.
 WARM_ISOLATION_BAR = 2.0
 #: Telemetry overhead bar: warm p99 service time with tracing+metrics
 #: ON must land within this factor of the disabled run.
@@ -154,18 +150,11 @@ def run_warm_restore(root: str, smoke: bool) -> dict:
 
 
 # ======================================================================
-# Phase B — sustained HTTP traffic through both service stacks
+# Phase B — sustained HTTP traffic, once per cold executor
 # ======================================================================
 
-STACKS = {
-    # stack name -> (server class, cold executor)
-    "threaded": (ThreadedAnalysisServer, "thread"),
-    "async": (AnalysisServer, "process"),
-}
-
-
 def run_sustained_traffic(
-    root: str, smoke: bool, stack: str, telemetry: bool = True
+    root: str, smoke: bool, cold_executor: str, telemetry: bool = True
 ) -> dict:
     corpus = 3 if smoke else 8
     n_jobs = 30 if smoke else 600
@@ -175,11 +164,10 @@ def run_sustained_traffic(
     # latency under a *saturating* cold load, so the cold lane must
     # stay busy for the whole warm stream.
     cold_scale = 0.3 if smoke else 0.4
-    server_cls, cold_executor = STACKS[stack]
     # Per-variant store: cold submissions warm the store as they
     # finish, so a shared directory would hand a later run a warmer
     # corpus.
-    variant = stack if telemetry else f"{stack}-notelemetry"
+    variant = cold_executor if telemetry else f"{cold_executor}-notelemetry"
     store_dir = str(Path(root) / f"service-store-{variant}")
     config = BackDroidConfig(
         search_backend="indexed", store_dir=store_dir, store_mode="full"
@@ -197,7 +185,7 @@ def run_sustained_traffic(
         tracing_enabled=telemetry,
         enable_metrics=telemetry,
     )
-    with server_cls(scheduler, port=0) as server:
+    with AnalysisServer(scheduler, port=0) as server:
         host, port = server.address
         # One keep-alive connection: the ingest bar measures the
         # service's submission path, not TCP handshakes.
@@ -228,7 +216,7 @@ def run_sustained_traffic(
         submitted = time.perf_counter() - started
         # Steady-state cutoff: while the submission burst is being
         # parsed, handler threads GIL-compete with the warm lane in
-        # *both* stacks, adding the same latency to each.  The warm
+        # *both* runs, adding the same latency to each.  The warm
         # bars compare jobs started after the burst, when the only
         # remaining contention is the one under test: the saturated
         # cold lane (threads vs nice'd processes).
@@ -262,7 +250,7 @@ def run_sustained_traffic(
     if len(steady) < 10:  # tiny smoke corpus: keep every sample
         steady = warm
     return {
-        "stack": stack,
+        "cold_executor": cold_executor,
         "jobs": n_jobs,
         "warm": len(warm),
         "cold": len(cold),
@@ -296,17 +284,17 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bdtraffic-") as root:
         restore = run_warm_restore(root, args.smoke)
-        threaded = run_sustained_traffic(root, args.smoke, "threaded")
-        traffic = run_sustained_traffic(root, args.smoke, "async")
-        # Telemetry overhead: the same async stack with tracing and
-        # the metrics registry disabled.  The default-on run above is
-        # the "on" sample.
+        thread_lane = run_sustained_traffic(root, args.smoke, "thread")
+        traffic = run_sustained_traffic(root, args.smoke, "process")
+        # Telemetry overhead: the same process-lane run with tracing
+        # and the metrics registry disabled.  The default-on run above
+        # is the "on" sample.
         no_telemetry = run_sustained_traffic(
-            root, args.smoke, "async", telemetry=False
+            root, args.smoke, "process", telemetry=False
         )
 
     isolation = (
-        threaded["p99_warm_service"] / traffic["p99_warm_service"]
+        thread_lane["p99_warm_service"] / traffic["p99_warm_service"]
         if traffic["p99_warm_service"] > 0
         else float("inf")
     )
@@ -316,26 +304,26 @@ def main(argv=None) -> int:
         ["groups touched / total", f"{touched} / {total}"],
         ["bytes decoded / mapped",
          f"{restore['bytes_decoded']} / {restore['bytes_mapped']}"],
-        ["jobs per stack (warm + cold)",
+        ["jobs per run (warm + cold)",
          f"{traffic['jobs']} ({traffic['warm']} + {traffic['cold']})"],
-        ["steady-state warm samples (threaded / async)",
-         f"{threaded['steady_warm']} / {traffic['steady_warm']}"],
-        ["warm service p99, threaded+GIL",
-         f"{threaded['p99_warm_service'] * 1e3:.1f}ms"],
-        ["warm service p99, async+process",
+        ["steady-state warm samples (thread / process cold lane)",
+         f"{thread_lane['steady_warm']} / {traffic['steady_warm']}"],
+        ["warm service p99, thread cold lane (GIL)",
+         f"{thread_lane['p99_warm_service'] * 1e3:.1f}ms"],
+        ["warm service p99, process cold lane",
          f"{traffic['p99_warm_service'] * 1e3:.1f}ms"],
         ["warm p99 isolation gain", f"{isolation:.1f}x"],
-        ["warm turnaround p50 / p99 (async)",
+        ["warm turnaround p50 / p99 (process)",
          f"{traffic['p50_warm'] * 1e3:.1f}ms / "
          f"{traffic['p99_warm'] * 1e3:.1f}ms"],
-        ["cold turnaround / service mean (async)",
+        ["cold turnaround / service mean (process)",
          f"{traffic['mean_cold'] * 1e3:.1f}ms / "
          f"{traffic['mean_cold_service'] * 1e3:.1f}ms"],
-        ["submission ingest (async, HTTP)",
+        ["submission ingest (process, HTTP)",
          f"{traffic['ingest_rate']:.0f}/s"],
-        ["drain throughput (async)",
+        ["drain throughput (process)",
          f"{traffic['drain_rate']:.1f} jobs/s"],
-        ["event-loop lag p99 (async)",
+        ["event-loop lag p99 (process)",
          f"{traffic['loop_lag_p99'] * 1e3:.2f}ms"
          if traffic["loop_lag_p99"] is not None else "n/a"],
         ["warm service p99, telemetry on / off",
@@ -345,7 +333,7 @@ def main(argv=None) -> int:
     emit_table(
         "sustained_traffic",
         render_table(
-            "Sustained HTTP traffic: threaded+GIL vs async+process cold lane"
+            "Sustained HTTP traffic: thread vs process cold lane"
             + (" (smoke)" if args.smoke else ""),
             ["Metric", "Value"],
             rows,
@@ -376,8 +364,9 @@ def main(argv=None) -> int:
         ),
         (
             isolation >= WARM_ISOLATION_BAR,
-            f"warm p99 service {isolation:.2f}x better on async+process "
-            f"({threaded['p99_warm_service'] * 1e3:.1f}ms -> "
+            f"warm p99 service {isolation:.2f}x better with the process "
+            f"cold lane "
+            f"({thread_lane['p99_warm_service'] * 1e3:.1f}ms -> "
             f"{traffic['p99_warm_service'] * 1e3:.1f}ms; "
             f"bar: >= {WARM_ISOLATION_BAR:.1f}x)",
         ),

@@ -329,16 +329,10 @@ def build_server(args):
     (default: ``--workers``): the service runs cold analyses out of
     process so warm restores never share the GIL with disassembly and
     index folds.  ``--cold-workers 0`` keeps cold analyses in-process
-    (thread pool), the embedding-style fallback.  ``--loop`` picks the
-    HTTP front end: the asyncio event loop (default) or the legacy
-    thread-per-connection server.
+    (thread pool), the embedding-style fallback.
     """
     # Imported lazily: the service layer is only needed by ``serve``.
-    from repro.service import (
-        AnalysisServer,
-        StoreAwareScheduler,
-        ThreadedAnalysisServer,
-    )
+    from repro.service import AnalysisServer, StoreAwareScheduler
 
     if args.workers < 1:
         raise SystemExit("--workers must be a positive integer")
@@ -371,12 +365,7 @@ def build_server(args):
         enable_metrics=not getattr(args, "no_metrics", False),
         node_id=getattr(args, "node_id", None),
     )
-    server_cls = (
-        ThreadedAnalysisServer
-        if getattr(args, "loop", "asyncio") == "threaded"
-        else AnalysisServer
-    )
-    return server_cls(scheduler, host=args.host, port=args.port)
+    return AnalysisServer(scheduler, host=args.host, port=args.port)
 
 
 def _serve_front_end(args) -> int:
@@ -467,8 +456,7 @@ def cmd_serve(args) -> int:
         if scheduler.cold_executor == "process"
         else f"{scheduler.lanes['main'].workers} in-process cold worker(s)"
     )
-    print(f"backdroid service listening on http://{host}:{port} "
-          f"({args.loop} front end)")
+    print(f"backdroid service listening on http://{host}:{port}")
     print(f"  {cold_note}, {store_note}")
     if node is not None:
         print(f"  cluster node {node_id} (node ttl {args.lease_ttl:g}s, "
@@ -618,10 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--session-cache", type=int, default=4,
                        help="warm per-app sessions kept resident "
                        "(default: 4; 0 disables the session cache)")
-    serve.add_argument("--loop", choices=("asyncio", "threaded"),
-                       default="asyncio",
-                       help="HTTP front end: asyncio event loop (default) "
-                       "or thread-per-connection")
     serve.add_argument("--drain-timeout", type=float, default=30.0,
                        help="seconds to let in-flight jobs finish on "
                        "SIGTERM/SIGINT before abandoning them (default: 30)")

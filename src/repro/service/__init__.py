@@ -24,15 +24,16 @@ would run:
 * :mod:`repro.service.server` — the stdlib-only JSON HTTP API
   (``POST /v1/jobs`` with per-job rule/backend/budget overrides,
   ``GET /v1/jobs/<id>``, ``DELETE /v1/jobs/<id>``, ``GET /v1/stats``,
-  ``GET /healthz``): the transport-agnostic :class:`ServiceAPI` router,
-  the asyncio :class:`AnalysisServer` front end, the legacy
-  :class:`ThreadedAnalysisServer` baseline, and the matching (retrying)
+  ``GET /healthz``): the one asyncio HTTP transport, the
+  :class:`ServiceAPI` routes over the scheduler, the
+  :class:`AnalysisServer` that serves them, and the matching (retrying)
   :class:`ServiceClient`;
 * :mod:`repro.service.cluster` — multi-node sharding over one shared
   store: :class:`NodeDirectory` heartbeat gossip, the
   content-key-routing :class:`ClusterRouter` / :class:`ClusterFrontEnd`
-  (failover re-dispatch under the same trace), and the subprocess
-  :class:`ClusterHarness` used by tests, CI and the scaling benchmark.
+  (failover re-dispatch under the same trace, served by the same
+  transport as a node), and the subprocess :class:`ClusterHarness`
+  used by tests, CI and the scaling benchmark.
 
 The CLI front end is ``backdroid serve`` (``--node-id`` joins a
 cluster; ``--peers store`` runs the front end).
@@ -63,7 +64,7 @@ from repro.service.server import (
     AnalysisServer,
     ServiceAPI,
     ServiceClient,
-    ThreadedAnalysisServer,
+    ServiceError,
 )
 from repro.service.workers import ColdResult, ProcessLane
 
@@ -90,6 +91,6 @@ __all__ = [
     "ProcessLane",
     "ServiceAPI",
     "ServiceClient",
+    "ServiceError",
     "StoreAwareScheduler",
-    "ThreadedAnalysisServer",
 ]

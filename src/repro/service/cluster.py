@@ -18,7 +18,9 @@ makes whole *services* shareable:
   falling back to least-loaded), forwards over plain HTTP, and
   monitors in-flight jobs so work on a dead node is reclaimed and
   retried on a peer **under the same trace** (per-attempt ``dispatch``
-  spans, exactly like the cold lane's died-worker retries).
+  spans, exactly like the cold lane's died-worker retries).  It is
+  served by the same :class:`~repro.service.server.HTTPTransport` and
+  request conventions as a node.
 * :class:`ClusterHarness` — N real ``backdroid serve`` subprocesses
   over one shared store, with guaranteed teardown: the substrate for
   the fault-injection tests, the CI smoke job and the scaling
@@ -51,7 +53,12 @@ from urllib.error import URLError
 
 from repro.core.batch import probe_spec
 from repro.service.jobs import TERMINAL_STATES
-from repro.service.server import ServiceClient, _ServiceHTTPServer
+from repro.service.server import (
+    HTTPRoutes,
+    HTTPTransport,
+    ServiceClient,
+    ServiceError,
+)
 from repro.store.artifacts import ArtifactStore
 from repro.telemetry import tracing
 from repro.telemetry.logs import get_logger
@@ -240,12 +247,15 @@ def _rendezvous_score(key: str, node_id: str) -> int:
     return int(digest[:8], 16)
 
 
-class ClusterRouter:
+class ClusterRouter(HTTPRoutes):
     """Route, forward and babysit jobs across the live nodes.
 
-    Transport-compatible with :class:`ServiceAPI` (``handle(method,
-    path, body) -> (status, payload, close)``), so the stock
-    ``_ServiceHTTPServer`` serves it unchanged.
+    Its ``handle(method, target, body) -> (status, payload, close)``
+    follows the same :class:`~repro.service.server.HTTPRoutes`
+    conventions as a node's :class:`~repro.service.server.ServiceAPI`.
+    A node's 4xx answer to a forwarded submission is relayed to the
+    client at once: every node validates against the same rule
+    catalogue, so a spec one node refuses, all refuse.
 
     Routing policy, in order:
 
@@ -391,7 +401,10 @@ class ClusterRouter:
 
         Returns the accepting node's job snapshot, or None when every
         candidate refused/was unreachable (the record is untouched and
-        may be retried by the monitor once gossip changes).
+        may be retried by the monitor once gossip changes).  A node's
+        4xx is the client's error on every node: it is raised as the
+        node's :class:`~repro.service.server.ServiceError`, not failed
+        over.
         """
         candidates = self._candidates(
             record.key, live, pin=pin, exclude=exclude
@@ -410,10 +423,12 @@ class ClusterRouter:
             try:
                 snapshot = self._client(manifest).submit(body)
             except (ValueError, OSError, URLError) as exc:
-                # 4xx/5xx (draining, bad body vs this node's rules) or
-                # a dead socket: next candidate.
                 dispatch_span.set_attrs(forward_error=str(exc))
                 dispatch_span.end()
+                if isinstance(exc, ServiceError) and exc.status < 500:
+                    raise
+                # A 5xx (a draining node) or a dead socket: next
+                # candidate.
                 self.forward_failovers += 1
                 continue
             with self._lock:
@@ -525,12 +540,13 @@ class ClusterRouter:
                     f"{record.attempts} attempt(s)",
                 )
                 continue
-            snapshot = self._dispatch(
-                record, live, exclude=tuple(record.failed_nodes)
-            )
-            if snapshot is None and not live:
-                # No live peers at all; keep waiting for gossip.
-                continue
+            # With no live peer the record waits for the next sweep.
+            try:
+                self._dispatch(
+                    record, live, exclude=tuple(record.failed_nodes)
+                )
+            except ServiceError as exc:
+                self._fail(record, f"reclaim refused: {exc}")
 
     def _monitor_loop(self) -> None:
         while not self._stop.wait(self.monitor_interval):
@@ -540,25 +556,9 @@ class ClusterRouter:
                 _log.warning("cluster monitor sweep failed", exc_info=True)
 
     # ------------------------------------------------------------------
-    # Transport-facing API (ServiceAPI-compatible)
+    # Routes (HTTPRoutes dispatches here)
     # ------------------------------------------------------------------
-    def handle(self, method: str, path: str, body=None):
-        try:
-            if method == "GET":
-                return self._get(path)
-            if method == "POST":
-                return self._post(path, body)
-            if method == "DELETE":
-                return self._delete(path)
-        except Exception as exc:  # defensive: a router bug is a 500
-            _log.warning("router error on %s %s", method, path,
-                         exc_info=True)
-            return 500, {"error": f"router error: {exc}"}, True
-        return 405, {"error": f"unsupported method {method}"}, True
-
     def _post(self, path: str, body) -> tuple:
-        import json as _json
-
         if path != "/v1/jobs":
             return 404, {"error": f"no such endpoint {path!r}"}, True
         if self.draining:
@@ -568,21 +568,9 @@ class ClusterRouter:
                           "submissions"},
                 True,
             )
-        if not body:
-            return (
-                400,
-                {"error": "submission body required (a small JSON "
-                          "object)"},
-                True,
-            )
         try:
-            payload = _json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return 400, {"error": "submission body is not valid JSON"}, True
-        if not isinstance(payload, dict):
-            return 400, {"error": "submission body must be an object"}, True
-        pin = payload.pop("node", None)
-        try:
+            payload = self._submission(body)
+            pin = payload.pop("node", None)
             spec = app_spec_from_request(payload)
         except ValueError as exc:
             return 400, {"error": str(exc)}, True
@@ -604,6 +592,14 @@ class ClusterRouter:
         )
         if record._root_span:
             record.trace_id = record._root_span.trace_id
+        try:
+            snapshot = self._dispatch(record, live, pin=pin)
+        except ServiceError as exc:
+            # Relayed as the node answered it, and like a node, the
+            # front end keeps no record of a refused submission.
+            record._root_span.end()
+            self.tracer.collect(record.trace_id)
+            return exc.status, {"error": str(exc)}, True
         with self._lock:
             self._records[record.id] = record
             self._order.append(record.id)
@@ -616,13 +612,12 @@ class ClusterRouter:
                 else:
                     self._order.insert(0, evicted)
                     break
-        snapshot = self._dispatch(record, live, pin=pin)
         if snapshot is None:
             self._fail(record, "no node accepted the submission")
             return 503, self._view(record), True
         return 202, self._view(record, node_snapshot=snapshot), False
 
-    def _get(self, path: str) -> tuple:
+    def _get(self, path: str, query: dict) -> tuple:
         if path == "/healthz":
             return 200, {"ok": True, "role": "front-end"}, False
         if path == "/v1/stats":
@@ -633,16 +628,13 @@ class ClusterRouter:
                 records = [self._records[i] for i in ids]
             return 200, {"jobs": [self._view(r) for r in records]}, False
         if path.startswith("/v1/jobs/"):
-            tail = path[len("/v1/jobs/"):]
-            want_trace = False
-            if "?" in tail:
-                tail, _, query = tail.partition("?")
-                want_trace = "trace=1" in query
+            job_id = path[len("/v1/jobs/"):]
             with self._lock:
-                record = self._records.get(tail)
+                record = self._records.get(job_id)
             if record is None:
-                return 404, {"error": f"unknown job {tail!r}"}, True
-            return 200, self._view(record, trace=want_trace), False
+                return 404, {"error": f"unknown job {job_id!r}"}, True
+            trace = self._flag(query, "trace")
+            return 200, self._view(record, trace=trace), False
         return 404, {"error": f"no such endpoint {path!r}"}, True
 
     def _delete(self, path: str) -> tuple:
@@ -742,7 +734,11 @@ class ClusterRouter:
 
 
 class ClusterFrontEnd:
-    """The router behind the stock threaded HTTP transport."""
+    """The router behind the same HTTP transport as a node.
+
+    The listening socket is bound eagerly, so :attr:`address` is
+    authoritative before :meth:`start`.
+    """
 
     def __init__(
         self,
@@ -751,35 +747,22 @@ class ClusterFrontEnd:
         port: int = 0,
     ) -> None:
         self.router = router
-        self._http = _ServiceHTTPServer((host, port), router)
-        self._thread: Optional[threading.Thread] = None
+        self._transport = HTTPTransport(router.handle, host, port)
 
     @property
     def address(self) -> tuple:
-        return self._http.server_address[0], self._http.server_address[1]
+        return self._transport.address
 
     def start(self) -> "ClusterFrontEnd":
-        if self._thread is not None:
-            raise RuntimeError("front end already started")
+        self._transport.start()
         self.router.start()
-        self._thread = threading.Thread(
-            target=self._http.serve_forever,
-            name="backdroid-front-end",
-            daemon=True,
-        )
-        self._thread.start()
         return self
 
     def drain(self) -> None:
         self.router.draining = True
 
     def shutdown(self) -> None:
-        if self._thread is not None:
-            self._http.shutdown()
-        self._http.server_close()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
+        self._transport.stop()
         self.router.stop()
 
     def __enter__(self) -> "ClusterFrontEnd":

@@ -1,4 +1,4 @@
-"""The HTTP front end: an asyncio JSON API over the scheduler.
+"""The HTTP service: one asyncio transport in front of the JSON API.
 
 Endpoints (all JSON)::
 
@@ -29,35 +29,36 @@ and ``hierarchy`` — which become an
 Differently-targeted submissions of one app never share a result, but
 they do share the scheduler's warm per-app session underneath.
 
-Three layers, so the protocol work is written once:
+The protocol work is written once and shared by a node and the cluster
+front end (:class:`~repro.service.cluster.ClusterFrontEnd`):
 
-* :class:`ServiceAPI` — the transport-agnostic router.  Every endpoint
-  is a pure ``(method, path, body) -> (status, payload, close)``
-  function over the scheduler; it also owns the *draining* flag that
-  turns submissions away with 503 during graceful shutdown.
-* :class:`AnalysisServer` — the production front end: a stdlib
-  ``asyncio.start_server`` event loop on a daemon thread.  Connection
-  handling (parsing, keep-alive, slow-client timeouts) is non-blocking
-  coroutine work; each parsed request is bridged to :class:`ServiceAPI`
-  via ``loop.run_in_executor`` so queue locks and store probes never
-  stall the loop.  With the scheduler's process cold lane, the service
-  interpreter only ever runs event-loop bookkeeping and warm
-  mmap-backed restores — cold CPU work lives in worker processes — so
-  warm tail latency no longer inflates under cold load.  A lag monitor
-  samples the event loop's scheduling delay and reports percentiles
-  under ``stats()["server"]``.
-* :class:`ThreadedAnalysisServer` — the previous
-  ``http.server.ThreadingHTTPServer`` stack (one thread per
-  connection), kept as the comparison baseline for
-  ``benchmarks/bench_sustained_traffic.py`` and for environments where
-  a thread-per-connection model is easier to reason about.  Same
-  :class:`ServiceAPI`, same endpoints, same lifecycle methods.
+* :class:`HTTPTransport` — the one HTTP/1.1 transport: a stdlib
+  ``asyncio.start_server`` event loop on a daemon thread owns the
+  sockets (parsing, keep-alive, request-size limits, slow-client
+  timeouts) and hands every parsed request to a
+  ``handle(method, target, body)`` callable on its own bounded handler
+  pool, so queue locks, store probes and a front end's forwards to
+  slow nodes never stall the loop.  A handler that raises is a 500.
+  A lag monitor samples the event loop's scheduling delay.
+* :class:`HTTPRoutes` — the request conventions behind ``handle``:
+  target normalization, query flags, method dispatch (501 for any
+  method but GET, POST and DELETE) and submission-body decoding.
+* :class:`ServiceAPI` — a node's routes over the scheduler; it also
+  owns the *draining* flag that turns submissions away with 503
+  during graceful shutdown.
+* :class:`AnalysisServer` — a running node: the scheduler and its
+  :class:`ServiceAPI` behind the transport.  With the scheduler's
+  process cold lane, the service interpreter only ever runs event-loop
+  bookkeeping and warm mmap-backed restores — cold CPU work lives in
+  worker processes — so warm tail latency does not inflate under cold
+  load.  The loop-lag percentiles are reported under
+  ``stats()["server"]``.
 
 :class:`ServiceClient` is the matching ``urllib`` client used by tests,
-CI smoke checks and scripts; it retries connection-refused/reset errors
-with bounded exponential backoff (the async server restarts workers and
-may be mid-listen during deploys), while HTTP errors and timeouts
-surface immediately.
+CI smoke checks, scripts and the cluster router; it retries
+connection-refused/reset errors with bounded exponential backoff (a
+server may be restarting or mid-listen during deploys), while HTTP
+errors (:class:`ServiceError`) and timeouts surface immediately.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ import socket
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from http.client import responses as _http_reasons
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
 from urllib import request as urlrequest
 from urllib.error import HTTPError, URLError
@@ -83,8 +84,11 @@ from repro.service.jobs import (
     TERMINAL_STATES,
 )
 from repro.service.scheduler import StoreAwareScheduler
+from repro.telemetry.logs import get_logger
 from repro.telemetry.quantiles import quantile
 from repro.workload.corpus import app_spec_from_request
+
+_log = get_logger("repro.service.server")
 
 #: Content type of the ``GET /metrics`` exposition body.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -99,24 +103,96 @@ LAG_BUCKETS = (
 #: bigger is a client error, not a payload to buffer).
 MAX_BODY_BYTES = 64 * 1024
 
-#: Per-read timeouts on the async path: a client that stalls mid-request
-#: (or goes quiet between keep-alive requests) must not pin a connection
-#: handler forever.
+#: Most header lines one request may carry (``http.client``'s cap);
+#: a single line is bounded by the stream's 64 KiB limit.
+MAX_HEADERS = 100
+
+#: Per-read timeouts: a client that stalls mid-request (or goes quiet
+#: between keep-alive requests) must not pin a connection handler
+#: forever.
 IO_TIMEOUT_SECONDS = 30.0
 
 #: How often the lag monitor samples the event loop's scheduling delay.
 LAG_SAMPLE_INTERVAL = 0.05
 
+#: Handler threads per transport.  A front end's handler blocks on a
+#: node for up to its client timeout, so the pool is sized past the
+#: event loop's default executor (at most 32 threads): a front end
+#: with that many forwards stuck on a hung node still answers
+#: ``/healthz``.  Threads are spawned only as concurrency needs them.
+HANDLER_THREADS = 64
 
-class ServiceAPI:
-    """The transport-agnostic request router over one scheduler.
 
-    ``handle`` maps ``(method, path, body)`` to
-    ``(status, json_payload, close_connection)`` — both HTTP front ends
-    delegate here, so validation, error shapes and the draining
-    lifecycle are defined exactly once.  ``extra_stats`` (when given)
-    contributes the front end's own health under ``/v1/stats``'s
-    ``server`` key.
+class ServiceError(ValueError):
+    """An HTTP error answer: ``status`` and its client-facing message.
+
+    :class:`ServiceClient` raises it when the service answers an error
+    status (a ``ValueError``, so callers that predate it still catch
+    it); the transport raises it to refuse a request it cannot parse.
+    """
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class HTTPRoutes:
+    """The request conventions shared by every handler served over HTTP.
+
+    :meth:`handle` maps ``(method, target, body)`` to ``(status,
+    payload, close)``: it drops a trailing slash from the path, splits
+    the query into flags (a bare ``?name`` reads as ``name=1``) and
+    dispatches to the subclass's ``_get(path, query)``,
+    ``_post(path, body)`` and ``_delete(path)``; any other method is a
+    501.  ``payload`` is a JSON-able dict, or a ``str`` for the
+    Prometheus text body.  ``close`` asks the transport to drop the
+    connection after responding — set on every error so a keep-alive
+    client never parses leftover bytes as its next response.
+    """
+
+    def handle(
+        self, method: str, target: str, body: Optional[bytes] = None
+    ) -> tuple[int, object, bool]:
+        """Route one request; returns ``(status, payload, close)``."""
+        path, _, query_text = target.partition("?")
+        path = path.rstrip("/") or "/"
+        query = {}
+        for pair in query_text.split("&"):
+            name, sep, value = pair.partition("=")
+            if name:
+                query[name] = value if sep else "1"
+        if method == "GET":
+            return self._get(path, query)
+        if method == "POST":
+            return self._post(path, body)
+        if method == "DELETE":
+            return self._delete(path)
+        return 501, {"error": f"unsupported method {method!r}"}, True
+
+    @staticmethod
+    def _flag(query: dict, name: str) -> bool:
+        return query.get(name, "").lower() in ("1", "true", "yes")
+
+    @staticmethod
+    def _submission(body: Optional[bytes]) -> dict:
+        """The ``POST /v1/jobs`` object; ``ValueError`` (a 400) if the
+        body is not a small JSON object."""
+        if not body or len(body) > MAX_BODY_BYTES:
+            raise ValueError("submission body required (a small JSON object)")
+        try:
+            payload = json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+            raise ValueError("submission body is not valid JSON") from None
+        if not isinstance(payload, dict):
+            raise ValueError("submission body must be a JSON object")
+        return payload
+
+
+class ServiceAPI(HTTPRoutes):
+    """A node's routes over one scheduler.
+
+    ``extra_stats`` (when given) contributes the front end's own health
+    under ``/v1/stats``'s ``server`` key.
     """
 
     def __init__(
@@ -142,40 +218,13 @@ class ServiceAPI:
 
     # ------------------------------------------------------------------
     def handle(
-        self, method: str, path: str, body: Optional[bytes] = None
+        self, method: str, target: str, body: Optional[bytes] = None
     ) -> tuple[int, object, bool]:
-        """Route one request; returns ``(status, payload, close)``.
-
-        ``payload`` is a JSON-able dict for every endpoint except
-        ``GET /metrics``, whose payload is the Prometheus text body (a
-        ``str`` — transports type the response accordingly).  ``close``
-        asks the transport to drop the connection after responding —
-        set on every error so a keep-alive client never parses leftover
-        bytes as its next response.
-        """
-        path, _, query_text = path.partition("?")
-        normalized = path.rstrip("/") or "/"
-        query = {}
-        for pair in query_text.split("&"):
-            name, sep, value = pair.partition("=")
-            if name:
-                query[name] = value if sep else "1"
-        if method == "GET":
-            result = self._get(normalized, query)
-        elif method == "POST":
-            result = self._post(normalized, body)
-        elif method == "DELETE":
-            result = self._delete(normalized)
-        else:
-            result = 501, {"error": f"unsupported method {method!r}"}, True
+        """Route one request (see :class:`HTTPRoutes`) and count it."""
+        result = super().handle(method, target, body)
         if self._m_requests is not None:
             self._m_requests.inc(method=method, status=str(result[0]))
         return result
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _flag(query: dict, name: str) -> bool:
-        return query.get(name, "").lower() in ("1", "true", "yes")
 
     def _get(self, path: str, query: dict) -> tuple[int, object, bool]:
         scheduler = self.scheduler
@@ -218,18 +267,9 @@ class ServiceAPI:
                 {"error": "service is draining; not accepting submissions"},
                 True,
             )
-        if not body or len(body) > MAX_BODY_BYTES:
-            return (
-                400,
-                {"error": "submission body required (a small JSON object)"},
-                True,
-            )
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return 400, {"error": "submission body is not valid JSON"}, True
         scheduler = self.scheduler
         try:
+            payload = self._submission(body)
             spec = app_spec_from_request(payload)
             request = analysis_request_from_payload(
                 payload,
@@ -300,49 +340,43 @@ class ServiceAPI:
         return builtin_rules()
 
 
-class AnalysisServer:
-    """A running analysis service: scheduler + asyncio HTTP front end.
+class HTTPTransport:
+    """One HTTP/1.1 listener in front of a ``handle(method, target, body)``.
 
-    ``port=0`` binds an ephemeral port; read the real one from
-    :attr:`address` — the listening socket is bound eagerly in the
-    constructor, so the address is authoritative before :meth:`start`.
-    The event loop runs on a daemon thread, so ``serve_forever``
-    semantics stay with the caller (the CLI blocks on :meth:`join`,
-    tests just use the context manager).
-
-    Request handling is non-blocking: coroutines own the sockets
-    (parsing, keep-alive, slow-client timeouts) and every parsed
-    request is dispatched to :class:`ServiceAPI` on the default
-    executor, so a slow store probe never stalls other connections.
+    ``port=0`` binds an ephemeral port; the listening socket is bound
+    eagerly, so :attr:`address` is authoritative before :meth:`start`.
+    The event loop runs on a daemon thread.  Coroutines own the
+    sockets; every parsed request runs ``handle`` on the transport's
+    own pool of up to :data:`HANDLER_THREADS` threads, and its
+    ``(status, payload, close)`` becomes the response.  A request line
+    or header line past the stream's 64 KiB limit is a 414 or 431, more
+    than :data:`MAX_HEADERS` header lines a 431, and a bad or oversized
+    ``Content-Length`` a 400 — each answered unread, with the
+    connection closed.  ``lag_histogram`` (optional) observes every
+    lag-monitor sample.
     """
 
     def __init__(
         self,
-        scheduler: StoreAwareScheduler,
+        handle: Callable[[str, str, bytes], tuple],
         host: str = "127.0.0.1",
         port: int = 0,
+        lag_histogram=None,
     ) -> None:
-        """Bind the listener (not yet serving) over ``scheduler``."""
-        self.scheduler = scheduler
-        self.api = ServiceAPI(scheduler, extra_stats=self._server_stats)
+        self.handle = handle
         self._sock = socket.create_server((host, port), backlog=128)
+        self._pool = ThreadPoolExecutor(
+            HANDLER_THREADS, thread_name_prefix="backdroid-handler"
+        )
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
         self._started = threading.Event()
         self._startup_error: Optional[BaseException] = None
         #: Recent event-loop scheduling delays (seconds over the
-        #: monitor's intended sleep), for ``stats()["server"]``.
+        #: monitor's intended sleep).
         self._lag_samples: deque = deque(maxlen=512)
-        self._m_lag = (
-            scheduler.metrics.histogram(
-                "backdroid_event_loop_lag_seconds",
-                "Event-loop scheduling delay per lag-monitor sample.",
-                buckets=LAG_BUCKETS,
-            )
-            if scheduler.metrics is not None
-            else None
-        )
+        self._lag_histogram = lag_histogram
 
     @property
     def address(self) -> tuple[str, int]:
@@ -351,8 +385,8 @@ class AnalysisServer:
         return name[0], name[1]
 
     # ------------------------------------------------------------------
-    def start(self) -> "AnalysisServer":
-        """Start serving on a daemon thread; returns self for chaining."""
+    def start(self) -> None:
+        """Start serving on a daemon thread."""
         if self._thread is not None:
             raise RuntimeError("server already started")
         self._started.clear()
@@ -366,7 +400,31 @@ class AnalysisServer:
             self._thread.join()
             self._thread = None
             raise self._startup_error
-        return self
+
+    def join(self) -> None:
+        """Block the caller until the event-loop thread exits."""
+        if self._thread is not None:
+            self._thread.join()
+
+    def stop(self) -> None:
+        """Close the listener and every connection.
+
+        Safe on a never-started transport (only the bound socket is
+        released).  Handlers still running finish on their pool
+        threads; their responses are dropped with the connections.
+        """
+        if self._thread is not None:
+            loop, stop = self._loop, self._stop
+            if loop is not None and stop is not None:
+                try:
+                    loop.call_soon_threadsafe(stop.set)
+                except RuntimeError:
+                    pass  # loop already closed
+            self._thread.join()
+            self._thread = None
+        else:
+            self._sock.close()
+        self._pool.shutdown(wait=False, cancel_futures=True)
 
     def _run_loop(self) -> None:
         loop = asyncio.new_event_loop()
@@ -412,75 +470,28 @@ class AnalysisServer:
         try:
             while True:
                 try:
-                    request_line = await asyncio.wait_for(
-                        reader.readline(), timeout=IO_TIMEOUT_SECONDS
-                    )
-                except (asyncio.TimeoutError, ConnectionError):
-                    return
-                if not request_line:
-                    return  # client closed the connection
-                if not request_line.strip():
-                    continue  # stray CRLF between pipelined requests
-                parts = request_line.decode("latin-1", "replace").split()
-                if len(parts) != 3:
+                    request = await self._read_request(reader)
+                except ServiceError as exc:
                     await self._respond(
-                        writer, 400, {"error": "malformed request line"},
-                        close=True,
+                        writer, exc.status, {"error": str(exc)}, close=True
                     )
                     return
-                method, target, version = parts
-                headers = await self._read_headers(reader)
-                if headers is None:
+                if request is None:
                     return
-                try:
-                    length = int(headers.get("content-length", "0") or "0")
-                except ValueError:
-                    await self._respond(
-                        writer, 400, {"error": "bad Content-Length"},
-                        close=True,
-                    )
-                    return
-                if length < 0 or length > MAX_BODY_BYTES:
-                    # Refuse without buffering: the unread body makes
-                    # the connection unusable, so it is dropped.
-                    await self._respond(
-                        writer,
-                        400,
-                        {
-                            "error": (
-                                "submission body required "
-                                "(a small JSON object)"
-                            )
-                        },
-                        close=True,
-                    )
-                    return
-                body = b""
-                if length:
-                    try:
-                        body = await asyncio.wait_for(
-                            reader.readexactly(length),
-                            timeout=IO_TIMEOUT_SECONDS,
-                        )
-                    except (
-                        asyncio.TimeoutError,
-                        asyncio.IncompleteReadError,
-                        ConnectionError,
-                    ):
-                        return
-                # Route off-loop: handlers take queue locks and probe
-                # the store; neither may stall other connections.
+                method, target, keep_alive, body = request
                 status, payload, close = await loop.run_in_executor(
-                    None, self.api.handle, method, target, body
+                    self._pool, self._call, method, target, body
                 )
-                close = (
-                    close
-                    or version == "HTTP/1.0"
-                    or headers.get("connection", "").lower() == "close"
-                )
+                close = close or not keep_alive
                 ok = await self._respond(writer, status, payload, close=close)
                 if close or not ok:
                     return
+        except asyncio.CancelledError:
+            # Shutdown cancels every open connection, idle keep-alive
+            # ones included.  Returning instead of raising keeps
+            # Python 3.11's stream callback from logging the
+            # cancellation as an unhandled exception.
+            return
         finally:
             writer.close()
             try:
@@ -488,24 +499,81 @@ class AnalysisServer:
             except (ConnectionError, OSError):
                 pass
 
-    @staticmethod
-    async def _read_headers(reader) -> Optional[dict]:
-        """Header block -> lowercase dict, or None on timeout/EOF."""
-        headers: dict[str, str] = {}
-        while True:
-            try:
-                line = await asyncio.wait_for(
-                    reader.readline(), timeout=IO_TIMEOUT_SECONDS
-                )
-            except (asyncio.TimeoutError, ConnectionError):
-                return None
+    async def _read_request(self, reader) -> Optional[tuple]:
+        """Parse one request: ``(method, target, keep_alive, body)``.
+
+        None when the client closed, stalled past the I/O timeout or
+        sent less body than it announced.  Raises :class:`ServiceError`
+        for a request refused before its body is read.
+        """
+        try:
+            line = b"\r\n"
+            while line and not line.strip():  # stray CRLF between requests
+                line = await self._read_line(reader, 414, "request line")
             if not line:
-                return None
-            if line in (b"\r\n", b"\n"):
-                return headers
-            name, sep, value = line.decode("latin-1", "replace").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
+                return None  # the client closed the connection
+            parts = line.decode("latin-1").split()
+            if len(parts) != 3:
+                raise ServiceError(400, "malformed request line")
+            method, target, version = parts
+            headers: dict[str, str] = {}
+            for _ in range(MAX_HEADERS + 1):
+                line = await self._read_line(reader, 431, "header line")
+                if not line:
+                    return None
+                if line in (b"\r\n", b"\n"):
+                    break
+                name, sep, value = line.decode("latin-1").partition(":")
+                if sep:
+                    headers[name.strip().lower()] = value.strip()
+            else:
+                raise ServiceError(
+                    431, f"more than {MAX_HEADERS} header lines"
+                )
+            try:
+                length = int(headers.get("content-length", "0") or "0")
+            except ValueError:
+                raise ServiceError(400, "bad Content-Length") from None
+            if length < 0 or length > MAX_BODY_BYTES:
+                raise ServiceError(
+                    400, "submission body required (a small JSON object)"
+                )
+            body = b""
+            if length:
+                body = await asyncio.wait_for(
+                    reader.readexactly(length), timeout=IO_TIMEOUT_SECONDS
+                )
+        except (
+            asyncio.TimeoutError,
+            asyncio.IncompleteReadError,
+            ConnectionError,
+        ):
+            return None
+        keep_alive = (
+            version != "HTTP/1.0"
+            and headers.get("connection", "").lower() != "close"
+        )
+        return method, target, keep_alive, body
+
+    @staticmethod
+    async def _read_line(reader, status: int, what: str) -> bytes:
+        """One line; ``status`` refuses a line past the stream limit."""
+        try:
+            return await asyncio.wait_for(
+                reader.readline(), timeout=IO_TIMEOUT_SECONDS
+            )
+        except ValueError:  # LimitOverrunError, as readline reports it
+            raise ServiceError(status, f"{what} too long") from None
+
+    def _call(self, method: str, target: str, body: bytes) -> tuple:
+        """``handle`` on a pool thread; a handler that raises is a 500."""
+        try:
+            return self.handle(method, target, body)
+        except Exception as exc:
+            _log.warning(
+                "handler error on %s %s", method, target, exc_info=True
+            )
+            return 500, {"error": f"internal error: {exc}"}, True
 
     @staticmethod
     async def _respond(writer, status: int, payload, close: bool) -> bool:
@@ -534,10 +602,8 @@ class AnalysisServer:
     async def _monitor_loop_lag(self) -> None:
         """Sample how late the loop wakes a timed sleep (GIL pressure).
 
-        On the threaded stack this is the number that blows up under
-        cold load; with the process cold lane it stays flat — the
-        metric that makes the contention fix observable in production,
-        not just in benchmarks.
+        With cold work in worker processes it stays flat; a handler or
+        thread that hogs the GIL shows up here first.
         """
         loop = asyncio.get_running_loop()
         while True:
@@ -545,28 +611,77 @@ class AnalysisServer:
             await asyncio.sleep(LAG_SAMPLE_INTERVAL)
             lag = max(0.0, loop.time() - before - LAG_SAMPLE_INTERVAL)
             self._lag_samples.append(lag)
-            if self._m_lag is not None:
-                self._m_lag.observe(lag)
+            if self._lag_histogram is not None:
+                self._lag_histogram.observe(lag)
 
-    def _server_stats(self) -> dict:
+    def lag_seconds(self) -> dict:
+        """Event-loop lag percentiles over the recent samples."""
         # Shared quantile helper: sub-two-sample windows report null
         # (a fresh server has no lag distribution yet, not a zero one).
         samples = sorted(self._lag_samples)
         return {
+            "p50": quantile(samples, 0.50),
+            "p99": quantile(samples, 0.99),
+            "max": quantile(samples, 1.0),
+        }
+
+
+class AnalysisServer:
+    """A running analysis service: scheduler + :class:`HTTPTransport`.
+
+    ``port=0`` binds an ephemeral port; read the real one from
+    :attr:`address` — the listening socket is bound eagerly in the
+    constructor, so the address is authoritative before :meth:`start`.
+    The event loop runs on a daemon thread, so ``serve_forever``
+    semantics stay with the caller (:meth:`join` blocks on it; the CLI
+    waits for SIGTERM/SIGINT, tests just use the context manager).
+    """
+
+    def __init__(
+        self,
+        scheduler: StoreAwareScheduler,
+        host: str = "127.0.0.1",
+        port: int = 0,
+    ) -> None:
+        """Bind the listener (not yet serving) over ``scheduler``."""
+        self.scheduler = scheduler
+        self.api = ServiceAPI(scheduler, extra_stats=self._server_stats)
+        self._transport = HTTPTransport(
+            self.api.handle,
+            host,
+            port,
+            lag_histogram=(
+                scheduler.metrics.histogram(
+                    "backdroid_event_loop_lag_seconds",
+                    "Event-loop scheduling delay per lag-monitor sample.",
+                    buckets=LAG_BUCKETS,
+                )
+                if scheduler.metrics is not None
+                else None
+            ),
+        )
+
+    @property
+    def address(self) -> tuple[str, int]:
+        """The bound (host, port) — authoritative even for ``port=0``."""
+        return self._transport.address
+
+    def _server_stats(self) -> dict:
+        return {
             "loop": "asyncio",
             "draining": self.api.draining,
-            "event_loop_lag_seconds": {
-                "p50": quantile(samples, 0.50),
-                "p99": quantile(samples, 0.99),
-                "max": quantile(samples, 1.0),
-            },
+            "event_loop_lag_seconds": self._transport.lag_seconds(),
         }
 
     # ------------------------------------------------------------------
+    def start(self) -> "AnalysisServer":
+        """Start serving on a daemon thread; returns self for chaining."""
+        self._transport.start()
+        return self
+
     def join(self) -> None:
         """Block the caller until the event-loop thread exits."""
-        if self._thread is not None:
-            self._thread.join()
+        self._transport.join()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Stop accepting submissions and wait for in-flight jobs.
@@ -588,165 +703,10 @@ class AnalysisServer:
         shutdown reaches a terminal state.  Safe on a never-started
         server (only the bound socket is released).
         """
-        if self._thread is not None:
-            loop, stop = self._loop, self._stop
-            if loop is not None and stop is not None:
-                try:
-                    loop.call_soon_threadsafe(stop.set)
-                except RuntimeError:
-                    pass  # loop already closed
-            self._thread.join()
-            self._thread = None
-        else:
-            self._sock.close()
+        self._transport.stop()
         self.scheduler.shutdown(wait=drain)
 
     def __enter__(self) -> "AnalysisServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown(drain=True)
-
-
-class _ServiceHandler(BaseHTTPRequestHandler):
-    """Thin ``http.server`` adapter over :class:`ServiceAPI`."""
-
-    server: "_ServiceHTTPServer"
-    protocol_version = "HTTP/1.1"
-    #: Socket timeout: a client that stalls mid-request (e.g. announces
-    #: a Content-Length it never sends) must not pin a handler thread
-    #: forever; ``handle_one_request`` turns the TimeoutError into a
-    #: dropped connection.
-    timeout = 30
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Silence per-request stderr chatter (see ``/v1/stats``)."""
-
-    def _send(self, status: int, payload, close: bool) -> None:
-        if close:
-            self.close_connection = True
-        if isinstance(payload, str):
-            body = payload.encode("utf-8")
-            content_type = PROMETHEUS_CONTENT_TYPE
-        else:
-            body = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _route(self, method: str, body: Optional[bytes] = None) -> None:
-        status, payload, close = self.server.api.handle(
-            method, self.path, body
-        )
-        self._send(status, payload, close)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._route("GET")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        self._route("DELETE")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        try:
-            length = int(self.headers.get("Content-Length", "0") or "0")
-        except ValueError:
-            self._send(400, {"error": "bad Content-Length"}, close=True)
-            return
-        if length < 0 or length > MAX_BODY_BYTES:
-            self._send(
-                400,
-                {"error": "submission body required (a small JSON object)"},
-                close=True,
-            )
-            return
-        body = self.rfile.read(length) if length else b""
-        self._route("POST", body)
-
-
-class _ServiceHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    #: Service restarts must not wait out TIME_WAIT sockets.
-    allow_reuse_address = True
-
-    def __init__(self, address, api: ServiceAPI) -> None:
-        """Bind ``address`` and attach the API the handlers route to."""
-        super().__init__(address, _ServiceHandler)
-        self.api = api
-
-
-class ThreadedAnalysisServer:
-    """The thread-per-connection front end (comparison baseline).
-
-    Same :class:`ServiceAPI`, endpoints and lifecycle as
-    :class:`AnalysisServer`, served by ``ThreadingHTTPServer`` — the
-    pre-asyncio stack, kept for the sustained-traffic benchmark's
-    threaded-vs-async comparison and as a fallback front end
-    (``backdroid serve --loop threaded``).
-    """
-
-    def __init__(
-        self,
-        scheduler: StoreAwareScheduler,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.scheduler = scheduler
-        self.api = ServiceAPI(scheduler, extra_stats=self._server_stats)
-        self._http = _ServiceHTTPServer((host, port), self.api)
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound (host, port) — authoritative even for ``port=0``."""
-        return self._http.server_address[0], self._http.server_address[1]
-
-    def _server_stats(self) -> dict:
-        return {
-            "loop": "threaded",
-            "draining": self.api.draining,
-            #: No event loop to lag — the analogous pressure shows up as
-            #: per-request latency instead (the benchmark measures it).
-            "event_loop_lag_seconds": None,
-        }
-
-    # ------------------------------------------------------------------
-    def start(self) -> "ThreadedAnalysisServer":
-        """Start serving on a daemon thread; returns self for chaining."""
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._http.serve_forever,
-            name="backdroid-http",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def join(self) -> None:
-        """Block the caller until the listener thread exits."""
-        if self._thread is not None:
-            self._thread.join()
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """503 new submissions, wait for in-flight jobs (see
-        :meth:`AnalysisServer.drain`)."""
-        self.api.draining = True
-        return self.scheduler.queue.wait_idle(timeout)
-
-    def shutdown(self, drain: bool = True) -> None:
-        """Stop the listener, then (with ``drain``) finish queued jobs."""
-        if self._thread is not None:
-            self._http.shutdown()
-        self._http.server_close()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        self.scheduler.shutdown(wait=drain)
-
-    def __enter__(self) -> "ThreadedAnalysisServer":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
@@ -882,10 +842,11 @@ class ServiceClient:
         return self._request("GET", "/healthz")[1]
 
     def submit(self, request_payload: dict) -> dict:
-        """Submit a spec; raises ``ValueError`` on a client error."""
+        """Submit a spec; raises :class:`ServiceError` on an error
+        status (a 400 for a bad spec, a 503 from a draining service)."""
         status, payload = self._request("POST", "/v1/jobs", request_payload)
         if status >= 400:
-            raise ValueError(payload.get("error", f"HTTP {status}"))
+            raise ServiceError(status, payload.get("error", f"HTTP {status}"))
         return payload
 
     def job(self, job_id: str, trace: bool = False) -> Optional[dict]:
@@ -897,13 +858,13 @@ class ServiceClient:
 
     def cancel(self, job_id: str) -> dict:
         """Cancel a job; raises ``KeyError`` on unknown ids and
-        ``ValueError`` when the job cannot be cancelled (already
+        :class:`ServiceError` when the job cannot be cancelled (already
         terminal, or shared by coalesced submissions)."""
         status, payload = self._request("DELETE", f"/v1/jobs/{job_id}")
         if status == 404:
             raise KeyError(f"unknown or evicted job {job_id!r}")
         if status >= 400:
-            raise ValueError(payload.get("error", f"HTTP {status}"))
+            raise ServiceError(status, payload.get("error", f"HTTP {status}"))
         return payload
 
     def jobs(self) -> list[dict]:
@@ -919,11 +880,11 @@ class ServiceClient:
 
     def metrics(self) -> str:
         """The raw Prometheus exposition text from ``/metrics``.
-        Retry-free like :meth:`stats`; raises ``ValueError`` when the
-        server runs with metrics disabled (HTTP 404)."""
+        Retry-free like :meth:`stats`; raises :class:`ServiceError`
+        when the server runs with metrics disabled (HTTP 404)."""
         status, body = self._request("GET", "/metrics", retries=0, raw=True)
         if status >= 400:
-            raise ValueError(f"HTTP {status}: {body.strip()}")
+            raise ServiceError(status, f"HTTP {status}: {body.strip()}")
         return body
 
     def wait(

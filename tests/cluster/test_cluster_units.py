@@ -7,8 +7,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.service import ServiceClient
-from repro.service.cluster import ClusterNode, ClusterRouter, NodeDirectory
+from repro.service import ServiceClient, ServiceError
+from repro.service.cluster import (
+    ClusterFrontEnd,
+    ClusterJob,
+    ClusterNode,
+    ClusterRouter,
+    NodeDirectory,
+)
 from repro.store import ArtifactStore
 from repro.workload.corpus import benchmark_app_spec
 from repro.workload.generator import spec_fingerprint
@@ -258,3 +264,106 @@ class TestRouting:
         live = router.directory.live()
         first = router._candidates("some-key", live)
         assert first == router._candidates("some-key", live)
+
+    def test_a_reclaim_a_node_refuses_with_a_4xx_fails_the_job(self, tmp_path):
+        router = self._router(
+            tmp_path,
+            {"n2": {"host": "h", "port": 2, "depth": 0, "warm_keys": []}},
+        )
+
+        class Refusing:
+            def submit(self, payload):
+                raise ServiceError(400, "unknown rule(s) ['x']")
+
+        router._client = lambda manifest: Refusing()
+        record = ClusterJob(id="cjob-000001", payload={}, key="k",
+                            node_id="n1", attempts=1, state="reclaimed",
+                            failed_nodes=["n1"])
+        router._records[record.id] = record
+        router._sweep()
+        assert record.state == "failed"
+        assert record.error == "reclaim refused: unknown rule(s) ['x']"
+        assert router.forward_failovers == 0
+
+
+class TestFrontEndOverInProcessNodes:
+    """A front end forwarding to ``build_server`` nodes in this process."""
+
+    @pytest.fixture
+    def cluster(self, tmp_path):
+        """``start(node_ids)`` -> (front-end client, {node_id: server})."""
+        from repro.cli import build_parser, build_server
+
+        store_dir = tmp_path / "store"
+        started = []
+
+        def start(node_ids):
+            servers = {}
+            for node_id in node_ids:
+                args = build_parser().parse_args(
+                    ["serve", "--port", "0", "--store", str(store_dir),
+                     "--node-id", node_id, "--backend", "indexed",
+                     "--cold-workers", "0", "--workers", "1"]
+                )
+                server = build_server(args).start()
+                started.append(server)
+                started.append(ClusterNode(
+                    server.scheduler, store_dir, node_id, server.address,
+                    lease_ttl=args.lease_ttl, heartbeat_interval=1.0,
+                ).start())
+                servers[node_id] = server
+            front = ClusterFrontEnd(
+                ClusterRouter(store_dir, monitor_interval=0.1)
+            ).start()
+            started.append(front)
+            return ServiceClient(*front.address, timeout=15.0), servers
+
+        yield start
+        for part in reversed(started):
+            if isinstance(part, ClusterNode):
+                part.stop()
+            elif isinstance(part, ClusterFrontEnd):
+                part.shutdown()
+            else:
+                part.shutdown(drain=True)
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"rules": "ssl"}, {"max_frames": -1}, {"rules": ["nope"]}],
+    )
+    def test_a_node_400_is_relayed_without_failover_or_record(
+        self, cluster, override
+    ):
+        front, servers = cluster(["n1"])
+        body = {"app": "bench:1", "scale": 0.05, **override}
+        node = ServiceClient(*servers["n1"].address)
+        with pytest.raises(ServiceError) as direct:
+            node.submit(body)
+        with pytest.raises(ServiceError) as relayed:
+            front.submit(body)
+        assert relayed.value.status == direct.value.status == 400
+        assert str(relayed.value) == str(direct.value)
+        stats = front.stats()
+        assert stats["routing"]["forward_failovers"] == 0
+        assert stats["routing"]["routed"] == 0
+        assert front.jobs() == [] and node.jobs() == []
+
+    def test_a_draining_node_fails_over_and_the_job_keeps_node_conventions(
+        self, cluster
+    ):
+        front, servers = cluster(["n1", "n2"])
+        servers["n1"].api.draining = True  # a node's 503: try the next
+        job = front.submit({"app": "bench:1", "scale": 0.05, "node": "n1"})
+        assert job["node_id"] == "n2"
+        assert front.stats()["routing"]["forward_failovers"] == 1
+        assert front.wait(job["id"], timeout=60.0)["state"] == "done"
+
+        node = ServiceClient(*servers["n2"].address)
+        for client, job_id in ((front, job["id"]), (node, job["node_job_id"])):
+            for query, traced in (("?trace", True), ("?trace=true", True),
+                                  ("?notrace=1", False), ("", False)):
+                status, view = client._request(
+                    "GET", f"/v1/jobs/{job_id}{query}"
+                )
+                assert status == 200
+                assert bool(view.get("trace")) is traced, (client, query)

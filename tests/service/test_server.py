@@ -469,31 +469,3 @@ class TestClientEndpointFailover:
         with pytest.raises(ValueError):
             ServiceClient(endpoints=[])
 
-
-class TestThreadedBaselineParity:
-    def test_threaded_server_serves_the_same_api(self, tmp_path):
-        from repro.service import ThreadedAnalysisServer
-
-        config = BackDroidConfig(
-            search_backend="indexed",
-            store_dir=str(tmp_path / "store"),
-            store_mode="full",
-        )
-        outcome = analyze_spec(benchmark_app_spec(0, scale=SCALE), config)
-        assert outcome.ok, outcome.error
-        scheduler = StoreAwareScheduler(config, workers=2, fast_lane_workers=1)
-        with ThreadedAnalysisServer(scheduler, port=0) as server:
-            client = ServiceClient(*server.address)
-            assert client.health() == {"ok": True}
-            job = client.submit({"app": "bench:0", "scale": SCALE})
-            done = client.wait(job["id"], timeout=60)
-            assert done["state"] == "done"
-            assert done["result"]["store_hit"] is True
-            stats = client.stats()
-            assert stats["server"]["loop"] == "threaded"
-            assert stats["server"]["event_loop_lag_seconds"] is None
-            # Draining works identically on the baseline stack.
-            drained = server.drain(timeout=30)
-            assert drained is True
-            with pytest.raises(ValueError, match="draining"):
-                client.submit({"app": "bench:1", "scale": SCALE})
