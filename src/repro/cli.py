@@ -87,7 +87,8 @@ def _rules(args) -> tuple[str, ...]:
 
 
 def cmd_analyze(args) -> int:
-    apk = _load_app(args.app)
+    from repro import telemetry
+
     config = BackDroidConfig(
         sink_rules=_rules(args),
         check_class_hierarchy_in_initial_search=args.hierarchy_fix,
@@ -96,23 +97,22 @@ def cmd_analyze(args) -> int:
         store_dir=args.store,
         store_mode=args.store_mode,
     )
-    session = AnalysisSession.from_config(apk, config)
     request = AnalysisRequest.from_config(config)
+    # A throwaway per-invocation tracer (disabled without --trace, when
+    # every span is a no-op): the root span is ambient, so generation
+    # and the pipeline's library spans nest under it with no plumbing
+    # (same mechanism the service scheduler uses).
+    tracer = telemetry.Tracer(enabled=args.trace)
+    with tracer.span("analyze", attrs={"app": args.app}) as root:
+        with telemetry.span("app.generate") as generate:
+            apk = _load_app(args.app)
+            generate.set_attr("package", apk.package)
+        envelope = AnalysisSession.from_config(apk, config).run(request)
     if args.trace:
-        # A throwaway per-invocation tracer: the root span is ambient,
-        # so the pipeline's library spans nest under it with no
-        # plumbing (same mechanism the service scheduler uses).
-        from repro import telemetry
-
-        tracer = telemetry.Tracer(enabled=True)
-        with tracer.span("analyze", attrs={"app": args.app}) as root:
-            envelope = session.run(request)
         envelope.trace = {
             "trace_id": root.trace_id,
             "spans": tracer.collect(root.trace_id),
         }
-    else:
-        envelope = session.run(request)
     report = envelope.report
     if args.json:
         print(json.dumps(envelope.as_dict(), indent=2, sort_keys=True))

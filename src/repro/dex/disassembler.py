@@ -129,14 +129,17 @@ class InsnLine:
 
 @dataclass(frozen=True)
 class LineToken:
-    """One searchable token emitted while rendering a line.
+    """One searchable token of a rendered line, at its absolute line.
 
     The renderer knows, at emission time, which substrings of a line a
     bytecode search could ever target: full method signatures on invoke
     lines, field signatures on access lines, type descriptors wherever a
     class is referenced, and quoted string/descriptor literals in class
-    and member headers.  Recording them as a token stream lets a search
-    backend build an inverted index without re-parsing the plaintext.
+    and member headers.  It records them per library group as
+    ``(rel_line, kind, text)`` tuples (:attr:`Disassembly.group_tokens`),
+    which is what indexes are folded from and shards store;
+    :attr:`Disassembly.tokens` lists the same tokens app-wide as
+    ``LineToken`` records.
 
     ``text`` is always a verbatim substring of the rendered line.
     """
@@ -168,7 +171,8 @@ class MethodBlock:
     """The disassembly section of one method.
 
     Instruction lines are the block's last ``len(insns)`` lines, one
-    after another.
+    after another.  Blocks are built from a group's
+    :class:`GroupColumns` when first looked up.
     """
 
     signature: MethodSignature
@@ -185,14 +189,15 @@ class MethodBlock:
 
 @dataclass
 class GroupColumns:
-    """One library group's method-block layout, captured while rendering.
+    """One library group's method-block layout.
 
     Lines are relative to the group's first line.  Block ``i`` spans
     ``block_starts[i]`` to ``block_ends[i]``, its last ``insn_counts[i]``
     lines are instructions, and ``stmt_indices`` holds every instruction
     line's statement index, block after block; ``signatures`` are the
-    blocks' dexdump-form method signatures.  The artifact store encodes
-    these columns as the group's layout section.
+    blocks' dexdump-form method signatures.  The renderer captures these
+    columns as it renders, the artifact store encodes them as the
+    group's layout section, and a restore decodes them back.
     """
 
     start_line: int
@@ -205,28 +210,44 @@ class GroupColumns:
 
 
 class Disassembly:
-    """The full dexdump-style plaintext plus its method-block structure."""
+    """The full dexdump-style plaintext plus its method-block layout.
+
+    The layout is one :class:`GroupColumns` per library group, and a
+    :class:`MethodBlock` is built from them on its first lookup, so
+    neither a render nor a restore allocates one object per method or
+    instruction.  ``group_tokens`` holds each group's searchable tokens
+    as ``(rel_line, kind, text)`` tuples, lines relative to the group's
+    first line.  A hand-built disassembly may carry lines alone: it then
+    has no blocks, no tokens and no class spans.
+    """
 
     def __init__(
         self,
         lines: list[str],
-        blocks: list[MethodBlock],
-        tokens: Optional[list[LineToken]] = None,
-        class_spans: Optional[list[ClassSpan]] = None,
         group_columns: Optional[list[GroupColumns]] = None,
+        group_tokens: Optional[list[tuple[tuple[int, str, str], ...]]] = None,
+        class_spans: Optional[list[ClassSpan]] = None,
     ) -> None:
         self.lines = lines
-        self.blocks = blocks
-        self.tokens = tokens if tokens is not None else []
+        #: Each group's tokens, in the order of ``group_columns``.
+        self.group_tokens = group_tokens if group_tokens is not None else []
         #: Per-class line ranges (empty for hand-built disassemblies;
         #: the store's sharding layer then falls back to one app-wide
         #: shard group).
         self.class_spans = class_spans if class_spans is not None else []
-        #: Each library group's layout, as the renderer built it (empty
-        #: for hand-built disassemblies).
-        self.group_columns = group_columns if group_columns is not None else []
-        self._block_starts = [b.start_line for b in blocks]
-        self._by_signature = {b.signature: b for b in blocks}
+        self._tokens: Optional[list[LineToken]] = None
+        self._set_layout(group_columns if group_columns is not None else [])
+
+    def _set_layout(self, group_columns: list[GroupColumns]) -> None:
+        self.group_columns = group_columns
+        self._group_starts = [columns.start_line for columns in group_columns]
+        #: Per group, each block's offset into its ``stmt_indices``.
+        self._stmt_offsets = [
+            list(itertools.accumulate(columns.insn_counts, initial=0))
+            for columns in group_columns
+        ]
+        self._built: dict[tuple[int, int], MethodBlock] = {}
+        self._by_signature: Optional[dict[str, tuple[int, int]]] = None
 
     @property
     def text(self) -> str:
@@ -235,6 +256,61 @@ class Disassembly:
     def __len__(self) -> int:
         return len(self.lines)
 
+    @property
+    def tokens(self) -> list[LineToken]:
+        """Every group's tokens at absolute lines, in line order.
+
+        Built on first read: indexes fold and shards store the
+        group-relative ``group_tokens``, so only readers that want
+        app-wide lines (the tests' reference fold) pay for this list.
+        """
+        if self._tokens is None:
+            self._tokens = [
+                LineToken(columns.start_line + rel, kind, text)
+                for columns, tokens in zip(
+                    self.group_columns, self.group_tokens
+                )
+                for rel, kind, text in tokens
+            ]
+        return self._tokens
+
+    # ------------------------------------------------------------------
+    def _block(self, group: int, index: int) -> MethodBlock:
+        """Block *index* of group *group*, built on first lookup."""
+        block = self._built.get((group, index))
+        if block is None:
+            columns = self.group_columns[group]
+            base = columns.start_line
+            end = columns.block_ends[index]
+            first = end - columns.insn_counts[index]
+            offset = self._stmt_offsets[group][index] - first
+            stmt_indices = columns.stmt_indices
+            lines = self.lines
+            block = MethodBlock(
+                MethodSignature.parse_dex(columns.signatures[index]),
+                base + columns.block_starts[index],
+                base + end,
+                [
+                    InsnLine(
+                        base + rel,
+                        stmt_indices[offset + rel],
+                        _insn_text(lines[base + rel]),
+                    )
+                    for rel in range(first, end)
+                ],
+            )
+            self._built[(group, index)] = block
+        return block
+
+    @property
+    def blocks(self) -> list[MethodBlock]:
+        """Every method block in line order (builds them all)."""
+        return [
+            self._block(group, index)
+            for group, columns in enumerate(self.group_columns)
+            for index in range(len(columns.signatures))
+        ]
+
     def block_at_line(self, line_no: int) -> Optional[MethodBlock]:
         """The method block containing an absolute line number.
 
@@ -242,16 +318,28 @@ class Disassembly:
         corresponding method that contains the invocation found in the
         bytecode plaintext".
         """
-        idx = bisect.bisect_right(self._block_starts, line_no) - 1
-        if idx < 0:
+        group = bisect.bisect_right(self._group_starts, line_no) - 1
+        if group < 0:
             return None
-        block = self.blocks[idx]
-        if block.start_line <= line_no < block.end_line:
-            return block
-        return None
+        columns = self.group_columns[group]
+        rel = line_no - columns.start_line
+        index = bisect.bisect_right(columns.block_starts, rel) - 1
+        if index < 0 or rel >= columns.block_ends[index]:
+            return None
+        return self._block(group, index)
 
     def block_of(self, signature: MethodSignature) -> Optional[MethodBlock]:
-        return self._by_signature.get(signature)
+        if self._by_signature is None:
+            self._by_signature = {
+                dex: (group, index)
+                for group, columns in enumerate(self.group_columns)
+                for index, dex in enumerate(columns.signatures)
+            }
+        where = self._by_signature.get(signature.to_dex())
+        if where is None:
+            return None
+        block = self._block(*where)
+        return block if block.signature == signature else None
 
 
 class RenderMismatch(RuntimeError):
@@ -261,82 +349,26 @@ class RenderMismatch(RuntimeError):
 class RestoredDisassembly(Disassembly):
     """A disassembly rebuilt from stored plaintext and layout.
 
-    The lines and the method-block layout come from the artifact store
-    (:meth:`repro.store.ArtifactStore.load_disassembly`).  A block is
-    built on its first lookup, so a restore costs the text decode, not
-    one object per method and instruction.  Tokens, class spans and
-    group columns are not stored: the first access renders the app
-    afresh with ``render`` and takes them from that render, whose lines
-    must equal the restored lines — a mismatch raises
+    The lines and each group's :class:`GroupColumns` come from the
+    artifact store (:meth:`repro.store.ArtifactStore.load_disassembly`),
+    and blocks are built from them exactly as for a rendered app.
+    Tokens and class spans are not stored: the first access renders the
+    app afresh with ``render`` and takes them from that render, whose
+    lines must equal the restored lines — a mismatch raises
     :class:`RenderMismatch` rather than mixing two renderings.
-
-    Block columns are app-absolute and in line order: ``starts``/``ends``
-    bound each block, ``insn_counts`` says how many of its last lines are
-    instructions, and ``stmt_indices`` holds every instruction line's
-    statement index, block after block.
     """
 
     def __init__(
         self,
         lines: list[str],
-        starts: list[int],
-        ends: list[int],
-        insn_counts: list[int],
-        signatures: list[str],
-        stmt_indices,
+        group_columns: list[GroupColumns],
         render: Callable[[], Disassembly],
     ) -> None:
         self.lines = lines
-        self._block_starts = starts
-        self._block_ends = ends
-        self._insn_counts = insn_counts
-        self._signatures = signatures
-        self._stmt_indices = stmt_indices
-        self._stmt_offsets = list(itertools.accumulate(insn_counts, initial=0))
-        self._built: dict[int, MethodBlock] = {}
-        self._by_signature: Optional[dict[MethodSignature, MethodBlock]] = None
+        self._set_layout(group_columns)
         self._render = render
         self._fresh: Optional[Disassembly] = None
 
-    # ------------------------------------------------------------------
-    def _block(self, index: int) -> MethodBlock:
-        block = self._built.get(index)
-        if block is None:
-            end = self._block_ends[index]
-            first = end - self._insn_counts[index]
-            offset = self._stmt_offsets[index] - first
-            block = MethodBlock(
-                MethodSignature.parse_dex(self._signatures[index]),
-                self._block_starts[index],
-                end,
-                [
-                    InsnLine(
-                        line_no,
-                        self._stmt_indices[offset + line_no],
-                        _insn_text(self.lines[line_no]),
-                    )
-                    for line_no in range(first, end)
-                ],
-            )
-            self._built[index] = block
-        return block
-
-    @property
-    def blocks(self) -> list[MethodBlock]:
-        return [self._block(i) for i in range(len(self._block_starts))]
-
-    def block_at_line(self, line_no: int) -> Optional[MethodBlock]:
-        idx = bisect.bisect_right(self._block_starts, line_no) - 1
-        if idx < 0 or line_no >= self._block_ends[idx]:
-            return None
-        return self._block(idx)
-
-    def block_of(self, signature: MethodSignature) -> Optional[MethodBlock]:
-        if self._by_signature is None:
-            self._by_signature = {b.signature: b for b in self.blocks}
-        return self._by_signature.get(signature)
-
-    # ------------------------------------------------------------------
     def _rendered(self) -> Disassembly:
         if self._fresh is None:
             fresh = self._render()
@@ -352,12 +384,12 @@ class RestoredDisassembly(Disassembly):
         return self._rendered().tokens
 
     @property
-    def class_spans(self) -> list[ClassSpan]:
-        return self._rendered().class_spans
+    def group_tokens(self) -> list[tuple[tuple[int, str, str], ...]]:
+        return self._rendered().group_tokens
 
     @property
-    def group_columns(self) -> list[GroupColumns]:
-        return self._rendered().group_columns
+    def class_spans(self) -> list[ClassSpan]:
+        return self._rendered().class_spans
 
 
 def _insn_text(line: str) -> str:
@@ -366,24 +398,33 @@ def _insn_text(line: str) -> str:
     return line.split("|", 1)[1].split(": ", 1)[1]
 
 
+#: The blank gutter between an instruction's address and its offset.
+_GUTTER = " " * 24
+
+
 class _Renderer:
-    """Stateful renderer for one whole class pool."""
+    """Stateful renderer for one whole class pool.
+
+    It emits lines, each library group's :class:`GroupColumns` and each
+    group's relative token tuples, and nothing per method or per
+    instruction.
+    """
 
     def __init__(self) -> None:
         self.lines: list[str] = []
-        self.blocks: list[MethodBlock] = []
-        self.tokens: list[LineToken] = []
         self.class_spans: list[ClassSpan] = []
         self.group_columns: list[GroupColumns] = []
+        self.group_tokens: list[tuple[tuple[int, str, str], ...]] = []
         #: rendered instruction text -> its searchable tokens.  Identical
         #: texts always carry identical tokens, so a plain memo suffices.
         self._line_tokens: dict[str, tuple[tuple[str, str], ...]] = {}
 
     def _start_group(self) -> None:
         """Restart every position-dependent counter (a group boundary)
-        and open the new group's layout columns."""
+        and open the new group's layout columns and token list."""
         self._end_group()
         self._group = GroupColumns(len(self.lines))
+        self._tokens: list[tuple[int, str, str]] = []
         self.group_columns.append(self._group)
         self._methods = _InternPool()
         self._fields = _InternPool()
@@ -392,6 +433,11 @@ class _Renderer:
         self._addr = 0x10000
         self._ordinal = 0
 
+    def _end_group(self) -> None:
+        if self.group_columns:
+            self.group_columns[-1].end_line = len(self.lines)
+            self.group_tokens.append(tuple(self._tokens))
+
     # ------------------------------------------------------------------
     def _emit(self, text: str) -> int:
         self.lines.append(text)
@@ -399,7 +445,9 @@ class _Renderer:
 
     def _token(self, kind: str, text: str) -> None:
         """Record a searchable token on the most recently emitted line."""
-        self.tokens.append(LineToken(len(self.lines) - 1, kind, text))
+        self._tokens.append(
+            (len(self.lines) - 1 - self._group.start_line, kind, text)
+        )
 
     def _tokened(self, text: str, *pairs: tuple[str, str]) -> str:
         """Register the searchable tokens carried by an instruction text."""
@@ -429,13 +477,9 @@ class _Renderer:
             )
         self._end_group()
         return Disassembly(
-            self.lines, self.blocks, self.tokens, self.class_spans,
-            self.group_columns,
+            self.lines, self.group_columns, self.group_tokens,
+            self.class_spans,
         )
-
-    def _end_group(self) -> None:
-        if self.group_columns:
-            self.group_columns[-1].end_line = len(self.lines)
 
     # ------------------------------------------------------------------
     def _render_class(self, index: int, cls: DexClass) -> None:
@@ -453,7 +497,7 @@ class _Renderer:
             iface_desc = java_to_dex_type(iface)
             self._emit(f"    #{i}              : '{iface_desc}'")
             self._token("header", f"'{iface_desc}'")
-        self._render_fields(cls)
+        self._render_fields(cls, descriptor)
         direct, virtual = [], []
         for method in cls.methods:
             is_direct = (
@@ -463,23 +507,22 @@ class _Renderer:
             (direct if is_direct else virtual).append(method)
         self._emit("  Direct methods    -")
         for i, method in enumerate(direct):
-            self._render_method(i, cls, method)
+            self._render_method(i, cls, descriptor, method)
         self._emit("  Virtual methods   -")
         for i, method in enumerate(virtual):
-            self._render_method(i, cls, method)
+            self._render_method(i, cls, descriptor, method)
 
-    def _render_fields(self, cls: DexClass) -> None:
+    def _render_fields(self, cls: DexClass, owner: str) -> None:
         static_fields = [f for f in cls.fields if f.is_static]
         instance_fields = [f for f in cls.fields if not f.is_static]
         self._emit("  Static fields     -")
         for i, dex_field in enumerate(static_fields):
-            self._render_field_header(i, cls, dex_field)
+            self._render_field_header(i, owner, dex_field)
         self._emit("  Instance fields   -")
         for i, dex_field in enumerate(instance_fields):
-            self._render_field_header(i, cls, dex_field)
+            self._render_field_header(i, owner, dex_field)
 
-    def _render_field_header(self, index: int, cls: DexClass, dex_field) -> None:
-        owner = java_to_dex_type(cls.name)
+    def _render_field_header(self, index: int, owner: str, dex_field) -> None:
         self._emit(f"    #{index}              : (in {owner})")
         self._token("type", owner)
         self._emit(f"      name          : '{dex_field.name}'")
@@ -488,9 +531,10 @@ class _Renderer:
         self._token("header", f"'{type_desc}'")
 
     # ------------------------------------------------------------------
-    def _render_method(self, index: int, cls: DexClass, method: DexMethod) -> None:
-        sig = method.signature()
-        descriptor = java_to_dex_type(cls.name)
+    def _render_method(
+        self, index: int, cls: DexClass, descriptor: str, method: DexMethod
+    ) -> None:
+        group = self._group
         start = self._emit(f"    #{index}              : (in {descriptor})")
         self._token("type", descriptor)
         self._emit(f"      name          : '{method.name}'")
@@ -499,8 +543,8 @@ class _Renderer:
         self._emit(f"      type          : '{proto}'")
         self._token("header", f"'{proto}'")
         self._emit(f"      access        : {method.flags.dex_render()}")
-        block = MethodBlock(signature=sig, start_line=start, end_line=start)
         body = method.body
+        insns = 0
         if body:
             self._emit(f"      insns size    : {max(1, len(body))} 16-bit code units")
             dotted = f"{cls.name}.{method.name}".replace("$", ".")
@@ -508,35 +552,39 @@ class _Renderer:
                        f"{dotted}:{proto}")
             self._token("proto", proto)
             self._addr += 0x10
-            self._render_body(body, block)
+            insns = self._render_body(body)
         else:
             self._emit("      code          : (none)")
-        block.end_line = len(self.lines)
-        self.blocks.append(block)
-        group = self._group
         group.block_starts.append(start - group.start_line)
-        group.block_ends.append(block.end_line - group.start_line)
-        group.insn_counts.append(len(block.insns))
-        # sig.to_dex(), from the strings this method already built.
+        group.block_ends.append(len(self.lines) - group.start_line)
+        group.insn_counts.append(insns)
+        # The method's MethodSignature.to_dex(), from the strings this
+        # method already built.
         group.signatures.append(
             f"{java_to_dex_type(method.declaring_class)}.{method.name}:{proto}"
         )
 
-    def _render_body(self, body: list[Stmt], block: MethodBlock) -> None:
+    def _render_body(self, body: list[Stmt]) -> int:
+        """Render a method body's instruction lines; returns their count."""
         registers = _RegisterMap()
+        lines = self.lines
+        base = self._group.start_line
         stmt_indices = self._group.stmt_indices
+        tokens = self._tokens
+        line_tokens = self._line_tokens
+        first = len(lines)
+        addr = self._addr
         offset = 0
         for stmt_index, stmt in enumerate(body):
             for text in self._render_stmt(stmt, registers):
-                line_no = self._emit(
-                    f"{self._addr:06x}: {'':>24}|{offset:04x}: {text}"
-                )
-                block.insns.append(InsnLine(line_no=line_no, stmt_index=stmt_index, text=text))
+                for kind, token in line_tokens.get(text, ()):
+                    tokens.append((len(lines) - base, kind, token))
+                lines.append(f"{addr:06x}: {_GUTTER}|{offset:04x}: {text}")
                 stmt_indices.append(stmt_index)
-                for kind, token in self._line_tokens.get(text, ()):
-                    self.tokens.append(LineToken(line_no, kind, token))
-                self._addr += 6
+                addr += 6
                 offset += 3
+        self._addr = addr
+        return len(lines) - first
 
     # ------------------------------------------------------------------
     def _render_stmt(self, stmt: Stmt, registers: "_RegisterMap") -> Iterable[str]:

@@ -2,9 +2,10 @@
 
 The disassembler already knows, while rendering, which substrings of each
 line a bytecode search could target (method/field signatures, type
-descriptors, quoted literals) and emits them as a token stream
-(:class:`~repro.dex.disassembler.LineToken`).  This backend folds that
-stream — once per app — into
+descriptors, quoted literals) and emits them as one token stream per
+library group (:attr:`~repro.dex.disassembler.Disassembly.group_tokens`).
+This backend folds each group's stream once (:func:`fold_tokens`) and
+composes the folds into
 
 * ``exact``      — token text -> posting list of line numbers, so the
   hot queries (``find_invocations``, ``find_field_accesses``) become a
@@ -22,6 +23,7 @@ are counted in the backend stats, so the index's coverage is observable.
 
 The index is built lazily on first query and memoized on the
 :class:`Disassembly`, so every searcher over one app shares one build.
+The group folds are the ones the artifact store publishes as shards.
 """
 
 from __future__ import annotations
@@ -38,53 +40,106 @@ from repro.telemetry import tracing
 
 #: A bare dex reference-type descriptor, possibly array-wrapped.
 _DESCRIPTOR_RE = re.compile(r"\[*L[^;]+;")
+#: Where a descriptor can start: an array bracket or a class ``L``.
+_OPENER_RE = re.compile(r"[\[L]")
+
+
+def fold_tokens(
+    tokens,
+) -> tuple[list[str], list[list[int]], list[int], dict[str, list[int]]]:
+    """Fold ``(line, kind, text)`` triples into a mini-index.
+
+    The one fold in the codebase: a library group's shard, the app's
+    index (composed from its groups' folds) and ``store verify``'s
+    replay all come from it.  Returns ``(vocab, postings, string_ids,
+    containing)``: token texts in first-appearance order, each text's
+    ascending lines, the ids of ``"string"`` tokens, and every
+    containment key's ascending token ids (:func:`_containment_keys`).
+    """
+    vocab: list[str] = []
+    postings: list[list[int]] = []
+    string_ids: list[int] = []
+    exact: dict[str, int] = {}
+    for line_no, kind, text in tokens:
+        tid = exact.get(text)
+        if tid is None:
+            exact[text] = len(vocab)
+            if kind == "string":
+                string_ids.append(len(vocab))
+            vocab.append(text)
+            postings.append([line_no])
+            continue
+        posting = postings[tid]
+        if posting[-1] != line_no:
+            posting.append(line_no)
+    containing: dict[str, list[int]] = {}
+    for tid, text in enumerate(vocab):
+        # _containment_keys yields each key at most once per token, so
+        # every bucket stays ascending and duplicate-free.
+        for sub in _containment_keys(text):
+            bucket = containing.get(sub)
+            if bucket is None:
+                containing[sub] = [tid]
+            else:
+                bucket.append(tid)
+    return vocab, postings, string_ids, containing
 
 
 class TokenIndex:
     """Posting lists keyed by dex tokens, built once per disassembly."""
 
     def __init__(self, disassembly: Disassembly) -> None:
+        """Fold the app-wide token stream directly, in one piece.
+
+        No job path folds a whole app this way: this is the reference
+        that :meth:`for_disassembly`'s composed index must equal, which
+        the parity suite checks.
+        """
         started = time.perf_counter()
         self.restored = False
         #: Shard groups the store re-folded while restoring this index
         #: (0 for fresh builds and full-shard restores).
         self.patched_groups = 0
-        self.vocab: list[str] = []
-        self.postings: list[list[int]] = []
-        self.exact: dict[str, int] = {}
-        self.containing: dict[str, list[int]] = {}
-        self._string_ids: list[int] = []
+        self.vocab, self.postings, self._string_ids, self.containing = (
+            fold_tokens(
+                (token.line_no, token.kind, token.text)
+                for token in disassembly.tokens
+            )
+        )
+        self.exact = {text: tid for tid, text in enumerate(self.vocab)}
         self._joined_vocab: Optional[JoinedText] = None
         self._joined_strings: Optional[JoinedText] = None
-
-        for token in disassembly.tokens:
-            tid = self.exact.get(token.text)
-            if tid is None:
-                tid = len(self.vocab)
-                self.exact[token.text] = tid
-                self.vocab.append(token.text)
-                self.postings.append([])
-                if token.kind == "string":
-                    self._string_ids.append(tid)
-            posting = self.postings[tid]
-            if not posting or posting[-1] != token.line_no:
-                posting.append(token.line_no)
-
-        for tid, text in enumerate(self.vocab):
-            for sub in _containment_keys(text):
-                bucket = self.containing.setdefault(sub, [])
-                if not bucket or bucket[-1] != tid:
-                    bucket.append(tid)
-
         self.posting_entries = sum(len(p) for p in self.postings)
         self.build_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------
     @classmethod
     def for_disassembly(cls, disassembly: Disassembly) -> "TokenIndex":
+        """The app's index, built once per disassembly (memoized).
+
+        Each library group is folded once (:meth:`ShardGroup.fold
+        <repro.store.sharding.ShardGroup.fold>`) and the folds are
+        merged in line order (:func:`~repro.store.sharding.compose_index`),
+        which equals a direct fold of the app-wide stream.  A store
+        attached to the same disassembly publishes these folds as its
+        shards instead of folding again.
+        """
         cached = getattr(disassembly, "_token_index_cache", None)
         if cached is None:
-            cached = cls(disassembly)
+            # Imported here: the store's sharding layer imports this
+            # module.
+            from repro.store.sharding import (
+                compose_index,
+                partition_disassembly,
+            )
+
+            started = time.perf_counter()
+            cached = compose_index([
+                (group.start_line, group.fold())
+                for group in partition_disassembly(disassembly)
+            ])
+            cached.restored = False
+            cached.build_seconds = time.perf_counter() - started
             disassembly._token_index_cache = cached
         return cached
 
@@ -214,26 +269,29 @@ def _containment_keys(token: str):
       signatures, protos and array descriptors), including its own
       array-prefix/``L``-restart suffixes (``[[Lcom/La;`` can satisfy
       queries for ``[Lcom/La;``, ``Lcom/La;`` and ``La;``).
+
+    Each key is yielded once, in that order.
     """
     seen: set[str] = set()
-    for i in range(1, len(token)):
-        if token[i] == "[" or token[i] == "L":
+    # A suffix holds ";." and ":" exactly when it starts at or before
+    # the last of each.
+    signature_until = min(token.rfind(";."), token.rfind(":"))
+    for opener in _OPENER_RE.finditer(token, 1):
+        i = opener.start()
+        # Only descriptor- or signature-shaped suffixes can ever be
+        # looked up; skipping the rest bounds the map (a long string
+        # literal full of 'L's would otherwise materialise one key per
+        # occurrence).  Suffixes never repeat: each has its own length.
+        if i <= signature_until or _DESCRIPTOR_RE.fullmatch(token, i):
             sub = token[i:]
-            # Only descriptor- or signature-shaped suffixes can ever be
-            # looked up; skipping the rest bounds the map (a long string
-            # literal full of 'L's would otherwise materialise one key
-            # per occurrence).
-            if sub in seen:
-                continue
-            if _DESCRIPTOR_RE.fullmatch(sub) or (";." in sub and ":" in sub):
-                seen.add(sub)
-                yield sub
+            seen.add(sub)
+            yield sub
     for match in _DESCRIPTOR_RE.finditer(token):
-        text = match.group()
-        for i, ch in enumerate(text):
-            if ch == "[" or ch == "L":
-                sub = text[i:]
-                if _DESCRIPTOR_RE.fullmatch(sub) and sub not in seen:
+        end = match.end()
+        for opener in _OPENER_RE.finditer(token, match.start(), end):
+            if _DESCRIPTOR_RE.fullmatch(token, opener.start(), end):
+                sub = token[opener.start():end]
+                if sub not in seen:
                     seen.add(sub)
                     yield sub
 
@@ -288,7 +346,7 @@ class InvertedIndexBackend(SearchBackend):
                 # disassembler and would make every query silently
                 # return nothing.
                 if (
-                    not self.disassembly.tokens
+                    not any(self.disassembly.group_tokens)
                     and len(self.disassembly.lines) > 2
                 ):
                     raise ValueError(
@@ -302,7 +360,8 @@ class InvertedIndexBackend(SearchBackend):
                     fold_span.set_attr(
                         "build_seconds", index.build_seconds
                     )
-                    if self.store is not None:
+                if self.store is not None:
+                    with tracing.span("store.save_index"):
                         self.store.save_index(self.disassembly, index)
             self._index = index
             self.stats.index_build_seconds = index.build_seconds

@@ -339,17 +339,21 @@ class StoreAwareScheduler:
             busy.set_function(
                 lambda s=lane_stats: s.busy, lane=name
             )
+        # The callbacks close over the queue and the cold lane, never
+        # over the scheduler: the registry is the scheduler's own, so a
+        # callback holding it would make a reference cycle that keeps a
+        # stopped scheduler (and its session cache) alive until a full
+        # cyclic collection.
+        queue, cold = self.queue, self._cold
         m.gauge(
             "backdroid_dedup_hits",
             "Submissions coalesced onto an in-flight analysis.",
-        ).set_function(lambda: self.queue.dedup_hits)
+        ).set_function(lambda: queue.dedup_hits)
         m.gauge(
             "backdroid_cold_worker_restarts",
             "Cold worker processes restarted after kills/crashes.",
         ).set_function(
-            lambda: (
-                self._cold.workers_restarted if self._cold is not None else 0
-            )
+            lambda: cold.workers_restarted if cold is not None else 0
         )
         if self._store is not None:
             store_gauge = m.gauge(

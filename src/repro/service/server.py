@@ -52,7 +52,9 @@ front end (:class:`~repro.service.cluster.ClusterFrontEnd`):
   bookkeeping and warm mmap-backed restores — cold CPU work lives in
   worker processes — so warm tail latency does not inflate under cold
   load.  The loop-lag percentiles are reported under
-  ``stats()["server"]``.
+  ``stats()["server"]``.  While it serves, the heap it started with
+  is frozen out of the cyclic collector, so a full collection never
+  walks it on a warm job.
 
 :class:`ServiceClient` is the matching ``urllib`` client used by tests,
 CI smoke checks, scripts and the cluster router; it retries
@@ -64,6 +66,7 @@ errors (:class:`ServiceError`) and timeouts surface immediately.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import socket
 import threading
@@ -645,6 +648,7 @@ class AnalysisServer:
     ) -> None:
         """Bind the listener (not yet serving) over ``scheduler``."""
         self.scheduler = scheduler
+        self._froze_heap = False
         self.api = ServiceAPI(scheduler, extra_stats=self._server_stats)
         self._transport = HTTPTransport(
             self.api.handle,
@@ -675,8 +679,18 @@ class AnalysisServer:
 
     # ------------------------------------------------------------------
     def start(self) -> "AnalysisServer":
-        """Start serving on a daemon thread; returns self for chaining."""
+        """Start serving on a daemon thread; returns self for chaining.
+
+        Once serving, the interpreter's heap as it stands (modules,
+        classes, the scheduler) is frozen out of the cyclic collector
+        (:func:`gc.freeze`).  A full collection would otherwise walk
+        all of it on whichever warm job triggers one, stalling that job
+        and the event loop for 10-20 ms; frozen, it walks only what the
+        service allocated since.  :meth:`shutdown` unfreezes it.
+        """
         self._transport.start()
+        gc.freeze()
+        self._froze_heap = True
         return self
 
     def join(self) -> None:
@@ -705,6 +719,14 @@ class AnalysisServer:
         """
         self._transport.stop()
         self.scheduler.shutdown(wait=drain)
+        # The stats callback is a bound method of this server, held by
+        # the API this server holds: drop it so a stopped server, its
+        # scheduler and the scheduler's session cache are freed by
+        # reference counting, not left to a full cyclic collection.
+        self.api.extra_stats = None
+        if self._froze_heap:
+            gc.unfreeze()
+            self._froze_heap = False
 
     def __enter__(self) -> "AnalysisServer":
         return self.start()

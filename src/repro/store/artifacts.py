@@ -65,7 +65,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional
 
 from repro.dex.disassembler import PREAMBLE, Disassembly, RestoredDisassembly
-from repro.search.backends.indexed import TokenIndex
+from repro.search.backends.indexed import TokenIndex, fold_tokens
 from repro.store.binshard import (
     SEC_LAYOUT,
     SEC_TEXT,
@@ -82,7 +82,6 @@ from repro.store.sharding import (
     compose_index,
     decode_layout,
     encode_lines,
-    fold_group,
     group_texts,
     partition_disassembly,
     shard_key,
@@ -610,11 +609,14 @@ class ArtifactStore:
 
         ``index`` is accepted for call-site symmetry with the build
         path but is not serialized directly: shards store per-group
-        mini-indexes folded from their own tokens, which is what makes
+        mini-indexes over group-relative lines, which is what makes
         them position-independent and therefore shareable across apps.
-        A cold save therefore re-folds each *new* group (groups whose
-        shards already exist — shared libraries — are skipped); that
-        one-time cost is what every later cross-app restore amortizes.
+        Those mini-indexes are the group folds the app's index was
+        composed from (:meth:`~repro.store.sharding.ShardGroup.fold`,
+        memoized on the disassembly's shard groups), so a save after
+        :meth:`TokenIndex.for_disassembly` publishes them without
+        folding any group again.  Groups whose shards already exist —
+        shared libraries — are not rewritten.
         """
         self._publish_entry(disassembly)
 
@@ -803,11 +805,7 @@ class ArtifactStore:
             return None
 
         lines = list(PREAMBLE)
-        starts: list[int] = []
-        ends: list[int] = []
-        insn_counts: list[int] = []
-        signatures: list[str] = []
-        stmt_indices: list[int] = []
+        columns = []
         class_names: list[str] = []
         try:
             for group in groups:
@@ -823,22 +821,18 @@ class ArtifactStore:
                 ):
                     return None
                 lines += chunk
-                decoded = decode_layout(layout)
-                class_names += decoded.class_names
-                starts += [base + rel for rel in decoded.starts]
-                ends += [base + rel for rel in decoded.ends]
-                insn_counts += decoded.insn_counts
-                signatures += decoded.signatures
-                stmt_indices += decoded.stmt_indices
+                names, group_columns = decode_layout(
+                    layout, base, len(lines)
+                )
+                class_names += names
+                columns.append(group_columns)
         except ValueError:
             return None
         if class_names != sorted(
             cls.name for cls in classes.application_classes()
         ):
             return None
-        restored = RestoredDisassembly(
-            lines, starts, ends, insn_counts, signatures, stmt_indices, render
-        )
+        restored = RestoredDisassembly(lines, columns, render)
         restored._store_key_cache = key
         return restored
 
@@ -1155,7 +1149,7 @@ class ArtifactStore:
                     f"shard {sha[:12]} content no longer matches its "
                     "content address",
                 )
-            fresh = fold_group(tokens)
+            fresh = fold_tokens(tokens)
             mismatched = [
                 name
                 for name, stored_side, fresh_side in (

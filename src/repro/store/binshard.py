@@ -62,6 +62,7 @@ holds, not how it is encoded.
 
 from __future__ import annotations
 
+import itertools
 import mmap
 import struct
 import zlib
@@ -183,9 +184,9 @@ def shard_chunks(payload: dict, key: str) -> list[bytes]:
     joined copy.  The ``text`` and ``layout`` bytes pass through as
     they are.
     """
-    vocab = [str(text) for text in payload["vocab"]]
+    vocab = payload["vocab"]
     postings = payload["postings"]
-    string_ids = [int(tid) for tid in payload["string_ids"]]
+    string_ids = payload["string_ids"]
     containing = payload["containing"]
     tokens = payload["tokens"]
 
@@ -195,50 +196,33 @@ def shard_chunks(payload: dict, key: str) -> list[bytes]:
         *vocab_blobs,
     ))
 
-    flat_lines: list[int] = []
-    posting_lens: list[int] = []
-    for posting in postings:
-        posting_lens.append(len(posting))
-        flat_lines.extend(int(n) for n in posting)
+    flat_lines = list(itertools.chain.from_iterable(postings))
     sec_postings = (
-        struct.pack(f"<{len(posting_lens)}I", *posting_lens)
+        struct.pack(f"<{len(postings)}I", *map(len, postings))
         + struct.pack(f"<{len(flat_lines)}I", *flat_lines)
     )
 
     sec_string_ids = struct.pack(f"<{len(string_ids)}I", *string_ids)
 
-    keys = [str(sub).encode("utf-8", "surrogatepass") for sub in containing]
-    values: list[int] = []
-    val_lens: list[int] = []
-    for tids in containing.values():
-        val_lens.append(len(tids))
-        values.extend(int(t) for t in tids)
+    keys = [sub.encode("utf-8", "surrogatepass") for sub in containing]
+    values = list(itertools.chain.from_iterable(containing.values()))
     sec_contain = b"".join((
         struct.pack(f"<{len(keys)}I", *map(len, keys)),
-        struct.pack(f"<{len(val_lens)}I", *val_lens),
+        struct.pack(f"<{len(containing)}I", *map(len, containing.values())),
         *keys,
         struct.pack(f"<{len(values)}I", *values),
     ))
 
     exact = {text: tid for tid, text in enumerate(vocab)}
-    kinds: list[str] = []
-    kind_ids: dict[str, int] = {}
-    rel_lines: list[int] = []
-    token_kinds: list[int] = []
-    token_tids: list[int] = []
-    for rel, kind, text in tokens:
-        kind = str(kind)
-        kid = kind_ids.get(kind)
-        if kid is None:
-            kid = len(kinds)
-            kind_ids[kind] = kid
-            kinds.append(kind)
-        rel_lines.append(int(rel))
-        token_kinds.append(kid)
-        # Every token text is a vocabulary entry by construction (the
-        # vocabulary *is* the set of token texts), so records store a
-        # u32 id instead of repeating the text.
-        token_tids.append(exact[str(text)])
+    # Kinds in first-appearance order.
+    kinds = list(dict.fromkeys(kind for _, kind, _ in tokens))
+    kind_ids = {kind: kid for kid, kind in enumerate(kinds)}
+    rel_lines = [rel for rel, _, _ in tokens]
+    token_kinds = [kind_ids[kind] for _, kind, _ in tokens]
+    # Every token text is a vocabulary entry by construction (the
+    # vocabulary *is* the set of token texts), so records store a u32
+    # id instead of repeating the text.
+    token_tids = [exact[text] for _, _, text in tokens]
     if len(kinds) > 255:
         raise ValueError("more than 255 token kinds")  # pragma: no cover
     kind_table = bytearray([len(kinds)])

@@ -24,10 +24,13 @@ lines.  The text and layout let an index hit rebuild the app's
 
 Composition is exact: merging a manifest's mini-indexes in render
 order, re-basing each shard's relative lines onto the group's recorded
-start line, reproduces a freshly built
-:class:`~repro.search.backends.indexed.TokenIndex` structure for
-structure (the parity suite enforces equality on ``vocab``,
-``postings``, ``exact``, ``containing`` and the string-id list).
+start line, reproduces a direct fold of the app-wide token stream
+structure for structure (the parity suite enforces equality on
+``vocab``, ``postings``, ``exact``, ``containing`` and the string-id
+list).  That is also how a cold app's
+:class:`~repro.search.backends.indexed.TokenIndex` is built: each group
+is folded once (:meth:`ShardGroup.fold`), the folds are composed, and
+a save publishes the same folds as the groups' shards.
 """
 
 from __future__ import annotations
@@ -36,16 +39,10 @@ import bisect
 import hashlib
 import json
 import struct
-import types
 from dataclasses import dataclass
 
-from repro.dex.disassembler import (
-    Disassembly,
-    GroupColumns,
-    LineToken,
-    group_label,
-)
-from repro.search.backends.indexed import TokenIndex
+from repro.dex.disassembler import Disassembly, GroupColumns, group_label
+from repro.search.backends.indexed import TokenIndex, fold_tokens
 
 #: The *content-address* version: feeds every app key and shard key.
 #: Deliberately decoupled from the store's container FORMAT_VERSION,
@@ -71,21 +68,6 @@ def encode_lines(lines) -> bytes:
 #: Layout header: class count, block count, instruction-line count, and
 #: the byte lengths of the class-name and signature blobs.
 _LAYOUT_HEAD = struct.Struct("<5I")
-
-
-@dataclass(frozen=True)
-class GroupLayout:
-    """One group's decoded layout, lines relative to the group start."""
-
-    class_names: list[str]
-    starts: tuple[int, ...]
-    ends: tuple[int, ...]
-    #: Instruction lines per block (a block's last lines).
-    insn_counts: tuple[int, ...]
-    #: Each block's dexdump-form method signature.
-    signatures: list[str]
-    #: Statement index of every instruction line, block after block.
-    stmt_indices: tuple[int, ...]
 
 
 def encode_layout(class_names, columns: GroupColumns) -> bytes:
@@ -142,9 +124,12 @@ def _split_joined(blob: bytes, count: int) -> list[str]:
     return items
 
 
-def decode_layout(buf) -> GroupLayout:
-    """Decode one layout section; raises ``ValueError`` on any shape
-    mismatch (the restore then renders instead)."""
+def decode_layout(
+    buf, start_line: int, end_line: int
+) -> tuple[list[str], GroupColumns]:
+    """Decode one layout section into the group's class names and its
+    columns, placed at ``[start_line, end_line)``; raises ``ValueError``
+    on any shape mismatch (the restore then renders instead)."""
     try:
         (class_count, block_count, insn_count, names_len,
          sigs_len) = _LAYOUT_HEAD.unpack_from(buf, 0)
@@ -162,8 +147,9 @@ def decode_layout(buf) -> GroupLayout:
     insn_counts = columns[2 * block_count:]
     if cursor != len(buf) or sum(insn_counts) != insn_count:
         raise ValueError("layout sizes disagree with its header")
-    return GroupLayout(
-        names,
+    return names, GroupColumns(
+        start_line,
+        end_line,
         columns[:block_count],
         columns[block_count:2 * block_count],
         insn_counts,
@@ -179,7 +165,8 @@ class ShardGroup:
     ``tokens`` holds ``(rel_line, kind, text)`` triples where
     ``rel_line = absolute_line - start_line``; identical library code
     yields identical triples, text and layout in every app that embeds
-    it.
+    it.  The group is also the fold unit: :meth:`fold` folds its tokens
+    once, and both the app's index and the group's shard use that fold.
     """
 
     label: str
@@ -215,6 +202,29 @@ class ShardGroup:
                 ensure_ascii=True,
             ).encode("utf-8", "surrogatepass")
             object.__setattr__(self, "_canonical_bytes", cached)
+        return cached
+
+    def fold(self) -> dict:
+        """The group's mini-index, folded once (memoized).
+
+        ``vocab``, ``postings``, ``string_ids`` and ``containing`` over
+        group-relative lines and group-local token ids, from
+        :func:`~repro.search.backends.indexed.fold_tokens` — the fold
+        ``store verify`` replays.  :meth:`TokenIndex.for_disassembly
+        <repro.search.backends.indexed.TokenIndex.for_disassembly>`
+        composes the app's index from these folds and a save publishes
+        them, so a cold job folds each group exactly once.
+        """
+        cached = self.__dict__.get("_fold")
+        if cached is None:
+            vocab, postings, string_ids, containing = fold_tokens(self.tokens)
+            cached = {
+                "vocab": vocab,
+                "postings": postings,
+                "string_ids": string_ids,
+                "containing": containing,
+            }
+            object.__setattr__(self, "_fold", cached)
         return cached
 
 
@@ -270,35 +280,34 @@ def partition_disassembly(disassembly: Disassembly) -> list[ShardGroup]:
     """Split a disassembly into library-prefix shard groups (memoized).
 
     The groups are :func:`group_texts`' ranges, each carrying its
-    relative tokens, text and layout.  A disassembly without class
-    spans degrades to one app-wide group, so every store code path
-    works on any :class:`Disassembly` — it just stops deduplicating.
+    relative tokens, text and layout.  A rendered group's tokens and
+    columns are the renderer's own, taken as they are.  A disassembly
+    without class spans degrades to one app-wide group, built from its
+    app-wide tokens and blocks, so every store code path works on any
+    :class:`Disassembly` — it just stops deduplicating.
     """
     cached = getattr(disassembly, "_partition_cache", None)
     if cached is not None:
         return cached
-    captured = {
-        (columns.start_line, columns.end_line): columns
-        for columns in disassembly.group_columns
+    rendered = {
+        (columns.start_line, columns.end_line): (columns, tokens)
+        for columns, tokens in zip(
+            disassembly.group_columns, disassembly.group_tokens
+        )
     }
-    # Tokens are emitted in line order, so one forward sweep assigns
-    # each token to its group.
-    tokens = disassembly.tokens
     cached = []
-    cursor = 0
     for group in group_texts(disassembly):
         start, end = group.start_line, group.end_line
-        rel: list[tuple[int, str, str]] = []
-        while cursor < len(tokens) and tokens[cursor].line_no < end:
-            token = tokens[cursor]
-            if token.line_no >= start:
-                rel.append((token.line_no - start, token.kind, token.text))
-            cursor += 1
-        columns = captured.get((start, end))
+        columns, tokens = rendered.get((start, end), (None, None))
         if columns is None:
             columns = _block_columns(disassembly, start, end)
+            tokens = tuple(
+                (token.line_no - start, token.kind, token.text)
+                for token in disassembly.tokens
+                if start <= token.line_no < end
+            )
         cached.append(ShardGroup(
-            group.label, start, end - start, tuple(rel), group.text,
+            group.label, start, end - start, tokens, group.text,
             encode_layout(group.class_names, columns),
         ))
     disassembly._partition_cache = cached
@@ -324,50 +333,22 @@ def shard_key(group: ShardGroup, key_version: int = KEY_VERSION) -> str:
     return digest.hexdigest()
 
 
-def fold_group(
-    tokens,
-) -> tuple[list[str], list[list[int]], list[int], dict[str, list[int]]]:
-    """Fold one group's tokens into a mini-index.
-
-    Delegates to :class:`TokenIndex` over the group-relative tokens, so
-    there is exactly one authoritative fold in the codebase — shard
-    mini-indexes are *by construction* what a fresh index would build
-    for the group, and can never drift from it.  Returns ``(vocab,
-    postings, string_ids, containing)`` over group-relative lines and
-    group-local token ids.
-    """
-    index = TokenIndex(
-        types.SimpleNamespace(
-            tokens=[
-                LineToken(rel_line, kind, text)
-                for rel_line, kind, text in tokens
-            ],
-            lines=[],
-        )
-    )
-    return index.vocab, index.postings, index._string_ids, index.containing
-
-
 def shard_payload(group: ShardGroup, key: str) -> dict:
     """The payload published for one shard.
 
     Carries every restore product: the group's text and layout (bytes;
-    composed back into the app's disassembly) and the prefolded
-    mini-index — vocabulary, posting lists, string ids and the local
-    containment map (merged into per-app structures without re-folding
-    any token or re-running the containment regexes) — plus the
-    relative token stream the mini-index was folded from, which
-    ``store verify`` refolds and hashes.
+    composed back into the app's disassembly) and its mini-index
+    (:meth:`ShardGroup.fold`) — vocabulary, posting lists, string ids
+    and the local containment map, merged into per-app structures
+    without re-folding any token or re-running the containment regexes
+    — plus the relative token stream the mini-index was folded from,
+    which ``store verify`` refolds and hashes.
     """
-    vocab, postings, string_ids, containing = fold_group(group.tokens)
     return {
         "key": key,
         "line_count": group.line_count,
-        "tokens": [[rel, kind, text] for rel, kind, text in group.tokens],
-        "vocab": vocab,
-        "postings": postings,
-        "string_ids": string_ids,
-        "containing": containing,
+        "tokens": group.tokens,
+        **group.fold(),
         "text": group.text,
         "layout": group.layout,
     }
@@ -386,12 +367,16 @@ def tokens_from_shard(payload: dict) -> tuple[tuple[int, str, str], ...]:
 
 
 def compose_index(parts: list[tuple[int, dict]]) -> TokenIndex:
-    """Merge shard mini-indexes into one app-level :class:`TokenIndex`.
+    """Merge group mini-indexes into one app-level :class:`TokenIndex`.
 
+    ``parts`` pairs each group's start line with its mini-index — a
+    :meth:`ShardGroup.fold` or a decoded shard payload, both of which
+    hold duplicate-free vocabularies and ascending posting lists.
     Groups are merged in manifest (render) order, so the merged
     vocabulary reproduces the global first-appearance order a fresh
-    fold would assign; posting lists are re-based per group; and the
-    containment map is merged by remapping each shard's local token
+    fold would assign; posting lists are re-based per group and, since
+    a later group's lines all follow an earlier group's, appended; and
+    the containment map is merged by remapping each group's local token
     ids and sorting the union — exact because a fresh build's bucket
     for any substring is precisely the ascending list of every token
     id whose text contains it (:func:`_containment_keys` yields each
@@ -406,33 +391,33 @@ def compose_index(parts: list[tuple[int, dict]]) -> TokenIndex:
     postings: list[list[int]] = []
     string_ids: list[int] = []
     exact: dict[str, int] = {}
-    containing_sets: dict[str, set[int]] = {}
+    containing: dict[str, list[int]] = {}
     for start_line, payload in parts:
-        local_vocab = [str(text) for text in payload["vocab"]]
+        local_vocab = payload["vocab"]
         local_postings = payload["postings"]
         if len(local_postings) != len(local_vocab):
             raise ValueError("shard postings/vocab length mismatch")
-        local_strings = {int(tid) for tid in payload["string_ids"]}
+        local_strings = set(payload["string_ids"])
         remap: list[int] = []
         for local_tid, text in enumerate(local_vocab):
+            rebased = [start_line + rel for rel in local_postings[local_tid]]
             tid = exact.get(text)
             if tid is None:
                 tid = len(vocab)
                 exact[text] = tid
                 vocab.append(text)
-                postings.append([])
+                postings.append(rebased)
                 if local_tid in local_strings:
                     string_ids.append(tid)
+            else:
+                postings[tid] += rebased
             remap.append(tid)
-            posting = postings[tid]
-            for rel in local_postings[local_tid]:
-                line_no = start_line + int(rel)
-                if not posting or posting[-1] != line_no:
-                    posting.append(line_no)
         for sub, local_tids in payload["containing"].items():
-            bucket = containing_sets.setdefault(str(sub), set())
-            for local_tid in local_tids:
-                bucket.add(remap[local_tid])
+            tids = [remap[local_tid] for local_tid in local_tids]
+            merged = containing.get(sub)
+            containing[sub] = sorted(
+                tids if merged is None else set(merged).union(tids)
+            )
 
     index = TokenIndex.__new__(TokenIndex)
     index.restored = True
@@ -441,9 +426,7 @@ def compose_index(parts: list[tuple[int, dict]]) -> TokenIndex:
     index.postings = postings
     index.exact = exact
     index._string_ids = string_ids
-    index.containing = {
-        sub: sorted(bucket) for sub, bucket in containing_sets.items()
-    }
+    index.containing = containing
     index._joined_vocab = None
     index._joined_strings = None
     index.posting_entries = sum(len(p) for p in postings)

@@ -54,7 +54,9 @@ class TestRegistry:
         from repro.dex.disassembler import Disassembly
 
         apk = _small_apk()
-        stripped = Disassembly(apk.disassembly.lines, apk.disassembly.blocks)
+        stripped = Disassembly(
+            apk.disassembly.lines, apk.disassembly.group_columns
+        )
         searcher = BytecodeSearcher(stripped, backend="indexed")
         with pytest.raises(ValueError, match="no token stream"):
             searcher.find_invocations(

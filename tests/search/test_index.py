@@ -186,7 +186,7 @@ class TestSubclassHeaderAttribution:
 
     def _handcrafted(self, lines):
         return BytecodeSearcher(
-            Disassembly(lines, blocks=[]), backend="linear"
+            Disassembly(lines), backend="linear"
         )
 
     def test_malformed_descriptor_contributes_nothing(self):

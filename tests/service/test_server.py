@@ -268,6 +268,38 @@ class TestShutdownDrain:
         assert states == {"done"}
 
 
+    def test_stopped_server_is_freed_without_the_cycle_collector(
+        self, tmp_path
+    ):
+        import gc
+        import weakref
+
+        config = BackDroidConfig(
+            search_backend="indexed", store_dir=str(tmp_path / "store")
+        )
+        frozen_before = gc.get_freeze_count()
+        gc.disable()
+        try:
+            scheduler = StoreAwareScheduler(config, workers=1)
+            server = AnalysisServer(scheduler, port=0).start()
+            # Serving: the heap the server started with is frozen.
+            assert gc.get_freeze_count() > frozen_before
+            client = ServiceClient(*server.address)
+            job = client.submit({"app": "bench:1", "scale": SCALE})
+            assert client.wait(job["id"], timeout=60)["state"] == "done"
+            client.stats()
+            server.shutdown(drain=True)
+            assert gc.get_freeze_count() == 0
+            sessions = weakref.ref(scheduler.sessions)
+            stopped = weakref.ref(scheduler)
+            del scheduler, server, client
+            # Reference counting alone frees the scheduler and the
+            # apps its session cache held.
+            assert stopped() is None and sessions() is None
+        finally:
+            gc.enable()
+
+
 class TestGracefulDrain:
     def test_drain_rejects_submissions_but_serves_reads(
         self, tmp_path, monkeypatch

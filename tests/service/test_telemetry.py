@@ -116,6 +116,38 @@ class TestWarmTrace:
             scheduler_module.analyze_spec = real
 
 
+class TestColdTrace:
+    def test_publish_is_a_sibling_of_the_fold(self, tmp_path):
+        with StoreAwareScheduler(_config(tmp_path), workers=1) as scheduler:
+            job = scheduler.submit(benchmark_app_spec(0, scale=SCALE))
+            done = scheduler.wait(job.id, timeout=60)
+            assert done.state == "done"
+            by_name = _by_name(done.trace)
+            fold = by_name["index.fold"]
+            publish = by_name["store.save_index"]
+            # The shard publish runs after the fold, beside it rather
+            # than inside it, so the fold span times the fold alone.
+            assert publish["parent_id"] == fold["parent_id"]
+            assert not [
+                span for span in done.trace
+                if span["parent_id"] == fold["span_id"]
+            ]
+            assert publish["started_at"] >= fold["started_at"]
+            assert 0.0 < fold["attrs"]["build_seconds"] <= fold["wall_seconds"]
+
+    def test_index_hit_neither_folds_nor_publishes(self, tmp_path):
+        config = _config(tmp_path, mode="index")
+        spec = benchmark_app_spec(0, scale=SCALE)
+        assert analyze_spec(spec, config).ok
+        with StoreAwareScheduler(config, workers=1) as scheduler:
+            job = scheduler.submit(spec)
+            done = scheduler.wait(job.id, timeout=60)
+            assert done.state == "done"
+            names = {span["name"] for span in done.trace}
+            assert "index.restore" in names
+            assert not {"index.fold", "store.save_index"} & names
+
+
 class TestColdCrossProcessTrace:
     def test_single_trace_spans_the_worker_process(self, tmp_path):
         with StoreAwareScheduler(

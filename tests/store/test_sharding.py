@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.core import BackDroidConfig, analyze_spec, run_batch
-from repro.search.backends.indexed import TokenIndex
+from repro.search.backends.indexed import TokenIndex, fold_tokens
 from repro.store import (
     ArtifactStore,
     group_label,
@@ -25,7 +25,6 @@ from repro.store import (
 from repro.store.binshard import decode_shard, encode_shard
 from repro.store.sharding import (
     compose_index,
-    fold_group,
     shard_payload,
     tokens_from_shard,
 )
@@ -34,6 +33,9 @@ from repro.workload.paperapps import build_heyzap, build_lg_tv_plus
 
 SHARED_LIB = LibrarySpec(
     package="org.sharedsdk", seed=7, classes=10, methods_per_class=5
+)
+OTHER_LIB = LibrarySpec(
+    package="net.othersdk", seed=3, classes=4, methods_per_class=3
 )
 
 
@@ -248,7 +250,22 @@ class TestComposeParity:
             restored = store.load_index(build().disassembly)
             assert restored is not None and restored.restored
             assert restored.build_seconds == 0.0
-            self._parity(restored, TokenIndex.for_disassembly(disassembly))
+            self._parity(restored, TokenIndex(disassembly))
+
+    @pytest.mark.parametrize("build", [
+        build_heyzap,
+        build_lg_tv_plus,
+        lambda: generate_app(_app("com.alpha", 1)).apk,
+        lambda: generate_app(_app("com.alpha", 1, (SHARED_LIB, OTHER_LIB))).apk,
+    ])
+    def test_cold_index_composes_the_group_folds(self, build):
+        # A cold index is its groups' folds composed; it must equal a
+        # direct fold of the app-wide token stream, and still report
+        # itself as built rather than restored.
+        disassembly = build().disassembly
+        index = TokenIndex.for_disassembly(disassembly)
+        assert not index.restored and index.build_seconds > 0.0
+        self._parity(index, TokenIndex(disassembly))
 
     def test_patched_composition_is_still_byte_identical(self, store):
         disassembly = generate_app(_app("com.alpha", 1)).apk.disassembly
@@ -291,10 +308,10 @@ class TestComposeParity:
             parts.append((group.start_line, decoded))
         self._parity(compose_index(parts), TokenIndex(disassembly))
 
-    def test_fold_group_matches_token_index_fold(self):
+    def test_fold_tokens_matches_token_index_fold(self):
         disassembly = build_heyzap().disassembly
         triples = [(t.line_no, t.kind, t.text) for t in disassembly.tokens]
-        vocab, postings, string_ids, containing = fold_group(triples)
+        vocab, postings, string_ids, containing = fold_tokens(triples)
         fresh = TokenIndex(disassembly)
         assert vocab == fresh.vocab
         assert postings == fresh.postings
@@ -321,6 +338,48 @@ class TestPipelineIntegration:
         assert second.ok
         assert second.index_restored
         assert second.shards_patched >= 1
+
+    def test_cold_job_folds_each_group_exactly_once(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.store.sharding as sharding
+
+        folded = []
+        real_fold = sharding.fold_tokens
+
+        def counted_fold(tokens):
+            folded.append(tokens)
+            return real_fold(tokens)
+
+        whole_app = []
+        real_init = TokenIndex.__init__
+
+        def counted_init(self, disassembly):
+            whole_app.append(disassembly)
+            real_init(self, disassembly)
+
+        monkeypatch.setattr(sharding, "fold_tokens", counted_fold)
+        monkeypatch.setattr(TokenIndex, "__init__", counted_init)
+        config = self._config(tmp_path, store_mode="full")
+        spec = _app("com.alpha", 1, (SHARED_LIB, OTHER_LIB))
+        cold = analyze_spec(spec, config)
+        assert cold.ok and not cold.store_hit
+        assert not cold.index_restored and cold.index_build_seconds > 0.0
+        groups = partition_disassembly(generate_app(spec).apk.disassembly)
+        assert len(groups) == 3
+        # The index and the published shards share one fold per group.
+        assert folded == [group.tokens for group in groups]
+        assert not whole_app
+
+        # A sibling sharing both libraries folds only its own group;
+        # the libraries' folds are read back from their shards.
+        folded.clear()
+        sibling = analyze_spec(
+            _app("com.beta", 2, (SHARED_LIB, OTHER_LIB)), config
+        )
+        assert sibling.ok and sibling.index_restored
+        assert sibling.shards_patched == 1 and len(folded) == 1
+        assert not whole_app
 
     def test_batch_aggregates_partial_restores(self, tmp_path):
         config = self._config(tmp_path)

@@ -54,6 +54,22 @@ class TestAnalyze:
         assert envelope.vulnerable
         assert envelope.request.rules == ("ssl-verifier",)
 
+    def test_analyze_trace_covers_app_generation(self, capsys):
+        code = main(["analyze", "bench:3", "--rules", "open-port",
+                     "--backend", "indexed", "--json", "--trace"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code in (0, 1)
+        spans = payload["trace"]["spans"]
+        by_name = {span["name"]: span for span in spans}
+        root = by_name["analyze"]
+        generate = by_name["app.generate"]
+        assert generate["parent_id"] == root["span_id"]
+        assert generate["attrs"]["package"] == payload["report"]["package"]
+        assert {span["trace_id"] for span in spans} == {root["trace_id"]}
+        # The render and the fold come after generation, in one tree.
+        assert by_name["disassemble"]["started_at"] >= generate["started_at"]
+        assert "index.fold" in by_name
+
     def test_analyze_with_indexed_backend(self, capsys):
         code = main(["analyze", "heyzap", "--rules", "ssl-verifier",
                      "--backend", "indexed"])
