@@ -362,7 +362,6 @@ def build_server(args):
         max_finished_jobs=args.retain_jobs,
         session_cache_size=getattr(args, "session_cache", 4),
         cold_executor=cold_executor,
-        enable_metrics=not getattr(args, "no_metrics", False),
         node_id=getattr(args, "node_id", None),
     )
     return AnalysisServer(scheduler, host=args.host, port=args.port)
@@ -461,11 +460,8 @@ def cmd_serve(args) -> int:
     if node is not None:
         print(f"  cluster node {node_id} (node ttl {args.lease_ttl:g}s, "
               f"heartbeat {node.heartbeat_interval:g}s)")
-    metrics_note = (
-        "GET /metrics, " if scheduler.metrics is not None else ""
-    )
     print("  endpoints: POST /v1/jobs, GET /v1/jobs/<id>[?trace=1], "
-          f"DELETE /v1/jobs/<id>, GET /v1/stats, {metrics_note}"
+          "DELETE /v1/jobs/<id>, GET /v1/stats, GET /metrics, "
           "GET /healthz  (SIGTERM/Ctrl-C to drain and stop)")
     # SIGTERM (orchestrators) and SIGINT (Ctrl-C) both trigger the
     # graceful drain: stop accepting (503), give in-flight jobs
@@ -614,9 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="structured log format; 'json' emits one "
                        "object per line with trace/span ids stamped "
                        "(default: %(default)s)")
-    serve.add_argument("--no-metrics", action="store_true",
-                       help="disable the metrics registry: /metrics "
-                       "returns 404 and /v1/stats omits the snapshot")
     serve.add_argument("--node-id", default=None, metavar="ID",
                        help="join the cluster on the shared --store as "
                        "this node: heartbeat the node directory, stamp "

@@ -145,7 +145,7 @@ class BackwardSlicer:
         while self._frames and self._frame_budget > 0:
             self._frame_budget -= 1
             self._process(ssg, self._frames.pop())
-        if self._frame_budget <= 0:
+        if self._frames:  # the budget ran out with frames still queued
             ssg.notes.append("frame budget exhausted")
         self._add_offpath_clinit_tracks(ssg)
         return ssg

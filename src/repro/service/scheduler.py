@@ -61,7 +61,7 @@ from repro.service.workers import STALL_ENV_VAR, ProcessLane
 from repro.telemetry import tracing
 from repro.telemetry.logs import get_logger
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.quantiles import quantile
+from repro.telemetry.quantiles import summarize
 from repro.workload.generator import AppSpec, spec_fingerprint
 
 #: How many recent depth observations each lane keeps for percentiles.
@@ -77,61 +77,24 @@ _log = get_logger("scheduler")
 
 @dataclass
 class LaneStats:
-    """One dispatch lane's counters (read via :meth:`as_dict`)."""
+    """One dispatch lane's live state.  Its job counts live in the
+    scheduler's metrics registry, which ``stats()`` reads."""
 
     name: str
     workers: int
     #: Where this lane's analyses execute: ``"in-process"`` (threads in
     #: the service interpreter) or ``"process"`` (worker processes).
     kind: str = "in-process"
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    cancelled: int = 0
     #: Jobs currently queued or running in this lane.
     depth: int = 0
     #: Analyses executing right now (bounded by ``workers``).
     busy: int = 0
-    total_wait_seconds: float = 0.0
     #: Recent queue-depth observations, sampled at each submission, for
     #: the percentiles ``/v1/stats`` reports.
     depth_samples: deque = field(
         default_factory=lambda: deque(maxlen=DEPTH_SAMPLE_WINDOW),
         repr=False,
     )
-
-    @property
-    def mean_wait_seconds(self) -> float:
-        finished = self.completed + self.failed
-        return self.total_wait_seconds / finished if finished else 0.0
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of this lane's workers currently executing."""
-        return self.busy / self.workers if self.workers else 0.0
-
-    def as_dict(self) -> dict:
-        # The shared quantile helper reports ``None`` (JSON null) for
-        # empty/one-sample windows instead of fabricating a 0.
-        ordered = sorted(self.depth_samples)
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "workers": self.workers,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "depth": self.depth,
-            "busy": self.busy,
-            "utilization": self.utilization,
-            "depth_percentiles": {
-                "p50": quantile(ordered, 0.50),
-                "p90": quantile(ordered, 0.90),
-                "p99": quantile(ordered, 0.99),
-            },
-            "mean_wait_seconds": self.mean_wait_seconds,
-        }
 
 
 class StoreAwareScheduler:
@@ -161,7 +124,6 @@ class StoreAwareScheduler:
         registry=None,
         cold_executor: str = "thread",
         tracing_enabled: bool = True,
-        enable_metrics: bool = True,
         node_id: Optional[str] = None,
     ) -> None:
         if workers < 1:
@@ -233,15 +195,6 @@ class StoreAwareScheduler:
                 kind="process" if self._cold is not None else "in-process",
             ),
         }
-        #: Analyses actually executed (dedup-coalesced jobs share one).
-        self.analyses_run = 0
-        #: Submissions the store probe classified warm (lane-independent,
-        #: so a FIFO-degraded scheduler still reports its warm traffic).
-        self.warm_submissions = 0
-        #: The subset of warm submissions that were *partial* hits —
-        #: only some shards present, the rest patched at analysis time
-        #: (cross-app dedup warming an app never seen before).
-        self.warm_partial_submissions = 0
         self._lock = threading.Lock()
         self._closed = False
         #: The scheduler's own tracer: library spans opened during a
@@ -255,21 +208,18 @@ class StoreAwareScheduler:
         #: submissions of an app to the node already holding its
         #: session/shards.
         self._served_keys: "OrderedDict[str, float]" = OrderedDict()
-        self.metrics: Optional[MetricsRegistry] = (
-            MetricsRegistry(
-                const_labels={"node": node_id} if node_id else None
-            )
-            if enable_metrics
-            else None
+        #: The scheduler's one counter store: each job event is counted
+        #: once, here, and ``stats()`` reads these instruments back.
+        self.metrics = MetricsRegistry(
+            const_labels={"node": node_id} if node_id else None
         )
-        if self.metrics is not None:
-            self._init_metrics()
+        self._init_metrics()
 
     # ------------------------------------------------------------------
     def _init_metrics(self) -> None:
-        """Register the scheduler's named instruments (one registry per
-        scheduler; existing scattered stats export via callback gauges,
-        so their hot paths are untouched)."""
+        """Register the scheduler's named instruments.  Live state kept
+        elsewhere (lane depth and busy, store counters, worker restarts,
+        dedup hits) exports via callback gauges read at scrape time."""
         m = self.metrics
         self._m_submitted = m.counter(
             "backdroid_jobs_submitted_total",
@@ -431,21 +381,18 @@ class StoreAwareScheduler:
         self._record_served_key(key)
         with self._lock:
             stats = self.lanes[job.lane]
-            stats.submitted += 1
-            if warm:
-                self.warm_submissions += 1
-                if level == "partial":
-                    self.warm_partial_submissions += 1
             if is_primary:
                 stats.depth += 1
             stats.depth_samples.append(stats.depth)
-        if self.metrics is not None:
-            self._m_submitted.inc(lane=job.lane)
-            self._m_probe.inc(level=str(level))
-            if warm:
-                self._m_warm.inc()
-                if level == "partial":
-                    self._m_warm_partial.inc()
+        self._m_submitted.inc(lane=job.lane)
+        self._m_probe.inc(level=str(level))
+        if warm:
+            # Lane-independent, so a FIFO-degraded scheduler still
+            # reports its warm traffic; *partial* hits had only some
+            # shards present and patch the rest at analysis time.
+            self._m_warm.inc()
+            if level == "partial":
+                self._m_warm_partial.inc()
         if root_span:
             self.queue.set_trace_id(job.id, root_span.trace_id)
             root_span.set_attrs(job_id=job.id, lane=job.lane, warm=warm)
@@ -485,7 +432,7 @@ class StoreAwareScheduler:
                 with self._lock:
                     stats = self.lanes[job.lane]
                     stats.depth = max(0, stats.depth - 1)
-                    stats.failed += len(members)
+                self._m_failed.inc(len(members), lane=job.lane)
                 raise RuntimeError("scheduler is shut down") from None
         return job
 
@@ -553,10 +500,8 @@ class StoreAwareScheduler:
             queue_span.set_attr("wait_seconds", job.wait_seconds)
             queue_span.end()
         with self._lock:
-            self.analyses_run += 1
             self.lanes[job.lane].busy += 1
-        if self.metrics is not None:
-            self._m_analyses.inc()
+        self._m_analyses.inc()
         service_start = time.perf_counter()
         try:
             if job.lane == "main" and self._cold is not None:
@@ -588,7 +533,6 @@ class StoreAwareScheduler:
             payload = dict(payload)
             payload["node_id"] = self.node_id
         members = self.queue.finish(job_id, result=payload, error=error)
-        ok = error is None
         if error is not None:
             _log.warning(
                 "job %s failed: %s", job_id, error,
@@ -597,32 +541,17 @@ class StoreAwareScheduler:
         with self._lock:
             stats = self.lanes[job.lane]
             stats.depth = max(0, stats.depth - 1)
-            # Followers count too: every member was a submission and
-            # reached a terminal state with this payload.
-            for member in members:
-                if member.state == CANCELLED:
-                    stats.cancelled += 1
-                    continue  # a discarded result is not a wait served
-                if ok:
-                    stats.completed += 1
-                else:
-                    stats.failed += 1
-                if member.wait_seconds is not None:
-                    stats.total_wait_seconds += member.wait_seconds
-        if self.metrics is not None:
-            self._m_service.observe(service_seconds, lane=job.lane)
-            for member in members:
-                if member.state == CANCELLED:
-                    self._m_cancelled.inc(lane=job.lane)
-                    continue
-                if ok:
-                    self._m_completed.inc(lane=job.lane)
-                else:
-                    self._m_failed.inc(lane=job.lane)
-                if member.wait_seconds is not None:
-                    self._m_wait.observe(
-                        member.wait_seconds, lane=job.lane
-                    )
+        self._m_service.observe(service_seconds, lane=job.lane)
+        # Followers count too: every member was a submission and
+        # reached a terminal state with this payload.
+        finished = self._m_completed if error is None else self._m_failed
+        for member in members:
+            if member.state == CANCELLED:
+                self._m_cancelled.inc(lane=job.lane)
+                continue  # a discarded result is not a wait served
+            finished.inc(lane=job.lane)
+            if member.wait_seconds is not None:
+                self._m_wait.observe(member.wait_seconds, lane=job.lane)
 
     def _execute_in_process(
         self, job: Job
@@ -688,8 +617,7 @@ class StoreAwareScheduler:
                     result.pid, job.id, attempt + 1, attempts,
                     extra={"trace_id": job.trace_id},
                 )
-                if self.metrics is not None:
-                    self._m_retries.inc()
+                self._m_retries.inc()
                 continue
             break
         if result.payload is not None:
@@ -718,10 +646,7 @@ class StoreAwareScheduler:
         """
         job, disposition = self.queue.cancel(job_id)
         if disposition == CANCEL_DONE and job is not None:
-            with self._lock:
-                self.lanes[job.lane].cancelled += 1
-            if self.metrics is not None:
-                self._m_cancelled.inc(lane=job.lane)
+            self._m_cancelled.inc(lane=job.lane)
         elif (
             disposition == CANCEL_PENDING
             and job is not None
@@ -736,48 +661,77 @@ class StoreAwareScheduler:
         return self.queue.wait(job_id, timeout=timeout)
 
     def stats(self) -> dict:
-        """Lanes, job counts, warm-hit rate and the store's counters."""
-        jobs = self.queue.counts()
+        """Lanes, job counts, warm-hit rate and the store's counters.
+
+        Job counts are read from the metrics registry one series at a
+        time, so a read that races job events is not an atomic snapshot
+        across counters: a job finishing mid-read can already show in
+        one count and not yet in another.
+        """
+        lanes = {}
         with self._lock:
-            lanes = {name: lane.as_dict() for name, lane in self.lanes.items()}
-            submitted = sum(lane.submitted for lane in self.lanes.values())
-            warm = self.warm_submissions
-            payload = {
-                "node_id": self.node_id,
-                "lanes": lanes,
-                "jobs": jobs,
-                "analyses_run": self.analyses_run,
-                "submitted": submitted,
-                "warm_hit_rate": warm / submitted if submitted else 0.0,
-                "warm_partial_submissions": self.warm_partial_submissions,
-                "cold": {
-                    "executor": self.cold_executor,
-                    "worker_pids": (
-                        self._cold.pids() if self._cold is not None else []
+            for name, lane in self.lanes.items():
+                completed = int(self._m_completed.value(lane=name))
+                failed = int(self._m_failed.value(lane=name))
+                finished = completed + failed
+                lanes[name] = {
+                    "name": name,
+                    "kind": lane.kind,
+                    "workers": lane.workers,
+                    "submitted": int(self._m_submitted.value(lane=name)),
+                    "completed": completed,
+                    "failed": failed,
+                    "cancelled": int(self._m_cancelled.value(lane=name)),
+                    "depth": lane.depth,
+                    "busy": lane.busy,
+                    "utilization": (
+                        lane.busy / lane.workers if lane.workers else 0.0
                     ),
-                    "workers_restarted": (
-                        self._cold.workers_restarted
-                        if self._cold is not None
-                        else 0
+                    # The shared quantile helper reports ``None`` (JSON
+                    # null) for empty/one-sample windows, not a 0.
+                    "depth_percentiles": summarize(lane.depth_samples),
+                    "mean_wait_seconds": (
+                        self._m_wait.sum(lane=name) / finished
+                        if finished
+                        else 0.0
                     ),
-                },
-                "store": (
-                    self._store.stats.as_dict()
-                    if self._store is not None
-                    else None
+                }
+        submitted = sum(lane["submitted"] for lane in lanes.values())
+        return {
+            "node_id": self.node_id,
+            "lanes": lanes,
+            "jobs": self.queue.counts(),
+            "analyses_run": int(self._m_analyses.value()),
+            "submitted": submitted,
+            "warm_hit_rate": (
+                self._m_warm.value() / submitted if submitted else 0.0
+            ),
+            "warm_partial_submissions": int(self._m_warm_partial.value()),
+            "cold": {
+                "executor": self.cold_executor,
+                "worker_pids": (
+                    self._cold.pids() if self._cold is not None else []
                 ),
-                "sessions": (
-                    self.sessions.describe()
-                    if self.sessions is not None
-                    else None
+                "workers_restarted": (
+                    self._cold.workers_restarted
+                    if self._cold is not None
+                    else 0
                 ),
-            }
-        # Embedded for backward-compatible JSON scraping; the same
-        # instruments serve ``GET /metrics`` as Prometheus text.
-        payload["metrics"] = (
-            self.metrics.as_dict() if self.metrics is not None else None
-        )
-        return payload
+            },
+            "store": (
+                self._store.stats.as_dict()
+                if self._store is not None
+                else None
+            ),
+            "sessions": (
+                self.sessions.describe()
+                if self.sessions is not None
+                else None
+            ),
+            # Embedded for backward-compatible JSON scraping; the same
+            # instruments serve ``GET /metrics`` as Prometheus text.
+            "metrics": self.metrics.as_dict(),
+        }
 
     # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:

@@ -15,8 +15,6 @@ Endpoints (all JSON)::
                            plus the front end's own health
                            (event-loop lag, draining flag)
     GET    /metrics        the same instruments as Prometheus text
-                           (404 when the scheduler was built with
-                           metrics disabled)
     GET    /healthz        liveness
 
 ``GET /v1/jobs/<id>?trace=1`` additionally returns the job's collected
@@ -27,7 +25,9 @@ the app spec — ``rules`` (list of rule ids), ``backend``, ``max_frames``
 and ``hierarchy`` — which become an
 :class:`~repro.api.request.AnalysisRequest` for that job only.
 Differently-targeted submissions of one app never share a result, but
-they do share the scheduler's warm per-app session underneath.
+they do share the scheduler's warm per-app session underneath.  Any
+other key (see :data:`SUBMISSION_KEYS`) is a 400 that names it, so a
+misspelled override never silently runs the defaults.
 
 The protocol work is written once and shared by a node and the cluster
 front end (:class:`~repro.service.cluster.ClusterFrontEnd`):
@@ -39,7 +39,8 @@ front end (:class:`~repro.service.cluster.ClusterFrontEnd`):
   ``handle(method, target, body)`` callable on its own bounded handler
   pool, so queue locks, store probes and a front end's forwards to
   slow nodes never stall the loop.  A handler that raises is a 500.
-  A lag monitor samples the event loop's scheduling delay.
+  A lag monitor samples the event loop's scheduling delay into a
+  histogram (a node's is ``backdroid_event_loop_lag_seconds``).
 * :class:`HTTPRoutes` — the request conventions behind ``handle``:
   target normalization, query flags, method dispatch (501 for any
   method but GET, POST and DELETE) and submission-body decoding.
@@ -71,7 +72,6 @@ import json
 import socket
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from http.client import responses as _http_reasons
 from typing import Callable, Optional
@@ -79,7 +79,11 @@ from urllib import request as urlrequest
 from urllib.error import HTTPError, URLError
 
 from repro.api.registry import builtin_rules
-from repro.api.request import AnalysisRequest, analysis_request_from_payload
+from repro.api.request import (
+    REQUEST_OVERRIDE_KEYS,
+    AnalysisRequest,
+    analysis_request_from_payload,
+)
 from repro.service.jobs import (
     CANCEL_CONFLICT,
     CANCEL_TERMINAL,
@@ -88,7 +92,7 @@ from repro.service.jobs import (
 )
 from repro.service.scheduler import StoreAwareScheduler
 from repro.telemetry.logs import get_logger
-from repro.telemetry.quantiles import quantile
+from repro.telemetry.metrics import Histogram
 from repro.workload.corpus import app_spec_from_request
 
 _log = get_logger("repro.service.server")
@@ -100,6 +104,12 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: sub-millisecond range and pathological past tens of milliseconds.
 LAG_BUCKETS = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0,
+)
+
+#: The keys a node accepts in a ``POST /v1/jobs`` body: the app spec,
+#: the per-job overrides and a cluster front end's trace context.
+SUBMISSION_KEYS = frozenset(
+    ("app", "scale", "year", "index", *REQUEST_OVERRIDE_KEYS, "trace")
 )
 
 #: Largest request body a submission may carry (a spec is tiny; anything
@@ -209,14 +219,10 @@ class ServiceAPI(HTTPRoutes):
         #: rejected with 503; reads and cancels keep working so clients
         #: can collect results from the drain.
         self.draining = False
-        self._m_requests = (
-            scheduler.metrics.counter(
-                "backdroid_http_requests_total",
-                "HTTP requests served, by method and status.",
-                ("method", "status"),
-            )
-            if scheduler.metrics is not None
-            else None
+        self._m_requests = scheduler.metrics.counter(
+            "backdroid_http_requests_total",
+            "HTTP requests served, by method and status.",
+            ("method", "status"),
         )
 
     # ------------------------------------------------------------------
@@ -225,8 +231,7 @@ class ServiceAPI(HTTPRoutes):
     ) -> tuple[int, object, bool]:
         """Route one request (see :class:`HTTPRoutes`) and count it."""
         result = super().handle(method, target, body)
-        if self._m_requests is not None:
-            self._m_requests.inc(method=method, status=str(result[0]))
+        self._m_requests.inc(method=method, status=str(result[0]))
         return result
 
     def _get(self, path: str, query: dict) -> tuple[int, object, bool]:
@@ -234,12 +239,6 @@ class ServiceAPI(HTTPRoutes):
         if path == "/healthz":
             return 200, {"ok": True}, False
         if path == "/metrics":
-            if scheduler.metrics is None:
-                return (
-                    404,
-                    {"error": "metrics are disabled on this service"},
-                    True,
-                )
             return 200, scheduler.metrics.render_prometheus(), False
         if path == "/v1/stats":
             payload = scheduler.stats()
@@ -273,6 +272,12 @@ class ServiceAPI(HTTPRoutes):
         scheduler = self.scheduler
         try:
             payload = self._submission(body)
+            unknown = sorted(set(payload) - SUBMISSION_KEYS)
+            if unknown:
+                raise ValueError(
+                    f"unknown submission key(s) {unknown}: "
+                    f"choose from {sorted(SUBMISSION_KEYS)}"
+                )
             spec = app_spec_from_request(payload)
             request = analysis_request_from_payload(
                 payload,
@@ -355,8 +360,9 @@ class HTTPTransport:
     or header line past the stream's 64 KiB limit is a 414 or 431, more
     than :data:`MAX_HEADERS` header lines a 431, and a bad or oversized
     ``Content-Length`` a 400 — each answered unread, with the
-    connection closed.  ``lag_histogram`` (optional) observes every
-    lag-monitor sample.
+    connection closed.  ``lag_histogram`` observes every lag-monitor
+    sample and its recent window feeds :meth:`lag_seconds`; without
+    one, the samples go to a histogram no registry exports.
     """
 
     def __init__(
@@ -376,10 +382,11 @@ class HTTPTransport:
         self._stop: Optional[asyncio.Event] = None
         self._started = threading.Event()
         self._startup_error: Optional[BaseException] = None
-        #: Recent event-loop scheduling delays (seconds over the
-        #: monitor's intended sleep).
-        self._lag_samples: deque = deque(maxlen=512)
-        self._lag_histogram = lag_histogram
+        #: Event-loop scheduling delays (seconds over the monitor's
+        #: intended sleep).
+        self._lag_histogram = lag_histogram or Histogram(
+            "event_loop_lag_seconds", "", buckets=LAG_BUCKETS
+        )
 
     @property
     def address(self) -> tuple[str, int]:
@@ -499,7 +506,10 @@ class HTTPTransport:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                # A cancel landing here would end the task cancelled,
+                # and the stream callback's log record of it would keep
+                # the stopped server alive through its traceback.
                 pass
 
     async def _read_request(self, reader) -> Optional[tuple]:
@@ -612,20 +622,20 @@ class HTTPTransport:
         while True:
             before = loop.time()
             await asyncio.sleep(LAG_SAMPLE_INTERVAL)
-            lag = max(0.0, loop.time() - before - LAG_SAMPLE_INTERVAL)
-            self._lag_samples.append(lag)
-            if self._lag_histogram is not None:
-                self._lag_histogram.observe(lag)
+            self._lag_histogram.observe(
+                max(0.0, loop.time() - before - LAG_SAMPLE_INTERVAL)
+            )
 
     def lag_seconds(self) -> dict:
         """Event-loop lag percentiles over the recent samples."""
-        # Shared quantile helper: sub-two-sample windows report null
-        # (a fresh server has no lag distribution yet, not a zero one).
-        samples = sorted(self._lag_samples)
+        # The histogram's window and quantile helper: sub-two-sample
+        # windows report null (a fresh server has no lag distribution
+        # yet, not a zero one).
+        lag = self._lag_histogram
         return {
-            "p50": quantile(samples, 0.50),
-            "p99": quantile(samples, 0.99),
-            "max": quantile(samples, 1.0),
+            "p50": lag.quantile(0.50),
+            "p99": lag.quantile(0.99),
+            "max": lag.quantile(1.0),
         }
 
 
@@ -654,14 +664,10 @@ class AnalysisServer:
             self.api.handle,
             host,
             port,
-            lag_histogram=(
-                scheduler.metrics.histogram(
-                    "backdroid_event_loop_lag_seconds",
-                    "Event-loop scheduling delay per lag-monitor sample.",
-                    buckets=LAG_BUCKETS,
-                )
-                if scheduler.metrics is not None
-                else None
+            lag_histogram=scheduler.metrics.histogram(
+                "backdroid_event_loop_lag_seconds",
+                "Event-loop scheduling delay per lag-monitor sample.",
+                buckets=LAG_BUCKETS,
             ),
         )
 
@@ -895,15 +901,15 @@ class ServiceClient:
 
     def stats(self) -> dict:
         """The ``/v1/stats`` payload: lanes, jobs, warm rate, store,
-        and (when enabled) the embedded metrics snapshot.  Read-only
+        and the embedded metrics snapshot.  Read-only
         observability path: never retried, so a probe during shutdown
         fails fast instead of backing off."""
         return self._request("GET", "/v1/stats", retries=0)[1]
 
     def metrics(self) -> str:
         """The raw Prometheus exposition text from ``/metrics``.
-        Retry-free like :meth:`stats`; raises :class:`ServiceError`
-        when the server runs with metrics disabled (HTTP 404)."""
+        Retry-free like :meth:`stats`; raises :class:`ServiceError` on
+        an error status."""
         status, body = self._request("GET", "/metrics", retries=0, raw=True)
         if status >= 400:
             raise ServiceError(status, f"HTTP {status}: {body.strip()}")

@@ -11,7 +11,8 @@ Three consumers read a registry:
 
 * ``GET /metrics`` — :meth:`MetricsRegistry.render_prometheus`
   (text exposition format 0.0.4);
-* ``GET /v1/stats`` — :meth:`MetricsRegistry.as_dict` embedded under a
+* ``GET /v1/stats`` — the scheduler's job counts are read from its
+  instruments, and :meth:`MetricsRegistry.as_dict` is embedded under a
   ``"metrics"`` key for backward-compatible JSON scraping;
 * gauge callbacks — externally-owned values (lane depth, live store
   counters, worker restarts) are registered once with
@@ -224,6 +225,13 @@ class Histogram(_Instrument):
             state = self._series.get(key)
             recent = list(state["recent"]) if state else []
         return quantile(recent, fraction)
+
+    def sum(self, **labels) -> float:
+        """The total of every observation into one series."""
+        key = self._key(labels)
+        with self._lock:
+            state = self._series.get(key)
+            return state["sum"] if state else 0.0
 
     def collect(self) -> list:
         out = []

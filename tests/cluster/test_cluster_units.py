@@ -329,7 +329,12 @@ class TestFrontEndOverInProcessNodes:
 
     @pytest.mark.parametrize(
         "override",
-        [{"rules": "ssl"}, {"max_frames": -1}, {"rules": ["nope"]}],
+        [
+            {"rules": "ssl"},
+            {"max_frames": -1},
+            {"rules": ["nope"]},
+            {"rule": ["ssl-verifier"]},
+        ],
     )
     def test_a_node_400_is_relayed_without_failover_or_record(
         self, cluster, override

@@ -42,33 +42,48 @@ class TestCrossHandlerDataflow:
         assert report.records[0].facts_repr[0] == '"AES/ECB/PKCS5Padding"'
 
 
+def _chain_apk(depth):
+    """``onCreate`` passes a constant down a linear chain of ``depth``
+    static helpers; the last one hands it to ``Cipher.getInstance``."""
+    app = AppBuilder()
+    manifest = Manifest("com.e")
+    main = _registered(app, manifest, "com.e.Main")
+    helper = app.new_class("com.e.H")
+    for level in range(depth):
+        m = helper.method(f"s{level}", params=["java.lang.String"], static=True)
+        arg = m.param(0)
+        if level == depth - 1:
+            m.invoke_static(
+                "javax.crypto.Cipher", "getInstance", args=[arg],
+                params=["java.lang.String"], returns="javax.crypto.Cipher",
+            )
+        else:
+            m.invoke_static("com.e.H", f"s{level + 1}", args=[arg],
+                            params=["java.lang.String"])
+        m.return_void()
+    oc = main.method("onCreate", params=["android.os.Bundle"])
+    oc.this()
+    oc.param(0)
+    t = oc.const_string("AES/ECB/PKCS5Padding")
+    oc.invoke_static("com.e.H", "s0", args=[t], params=["java.lang.String"])
+    oc.return_void()
+    return Apk(package="com.e", classes=app.build(), manifest=manifest)
+
+
+class _CountingSlicer(BackwardSlicer):
+    """Counts the frames a walk processes."""
+
+    processed = 0
+
+    def _process(self, ssg, frame):
+        self.processed += 1
+        super()._process(ssg, frame)
+
+
 class TestRobustness:
     def test_frame_budget_exhaustion_is_noted_not_fatal(self):
-        app = AppBuilder()
-        manifest = Manifest("com.e")
-        main = _registered(app, manifest, "com.e.Main")
-        helper = app.new_class("com.e.H")
         # A long linear chain to burn frames.
-        depth = 30
-        for level in range(depth):
-            m = helper.method(f"s{level}", params=["java.lang.String"], static=True)
-            arg = m.param(0)
-            if level == depth - 1:
-                m.invoke_static(
-                    "javax.crypto.Cipher", "getInstance", args=[arg],
-                    params=["java.lang.String"], returns="javax.crypto.Cipher",
-                )
-            else:
-                m.invoke_static("com.e.H", f"s{level + 1}", args=[arg],
-                                params=["java.lang.String"])
-            m.return_void()
-        oc = main.method("onCreate", params=["android.os.Bundle"])
-        oc.this()
-        oc.param(0)
-        t = oc.const_string("AES/ECB/PKCS5Padding")
-        oc.invoke_static("com.e.H", "s0", args=[t], params=["java.lang.String"])
-        oc.return_void()
-        apk = Apk(package="com.e", classes=app.build(), manifest=manifest)
+        apk = _chain_apk(30)
 
         tight = BackDroid(BackDroidConfig(sink_rules=("crypto-ecb",), max_frames=5))
         report = tight.analyze(apk)
@@ -79,6 +94,29 @@ class TestRobustness:
 
         generous = BackDroid(BackDroidConfig(sink_rules=("crypto-ecb",)))
         assert generous.analyze(apk).vulnerable
+
+    def test_budget_note_only_when_the_budget_cut_the_walk(self):
+        from repro.android.framework import sinks_for_rules
+        from repro.core.backdroid import find_sink_call_sites
+        from repro.search.engine import CallerResolutionEngine
+
+        apk = _chain_apk(3)
+        engine = CallerResolutionEngine(apk)
+        (site,) = find_sink_call_sites(
+            apk, engine, sinks_for_rules(("crypto-ecb",))
+        )
+        walk = _CountingSlicer(apk, engine)
+        assert "frame budget exhausted" not in walk.slice_sink(site).notes
+        needed = walk.processed
+        assert needed >= 2
+        # A budget of exactly the frames the walk needs finishes it.
+        exact = BackwardSlicer(apk, engine, max_frames=needed)
+        ssg = exact.slice_sink(site)
+        assert "frame budget exhausted" not in ssg.notes
+        assert ssg.reached_entry
+        # One frame fewer leaves a frame unprocessed.
+        short = BackwardSlicer(apk, engine, max_frames=needed - 1)
+        assert "frame budget exhausted" in short.slice_sink(site).notes
 
     def test_sink_in_unparseable_position_ignored(self):
         """A sink signature appearing only in a method header (no

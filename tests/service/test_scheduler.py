@@ -131,7 +131,7 @@ class TestDedup:
             scheduler.shutdown(wait=True)
 
         assert calls == [spec.package]  # exactly one analysis ran
-        assert scheduler.analyses_run == 1
+        assert scheduler.stats()["analyses_run"] == 1
         assert first_done.state == "done" and second_done.state == "done"
         assert first_done.result == second_done.result
         assert second_done.result is first_done.result  # shared, not copied
@@ -182,7 +182,7 @@ class TestDedup:
             learned.set()
             release.set()
             scheduler.shutdown(wait=True)
-        assert scheduler.analyses_run == 1
+        assert scheduler.stats()["analyses_run"] == 1
 
     def test_failed_analysis_fails_both_jobs(self, tmp_path, monkeypatch):
         release = threading.Event()
@@ -301,7 +301,7 @@ class TestRequests:
         ssl_rules = {rule for rule, _ in ssl_done.result["findings"]}
         assert crypto_rules <= {"crypto-ecb"}
         assert ssl_rules <= {"ssl-verifier"}
-        assert scheduler.analyses_run == 2
+        assert scheduler.stats()["analyses_run"] == 2
 
     def test_jobs_share_one_warm_session_per_app(self, tmp_path):
         config = BackDroidConfig(search_backend="indexed")
@@ -360,7 +360,7 @@ class TestCancellation:
         assert sum(lane["cancelled"] for lane in lanes.values()) == 1
         assert sum(lane["completed"] for lane in lanes.values()) == 1
         assert all(lane["depth"] == 0 for lane in lanes.values())
-        assert scheduler.analyses_run == 1  # the cancelled job never ran
+        assert scheduler.stats()["analyses_run"] == 1  # the cancelled job never ran
 
     def test_running_job_cancels_when_worker_finishes(self, tmp_path, monkeypatch):
         started = threading.Event()

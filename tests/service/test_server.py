@@ -3,7 +3,13 @@
 import pytest
 
 from repro.core import BackDroidConfig, analyze_spec
-from repro.service import AnalysisServer, ServiceClient, StoreAwareScheduler
+from repro.service import (
+    AnalysisServer,
+    ServiceClient,
+    ServiceError,
+    StoreAwareScheduler,
+)
+from repro.service.server import SUBMISSION_KEYS
 from repro.workload.corpus import benchmark_app_spec
 
 SCALE = 0.05
@@ -127,6 +133,30 @@ class TestRequestOverrides:
             service.submit(
                 {"app": "bench:0", "scale": SCALE, "hierarchy": "yes"}
             )
+
+    def test_unknown_keys_are_400_and_named(self, service):
+        # A misspelled override must not silently run the defaults.
+        with pytest.raises(ServiceError, match=r"\['rule', 'sinks'\]") as exc:
+            service.submit({
+                "app": "bench:0", "scale": SCALE,
+                "rule": ["ssl-verifier"], "sinks": [],
+            })
+        assert exc.value.status == 400
+        assert service.jobs() == []
+
+    def test_every_accepted_key_at_once_is_202(self, service):
+        assert SUBMISSION_KEYS == {
+            "app", "scale", "year", "index", "rules", "backend",
+            "max_frames", "hierarchy", "trace",
+        }
+        job = service.submit({
+            "app": "bench:0", "scale": SCALE, "year": 2016, "index": 0,
+            "rules": ["crypto-ecb"], "backend": "indexed",
+            "max_frames": 100, "hierarchy": False,
+            "trace": {"trace_id": "t" * 32, "span_id": "s" * 16},
+        })
+        assert job["package"] == "com.bench.app000"
+        assert service.wait(job["id"], timeout=60)["state"] == "done"
 
     def test_default_submission_carries_no_request(self, service):
         job = service.submit({"app": "bench:0", "scale": SCALE})
@@ -296,6 +326,28 @@ class TestShutdownDrain:
             # Reference counting alone frees the scheduler and the
             # apps its session cache held.
             assert stopped() is None and sessions() is None
+        finally:
+            gc.enable()
+
+    def test_a_handler_parked_in_wait_closed_does_not_keep_it_alive(
+        self, parked_close
+    ):
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            scheduler = StoreAwareScheduler(
+                BackDroidConfig(search_backend="indexed"), workers=1
+            )
+            server = AnalysisServer(scheduler, port=0).start()
+            # The client closes each connection after its response.
+            ServiceClient(*server.address).stats()
+            assert parked_close.wait(timeout=5.0)
+            server.shutdown(drain=True)  # the cancel lands in the wait
+            stopped = weakref.ref(scheduler)
+            del scheduler, server
+            assert stopped() is None
         finally:
             gc.enable()
 

@@ -228,15 +228,6 @@ class TestDisabledTelemetry:
             assert done.trace is None
             assert done.as_dict(include_trace=True)["trace"] is None
 
-    def test_metrics_disabled_stats_say_none(self, tmp_path):
-        with StoreAwareScheduler(
-            _config(tmp_path), workers=1, enable_metrics=False
-        ) as scheduler:
-            job = scheduler.submit(benchmark_app_spec(0, scale=SCALE))
-            assert scheduler.wait(job.id, timeout=60).state == "done"
-            assert scheduler.metrics is None
-            assert scheduler.stats()["metrics"] is None
-
 
 class TestSchedulerMetrics:
     def test_instruments_cover_the_job_lifecycle(self, tmp_path):
@@ -320,24 +311,3 @@ class TestHttpTelemetry:
         text = service.metrics()
         assert "# TYPE backdroid_event_loop_lag_seconds histogram" in text
 
-
-class TestMetricsDisabledOverHttp:
-    @pytest.fixture
-    def no_metrics_service(self, tmp_path):
-        scheduler = StoreAwareScheduler(
-            _config(tmp_path), workers=1, enable_metrics=False
-        )
-        server = AnalysisServer(scheduler, port=0)
-        server.start()
-        host, port = server.address
-        try:
-            yield ServiceClient(host=host, port=port)
-        finally:
-            server.shutdown()
-
-    def test_metrics_endpoint_is_404(self, no_metrics_service):
-        with pytest.raises(ValueError, match="404"):
-            no_metrics_service.metrics()
-
-    def test_stats_still_work(self, no_metrics_service):
-        assert no_metrics_service.stats()["metrics"] is None

@@ -290,6 +290,20 @@ def test_shutdown_with_an_idle_keep_alive_connection_logs_nothing(
     assert errors == [], [r.getMessage() for r in errors]
 
 
+@pytest.mark.parametrize("kind", sorted(SERVERS))
+def test_shutdown_with_a_handler_parked_in_wait_closed_logs_nothing(
+    kind, tmp_path, caplog, parked_close
+):
+    server = SERVERS[kind](tmp_path).start()
+    request = _get("/healthz", headers="Connection: close\r\n")
+    assert [r[0] for r in _exchange(server.address, request)] == [200]
+    assert parked_close.wait(timeout=5.0)
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        _stop(server)
+    errors = [r for r in caplog.records if r.name == "asyncio"]
+    assert errors == [], [r.getMessage() for r in errors]
+
+
 def test_front_end_answers_healthz_while_forwards_hang(tmp_path, monkeypatch):
     # The only node accepts connections (the kernel completes them into
     # the listen backlog) but never answers.  More forwards than the
