@@ -76,7 +76,7 @@ from benchmarks.conftest import emit_table, render_table  # noqa: E402
 from repro.core import BackDroidConfig, analyze_spec  # noqa: E402
 from repro.search.backends.indexed import TokenIndex  # noqa: E402
 from repro.service import AnalysisServer, StoreAwareScheduler  # noqa: E402
-from repro.store import ArtifactStore  # noqa: E402
+from repro.store import ArtifactStore, LazyTokenIndex  # noqa: E402
 from repro.telemetry.quantiles import quantile  # noqa: E402
 from repro.workload.corpus import benchmark_app_spec  # noqa: E402
 from repro.workload.generator import (  # noqa: E402
@@ -137,14 +137,14 @@ def run_warm_restore(root: str, smoke: bool) -> dict:
     n_libs, classes = (8, 6) if smoke else (14, 8)
     repeats = 3 if smoke else 5
     apk = _restore_app(n_libs, classes)
-    fresh = TokenIndex.for_disassembly(apk.disassembly)
+    fresh = TokenIndex(apk.disassembly)
     needle = _needle(fresh)
 
     store = ArtifactStore(Path(root) / "restore")
-    store.save_index(apk.disassembly, fresh)
+    store.save_index(apk.disassembly)
     lazy_s = _time_warm_restores(store, apk.disassembly, needle, repeats)
     lazy = store.load_index(apk.disassembly)
-    assert getattr(lazy, "lazy", False), \
+    assert isinstance(lazy, LazyTokenIndex), \
         "a warm restore must take the lazy path"
     assert lazy.token_lines(needle) == fresh.token_lines(needle)
     return {

@@ -15,7 +15,7 @@ from repro.android.framework import framework_pool
 from repro.android.manifest import Manifest
 from repro.dex import disassembler
 from repro.dex.disassembler import Disassembly
-from repro.dex.hierarchy import ClassPool, DexClass
+from repro.dex.hierarchy import ClassPool
 from repro.telemetry import tracing
 
 
@@ -89,9 +89,6 @@ class Apk:
         self._disassembly = None
 
     # ------------------------------------------------------------------
-    def app_class(self, name: str) -> Optional[DexClass]:
-        return self.classes.get(name)
-
     def method_count(self) -> int:
         return self.classes.method_count()
 

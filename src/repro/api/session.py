@@ -245,9 +245,9 @@ class AnalysisSession:
             )
             search_span.set_attr("sites", len(sites))
             index_obj = getattr(backend, "_index", None)
-            if index_obj is not None and getattr(index_obj, "lazy", False):
+            if index_obj is not None:
                 # The search is what faults shard groups in, so the
-                # laziness counters belong on this span.
+                # decode counters belong on this span.
                 search_span.set_attrs(
                     materialized_groups=index_obj.materialized_groups,
                     bytes_mapped=index_obj.bytes_mapped,

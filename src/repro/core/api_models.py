@@ -279,10 +279,6 @@ def _intent_get_action(call: ApiCall) -> ApiResult:
     return ApiResult(result=UnknownFact("getAction"))
 
 
-def _identity_base(call: ApiCall) -> ApiResult:
-    return ApiResult(result=call.base_fact or UnknownFact("identity"))
-
-
 #: (class name, method name) -> model.
 API_MODELS: dict[tuple[str, str], ApiModel] = {
     ("java.lang.StringBuilder", "<init>"): _sb_init,

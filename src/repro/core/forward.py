@@ -21,7 +21,6 @@ return-value map that stitches contained methods to their call sites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.android.apk import Apk
 from repro.core.api_models import ApiCall, framework_constant, lookup_model
@@ -137,12 +136,6 @@ class ForwardPropagation:
             else:
                 facts[index] = UnknownFact("argument missing")
         return facts
-
-    def local_fact(self, method: MethodSignature, local_name: str) -> Optional[Fact]:
-        return self._locals.get((method, local_name))
-
-    def field_fact(self, fieldsig: FieldSignature) -> Optional[Fact]:
-        return self._fields.get(fieldsig)
 
     # ------------------------------------------------------------------
     # Fact lookup

@@ -113,9 +113,6 @@ class SSG:
             self._units[key] = unit
         return unit
 
-    def unit_at(self, method: MethodSignature, stmt_index: int) -> Optional[SSGUnit]:
-        return self._units.get((method, stmt_index))
-
     def add_flow_edge(self, producer: SSGUnit, consumer: SSGUnit) -> None:
         """A forward dataflow/control edge: *producer* feeds *consumer*."""
         if producer.uid == consumer.uid:

@@ -186,8 +186,3 @@ def merge_facts(facts: Iterable[Fact]) -> Fact:
     if len(flattened) > _MERGE_WIDTH_LIMIT:
         return UnknownFact(f"merge wider than {_MERGE_WIDTH_LIMIT}")
     return MultiFact(options=tuple(flattened))
-
-
-def facts_equal(left: Optional[Fact], right: Optional[Fact]) -> bool:
-    """Equality helper tolerating ``None`` (used by the fixpoint loop)."""
-    return left == right

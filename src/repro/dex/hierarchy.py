@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
-from repro.dex.instructions import Stmt, invoked_signatures, referenced_classes
+from repro.dex.instructions import Stmt, referenced_classes
 from repro.dex.types import FieldSignature, MethodSignature
 
 JAVA_LANG_OBJECT = "java.lang.Object"
@@ -457,10 +457,3 @@ class ClassPool:
                     users.add(cls.name)
                     break
         return sorted(users)
-
-    def all_invoked_signatures(self) -> Iterator[tuple[DexMethod, MethodSignature]]:
-        """Yield (containing method, invoked signature) for the whole app."""
-        for cls in self.application_classes():
-            for method in cls.methods:
-                for sig in invoked_signatures(method.body):
-                    yield method, sig

@@ -275,13 +275,3 @@ class FieldSignature:
 
     def __str__(self) -> str:
         return self.to_soot()
-
-
-def escape_for_search(text: str) -> str:
-    """Escape a signature for use inside a regular-expression search.
-
-    dexdump signatures contain ``$ ( ) [ ;`` which are all regex
-    metacharacters; the search index works on raw regexes, so every literal
-    signature must be escaped before being embedded in a pattern.
-    """
-    return re.escape(text)

@@ -44,14 +44,17 @@ class BackendStats:
     #: fresh build or a full-shard restore; > 0 marks a warm-partial
     #: restore that patched only the missing groups).
     shards_patched: int = 0
+    #: The library groups' summed vocabulary sizes (a token text found
+    #: in two groups counts twice), equal on a cold build and on any
+    #: restore of the same app.
     vocab_size: int = 0
     posting_entries: int = 0
-    #: Shard groups a lazy restore has decoded so far (0 for fresh
-    #: builds and eager restores — laziness observables, ISSUE 6).
+    #: Shard groups a restored index has decoded so far (0 for fresh
+    #: builds, which map nothing).
     materialized_groups: int = 0
-    #: Shard bytes mmapped by a lazy restore (0 when eager).
+    #: Shard bytes mmapped by a restored index (0 for fresh builds).
     bytes_mapped: int = 0
-    #: Shard bytes actually decoded by a lazy restore; the gap to
+    #: Shard bytes actually decoded by a restored index; the gap to
     #: ``bytes_mapped`` is what laziness avoided paying.
     bytes_decoded: int = 0
 

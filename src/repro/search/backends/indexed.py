@@ -4,8 +4,8 @@ The disassembler already knows, while rendering, which substrings of each
 line a bytecode search could target (method/field signatures, type
 descriptors, quoted literals) and emits them as one token stream per
 library group (:attr:`~repro.dex.disassembler.Disassembly.group_tokens`).
-This backend folds each group's stream once (:func:`fold_tokens`) and
-composes the folds into
+This backend folds each group's stream once (:func:`fold_tokens`) into a
+group :class:`TokenIndex` of
 
 * ``exact``      — token text -> posting list of line numbers, so the
   hot queries (``find_invocations``, ``find_field_accesses``) become a
@@ -18,8 +18,12 @@ composes the folds into
 * a tiny *vocabulary scan* fallback for needle shapes the index does not
   recognise — still far smaller than the full plaintext.
 
-Arbitrary literal/regex queries fall back to the shared linear scan and
-are counted in the backend stats, so the index's coverage is observable.
+The app's index asks each group in turn and concatenates the answers in
+line order (:class:`~repro.store.lazy.LazyTokenIndex`); a cold build and
+a store restore serve the same index, over in-memory folds or mapped
+shards.  Arbitrary literal/regex queries fall back to the shared linear
+scan and are counted in the backend stats, so the index's coverage is
+observable.
 
 The index is built lazily on first query and memoized on the
 :class:`Disassembly`, so every searcher over one app shares one build.
@@ -28,15 +32,17 @@ The group folds are the ones the artifact store publishes as shards.
 
 from __future__ import annotations
 
-import bisect
 import re
 import time
 import weakref
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.dex.disassembler import Disassembly
 from repro.search.backends.base import JoinedText, SearchBackend
 from repro.telemetry import tracing
+
+if TYPE_CHECKING:
+    from repro.store.lazy import LazyTokenIndex
 
 #: A bare dex reference-type descriptor, possibly array-wrapped.
 _DESCRIPTOR_RE = re.compile(r"\[*L[^;]+;")
@@ -86,56 +92,45 @@ def fold_tokens(
 
 
 class TokenIndex:
-    """Posting lists keyed by dex tokens, built once per disassembly."""
+    """Posting lists over one fold: a library group's mini-index.
+
+    An app's index (:meth:`for_disassembly`) asks each of its library
+    groups in turn, and each group answers with one of these.
+    """
 
     def __init__(self, disassembly: Disassembly) -> None:
         """Fold the app-wide token stream directly, in one piece.
 
         No job path folds a whole app this way: this is the reference
-        that :meth:`for_disassembly`'s composed index must equal, which
-        the parity suite checks.
+        whose answers every app index must equal, which the parity suite
+        checks.
         """
-        started = time.perf_counter()
-        self.restored = False
-        #: Shard groups the store re-folded while restoring this index
-        #: (0 for fresh builds and full-shard restores).
-        self.patched_groups = 0
-        self.vocab, self.postings, self._string_ids, self.containing = (
-            fold_tokens(
-                (token.line_no, token.kind, token.text)
-                for token in disassembly.tokens
-            )
-        )
-        self.exact = {text: tid for tid, text in enumerate(self.vocab)}
-        self._joined_vocab: Optional[JoinedText] = None
-        self._joined_strings: Optional[JoinedText] = None
-        self.posting_entries = sum(len(p) for p in self.postings)
-        self.build_seconds = time.perf_counter() - started
+        self._wrap(*fold_tokens(
+            (token.line_no, token.kind, token.text)
+            for token in disassembly.tokens
+        ))
 
     # ------------------------------------------------------------------
     @classmethod
-    def for_disassembly(cls, disassembly: Disassembly) -> "TokenIndex":
+    def for_disassembly(cls, disassembly: Disassembly) -> LazyTokenIndex:
         """The app's index, built once per disassembly (memoized).
 
         Each library group is folded once (:meth:`ShardGroup.fold
-        <repro.store.sharding.ShardGroup.fold>`) and the folds are
-        merged in line order (:func:`~repro.store.sharding.compose_index`),
-        which equals a direct fold of the app-wide stream.  A store
-        attached to the same disassembly publishes these folds as its
-        shards instead of folding again.
+        <repro.store.sharding.ShardGroup.fold>`) and answers for its own
+        lines (:class:`~repro.store.lazy.LazyTokenIndex`), exactly as a
+        restored index's groups do.  A store attached to the same
+        disassembly publishes these folds as its shards instead of
+        folding again.
         """
         cached = getattr(disassembly, "_token_index_cache", None)
         if cached is None:
-            # Imported here: the store's sharding layer imports this
-            # module.
-            from repro.store.sharding import (
-                compose_index,
-                partition_disassembly,
-            )
+            # Imported here: the store layer imports this module.
+            from repro.store.lazy import LazyTokenIndex
+            from repro.store.sharding import partition_disassembly
 
             started = time.perf_counter()
-            cached = compose_index([
-                (group.start_line, group.fold())
+            cached = LazyTokenIndex([
+                (group.start_line, cls.from_fold(group.fold()))
                 for group in partition_disassembly(disassembly)
             ])
             cached.restored = False
@@ -145,44 +140,70 @@ class TokenIndex:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_payload(cls, payload: dict) -> "TokenIndex":
-        """Rebuild an index from its serialized posting lists.
-
-        The inverse of the artifact store's ``save_index`` payload: no
-        token-stream fold, no containment-key derivation — the restored
-        index is query-ready immediately and reports ``build_seconds ==
-        0.0``.  Raises ``KeyError``/``TypeError``/``ValueError`` on any
-        shape mismatch so the store can treat the entry as corrupt.
-        """
+    def from_fold(cls, fold: dict) -> "TokenIndex":
+        """Wrap a group's in-memory fold (:meth:`ShardGroup.fold
+        <repro.store.sharding.ShardGroup.fold>`) as it is: it came from
+        :func:`fold_tokens`, so no entry is checked or copied."""
         index = cls.__new__(cls)
-        index.restored = True
-        index.patched_groups = 0
-        index.vocab = [str(text) for text in payload["vocab"]]
-        index.postings = [
+        index._wrap(
+            fold["vocab"], fold["postings"], fold["string_ids"],
+            fold["containing"],
+        )
+        return index
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "TokenIndex":
+        """Rebuild a group's index from a decoded shard's mini-index.
+
+        No token-stream fold and no containment-key derivation, but
+        every entry is checked: raises ``KeyError``/``TypeError``/
+        ``ValueError`` on any shape mismatch so the store can treat the
+        shard as corrupt.
+        """
+        vocab = [str(text) for text in payload["vocab"]]
+        postings = [
             [int(line_no) for line_no in posting]
             for posting in payload["postings"]
         ]
-        if len(index.postings) != len(index.vocab):
+        if len(postings) != len(vocab):
             raise ValueError("postings/vocab length mismatch")
-        index.exact = {text: tid for tid, text in enumerate(index.vocab)}
-        valid = range(len(index.vocab))
-        index._string_ids = [int(tid) for tid in payload["string_ids"]]
-        index.containing = {
+        string_ids = [int(tid) for tid in payload["string_ids"]]
+        containing = {
             str(sub): [int(tid) for tid in tids]
             for sub, tids in payload["containing"].items()
         }
-        for tid in index._string_ids:
+        valid = range(len(vocab))
+        for tid in string_ids:
             if tid not in valid:
                 raise ValueError("string id out of range")
-        for tids in index.containing.values():
+        for tids in containing.values():
             for tid in tids:
                 if tid not in valid:
                     raise ValueError("containment id out of range")
-        index._joined_vocab = None
-        index._joined_strings = None
-        index.posting_entries = sum(len(p) for p in index.postings)
-        index.build_seconds = 0.0
+        index = cls.__new__(cls)
+        index._wrap(vocab, postings, string_ids, containing)
         return index
+
+    def _wrap(
+        self,
+        vocab: list[str],
+        postings: list[list[int]],
+        string_ids: list[int],
+        containing: dict[str, list[int]],
+    ) -> None:
+        self.vocab = vocab
+        self.postings = postings
+        self._string_ids = string_ids
+        self.containing = containing
+        self.exact = {text: tid for tid, text in enumerate(vocab)}
+        self._joined_vocab: Optional[JoinedText] = None
+        self._joined_strings: Optional[JoinedText] = None
+        self.posting_entries = sum(map(len, postings))
+
+    @property
+    def vocab_count(self) -> int:
+        """Distinct token texts (a shard header's count of the same)."""
+        return len(self.vocab)
 
     # ------------------------------------------------------------------
     def token_lines(self, needle: str) -> list[int]:
@@ -297,12 +318,12 @@ def _containment_keys(token: str):
 
 
 class InvertedIndexBackend(SearchBackend):
-    """Dict-lookup token queries over the prebuilt :class:`TokenIndex`.
+    """Dict-lookup token queries over the app's per-group index.
 
-    With an artifact ``store`` attached, the index is composed from the
+    With an artifact ``store`` attached, the index is restored from the
     store's per-class-group shards when any exist for this disassembly
     (``index_restored`` set in the stats; a full-shard hit reports
-    ``index_build_seconds == 0.0``, a partial hit re-folds only the
+    ``index_build_seconds == 0.0``, a partial hit publishes only the
     missing groups and reports them as ``shards_patched``) and saved
     back after a cold build, so later runs over the same bytecode — or
     over *different apps embedding the same libraries* — skip the fold.
@@ -312,12 +333,12 @@ class InvertedIndexBackend(SearchBackend):
 
     def __init__(self, disassembly: Disassembly, store=None) -> None:
         super().__init__(disassembly, store=store)
-        self._index: Optional[TokenIndex] = None
+        self._index: Optional[LazyTokenIndex] = None
         self._fallback: Optional[JoinedText] = None
 
     # ------------------------------------------------------------------
     @property
-    def index(self) -> TokenIndex:
+    def index(self) -> LazyTokenIndex:
         if self._index is None:
             index = getattr(self.disassembly, "_token_index_cache", None)
             if index is None:
@@ -328,14 +349,13 @@ class InvertedIndexBackend(SearchBackend):
                     index = self.store.load_index(self.disassembly)
                     restore_span.set_attrs(
                         hit=index is not None,
-                        lazy=bool(getattr(index, "lazy", False)),
                         bytes_mapped=getattr(index, "bytes_mapped", 0),
                     )
                 if index is not None:
                     # Share the restored index with sibling searchers,
-                    # weakly: a lazy index's heal callback holds this
-                    # disassembly, so a strong reference back would be
-                    # a cycle only the cyclic collector frees.
+                    # weakly: a restored index's heal callback holds
+                    # this disassembly, so a strong reference back would
+                    # be a cycle only the cyclic collector frees.
                     self.disassembly._restored_index = weakref.ref(index)
             if index is None:
                 # Only a fold reads the token stream (a restore never
@@ -366,17 +386,12 @@ class InvertedIndexBackend(SearchBackend):
             self._index = index
             self.stats.index_build_seconds = index.build_seconds
             self.stats.index_restored = index.restored
-            if getattr(index, "lazy", False):
-                # Touching ``index.vocab`` would force the full
-                # materialization a lazy restore exists to avoid; the
-                # shard headers carry the counts.  Reading them is also
-                # where a torn shard file first surfaces (and heals),
-                # so the patch counter is read afterwards.
-                self.stats.vocab_size = index.vocab_size
-            else:
-                self.stats.vocab_size = len(index.vocab)
+            # A restored index reads the counts from its shard headers,
+            # which is also where a torn shard file first surfaces (and
+            # heals), so the patch counter is read afterwards.
+            self.stats.vocab_size = index.vocab_size
             self.stats.posting_entries = index.posting_entries
-            self.stats.shards_patched = getattr(index, "patched_groups", 0)
+            self.stats.shards_patched = index.patched_groups
         return self._index
 
     # ------------------------------------------------------------------
@@ -396,15 +411,15 @@ class InvertedIndexBackend(SearchBackend):
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:
-        """The stats snapshot, with live laziness counters.
+        """The stats snapshot, with live decode counters.
 
-        A lazy index materializes groups (and may heal shards) *after*
+        A restored index decodes groups (and may heal shards) *after*
         the index property primed the stats, so the counters are
         re-read from the index at snapshot time — this is what the
         session layer's per-request deltas diff.
         """
         index = self._index
-        if index is not None and getattr(index, "lazy", False):
+        if index is not None:
             self.stats.materialized_groups = index.materialized_groups
             self.stats.bytes_mapped = index.bytes_mapped
             self.stats.bytes_decoded = index.bytes_decoded

@@ -101,8 +101,3 @@ def icc_search(
             )
         )
     return sites
-
-
-def icc_call_sites_as_callers(sites: list[IccCallSite]) -> list[CallSite]:
-    """Adapt ICC matches into plain call sites for the slicer."""
-    return [CallSite(caller=s.caller, stmt_index=s.stmt_index) for s in sites]

@@ -97,13 +97,6 @@ class BytecodeSearcher:
             stmt_index=stmt_index,
         )
 
-    def search_literal(self, needle: str, kind: str = "raw") -> list[SearchHit]:
-        """All hits of a literal substring (cached by command)."""
-        return self.cache.get_or_run(
-            kind, needle,
-            lambda: [self._hit(n) for n in self.backend.literal_lines(needle)],
-        )
-
     def search_pattern(self, pattern: str, kind: str = "raw-regex") -> list[SearchHit]:
         """All hits of a regular expression (cached by command)."""
         return self.cache.get_or_run(

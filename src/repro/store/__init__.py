@@ -3,19 +3,19 @@
 * :mod:`repro.store.artifacts` — the content-addressed on-disk
   :class:`ArtifactStore`: per-class-group *shards* (token streams plus
   prefolded posting lists, shared across every app that embeds the same
-  library code), per-app manifests composing shards back into
-  byte-identical indexes, and finished batch outcomes — all keyed by
-  content hashes plus a format version, with atomic (rename-published)
-  writes safe under the process-pool batch executor.
-* :mod:`repro.store.sharding` — the class-group partitioner, shard
-  content addressing, and the exact composition of shard mini-indexes
-  back into one app-level :class:`~repro.search.backends.indexed.TokenIndex`.
+  library code), per-app manifests listing each app's shards, and
+  finished batch outcomes — all keyed by content hashes plus a format
+  version, with atomic (rename-published) writes safe under the
+  process-pool batch executor.
+* :mod:`repro.store.sharding` — the class-group partitioner, the group
+  folds and shard content addressing.
 * :mod:`repro.store.binshard` — the v3 mmap-friendly binary shard
   container (struct-packed sections + offset table) and the zero-copy
   :class:`LazyShardView` over one mapped shard file.
-* :mod:`repro.store.lazy` — :class:`LazyTokenIndex`, the drop-in index
-  a fully binary warm entry restores to: groups materialize on first
-  query and are LRU-bounded.
+* :mod:`repro.store.lazy` — :class:`LazyTokenIndex`, the one app index,
+  answered group by group: a cold build queries its in-memory group
+  folds, a restore faults groups in from their mapped shards on first
+  query (LRU-bounded by :data:`GROUP_CACHE`).
 
 The on-disk format is specified in ``docs/STORE_FORMAT.md``.
 """
@@ -40,7 +40,7 @@ from repro.store.binshard import (
     decode_shard,
     encode_shard,
 )
-from repro.store.lazy import DEFAULT_GROUP_CACHE, LazyTokenIndex
+from repro.store.lazy import GROUP_CACHE, LazyTokenIndex
 from repro.store.sharding import (
     KEY_VERSION,
     ShardGroup,
@@ -51,8 +51,8 @@ from repro.store.sharding import (
 
 __all__ = [
     "BIN_FORMAT_VERSION",
-    "DEFAULT_GROUP_CACHE",
     "FORMAT_VERSION",
+    "GROUP_CACHE",
     "KEY_VERSION",
     "PROBE_LEVELS",
     "WARM_LEVELS",

@@ -15,10 +15,11 @@ library prefix — see :mod:`repro.store.sharding`), each shard is keyed
 by a sha256 of its position-independent content, and the app entry
 stores a *manifest* listing shard keys instead of a monolithic blob.
 Two apps embedding the same library therefore persist that library's
-artifacts exactly once, and restoring an app composes its shards back
-into a byte-identical token stream and index — and, on an index hit,
-into the app's disassembly itself (:meth:`ArtifactStore.load_disassembly`),
-so the hit never renders the plaintext.
+artifacts exactly once.  Restoring an app serves the same per-group
+index a cold build queries, over the shards — and, on an index hit,
+composes the shards' text and layout back into the app's disassembly
+itself (:meth:`ArtifactStore.load_disassembly`), so the hit never
+renders the plaintext.
 
 Layout (see ``docs/STORE_FORMAT.md`` for the full spec)::
 
@@ -34,9 +35,9 @@ Layout (see ``docs/STORE_FORMAT.md`` for the full spec)::
 
 Restores are **lazy**: a warm entry returns a
 :class:`~repro.store.lazy.LazyTokenIndex` that mmaps each shard and
-materializes a group's posting lists only when a query touches it, so
-warm sessions pay decode cost proportional to the groups they query,
-not to the app's size.
+decodes a group's posting lists only when a query touches it, so warm
+sessions pay decode cost proportional to the groups they query, not to
+the app's size.
 
 Concurrency: batch runs write from many pool processes at once.  Every
 write goes to a same-directory temp file first and is published with an
@@ -75,11 +76,10 @@ from repro.store.binshard import (
     decode_shard,
     shard_chunks,
 )
-from repro.store.lazy import DEFAULT_GROUP_CACHE, LazyTokenIndex
+from repro.store.lazy import LazyTokenIndex
 from repro.store.sharding import (
     KEY_VERSION,
     ShardGroup,
-    compose_index,
     decode_layout,
     encode_lines,
     group_texts,
@@ -112,12 +112,12 @@ class StoreStats:
     index_hits: int = 0
     index_misses: int = 0
     #: Index restores where some (not all) shards were present: the
-    #: missing groups were re-folded and published, the rest composed
+    #: missing groups were re-folded and published, the rest served
     #: from disk.
     partial_hits: int = 0
     outcome_hits: int = 0
     outcome_misses: int = 0
-    #: Per-shard read results across all composed restores.
+    #: Per-shard presence results across all index restores.
     shard_hits: int = 0
     shard_misses: int = 0
     #: Shards re-folded from a live disassembly to repair a partial
@@ -132,8 +132,9 @@ class StoreStats:
     #: Entries that existed but were unreadable or failed validation
     #: (torn JSON, wrong version, key mismatch) and fell back to a miss.
     corrupt_entries: int = 0
-    #: Index hits served as a :class:`~repro.store.lazy.LazyTokenIndex`
-    #: (mmapped binary shards; groups decode on first query).
+    #: Index restores, full and partial hits alike: each is served as a
+    #: :class:`~repro.store.lazy.LazyTokenIndex` (mmapped binary shards;
+    #: groups decode on first query).
     lazy_restores: int = 0
     #: Shard groups lazily decoded across every lazy restore, re-faults
     #: after LRU eviction included.
@@ -349,14 +350,10 @@ class ArtifactStore:
     state lives on disk, and every publish is an atomic rename.
     """
 
-    def __init__(
-        self, root, group_cache: int = DEFAULT_GROUP_CACHE
-    ) -> None:
+    def __init__(self, root) -> None:
         """Open (lazily) the store rooted at ``root``; never touches
-        disk until the first read or write.  ``group_cache`` bounds how
-        many materialized groups each lazy restore keeps resident."""
+        disk until the first read or write."""
         self.root = Path(root)
-        self._group_cache = group_cache
         self.stats = _STATS_BY_ROOT.setdefault(
             os.path.abspath(str(self.root)), StoreStats()
         )
@@ -377,7 +374,7 @@ class ArtifactStore:
     def _shard_present(self, sha: str) -> bool:
         """Stat/size-only presence probe — never parses a payload.
 
-        Probes and the index slow path call this per shard; decoding
+        Probes and the index restore call this per shard; decoding
         there would make every probe cost O(shard bytes) instead of one
         ``stat``.
         """
@@ -592,13 +589,6 @@ class ArtifactStore:
         except ShardCorrupt:
             return "corrupt", None
 
-    def _read_shard(self, sha: str) -> Optional[dict]:
-        """A validated shard payload, or None (missing/corrupt/stale)."""
-        status, payload = self._classify_shard(sha)
-        if status in ("corrupt", "stale"):
-            self.stats.corrupt_entries += 1
-        return payload
-
     # ------------------------------------------------------------------
     # Inverted-index artifacts
     # ------------------------------------------------------------------
@@ -611,86 +601,81 @@ class ArtifactStore:
         path but is not serialized directly: shards store per-group
         mini-indexes over group-relative lines, which is what makes
         them position-independent and therefore shareable across apps.
-        Those mini-indexes are the group folds the app's index was
-        composed from (:meth:`~repro.store.sharding.ShardGroup.fold`,
-        memoized on the disassembly's shard groups), so a save after
+        Those mini-indexes are the group folds the app's index queries
+        (:meth:`~repro.store.sharding.ShardGroup.fold`, memoized on the
+        disassembly's shard groups), so a save after
         :meth:`TokenIndex.for_disassembly` publishes them without
         folding any group again.  Groups whose shards already exist —
         shared libraries — are not rewritten.
         """
         self._publish_entry(disassembly)
 
-    def load_index(self, disassembly: Disassembly) -> Optional[TokenIndex]:
-        """Compose the app's index from shards; patch missing groups.
+    def load_index(
+        self, disassembly: Disassembly
+    ) -> Optional[LazyTokenIndex]:
+        """The app's index over its shards; publishes missing groups.
 
         Three outcomes:
 
-        * every shard present — a full warm hit; the composed index is
-          byte-identical to a fresh build and reports
-          ``build_seconds == 0.0`` / ``restored`` (enforced by the
-          parity suite);
-        * some shards present — a *partial* hit: only the missing or
-          corrupt groups are re-folded from the live disassembly and
-          published back (incremental re-indexing); the result reports
-          ``patched_groups > 0`` and the patch time as
-          ``build_seconds``;
+        * every shard present — a full hit; the index reports
+          ``build_seconds == 0.0`` / ``restored``;
+        * some shards present — a *partial* hit: each group whose shard
+          is missing or empty is re-folded from the live disassembly
+          and published (incremental re-indexing), and the manifest is
+          republished; the index reports ``patched_groups > 0`` and the
+          patch time as ``build_seconds``;
         * no shards present — a plain miss (returns None); the caller
           builds fresh and saves, which publishes every shard.
 
-        A full warm hit is served as a
-        :class:`~repro.store.lazy.LazyTokenIndex` — shards are mmapped,
-        not parsed, and a group decodes on the first query that touches
-        it.
+        Either hit is served as a
+        :class:`~repro.store.lazy.LazyTokenIndex`, the index a cold
+        build queries too: shards are only stat-checked here, mmapped
+        on first use, and a group decodes on the first query that may
+        match it.  A shard that is present but damaged heals on first
+        touch.
         """
         started = time.perf_counter()
         key = store_key(disassembly)
         manifest = self._read_manifest(key)
         if manifest is not None:
-            lazy = self._lazy_from_manifest(manifest, disassembly)
-            if lazy is not None:
+            groups = [
+                (group["start_line"], group["shard"])
+                for group in manifest["groups"]
+            ]
+            if all(self._shard_present(sha) for _, sha in groups):
                 self.stats.index_hits += 1
                 self.stats.lazy_restores += 1
-                self.stats.shard_hits += len(manifest["groups"])
-                return lazy
-        # Slow path: no manifest, or a shard is missing/corrupt.  The
+                self.stats.shard_hits += len(groups)
+                return self._restored_index(groups, disassembly)
+        # Slow path: no manifest, or a shard is missing or empty.  The
         # disassembly is authoritative — partition it, hash each group,
-        # and compose from whatever shards exist (patching the rest).
+        # and publish every group whose shard is not on disk.
         groups = self._groups(disassembly)
-        present = [
-            (group, sha, self._shard_present(sha))
-            for group, sha in groups
-        ]
-        if not any(on_disk for _, _, on_disk in present):
+        present = [self._shard_present(sha) for _, sha in groups]
+        if not any(present):
             self.stats.index_misses += 1
             return None
-        parts: list[tuple[int, dict]] = []
         patched = 0
-        for group, sha, _ in present:
-            payload = self._read_shard(sha)
-            if payload is None:
-                # Missing or corrupt: re-fold just this group from the
-                # live disassembly and publish the repaired shard.
-                payload = self._write_shard(group, sha)
-                self.stats.shard_misses += 1
-                self.stats.shards_patched += 1
-                patched += 1
-            else:
+        for (group, sha), on_disk in zip(groups, present):
+            if on_disk:
                 self.stats.shard_hits += 1
-            parts.append((group.start_line, payload))
-        try:
-            index = compose_index(parts)
-        except (KeyError, TypeError, ValueError):
-            self.stats.corrupt_entries += 1
-            self.stats.index_misses += 1
-            return None
+                continue
+            self._write_shard(group, sha)
+            self.stats.shard_misses += 1
+            self.stats.shards_patched += 1
+            patched += 1
         # Self-heal: the slow path only runs when the fast path failed
-        # — no manifest, a corrupt/stale one, or a damaged shard — so
+        # — no manifest, a corrupt/stale one, or a missing shard — so
         # republish the manifest unconditionally and the next probe
         # (and the next app sharing these groups) sees a complete
         # entry.
         self._write_json(
             self._manifest_path(key), self._manifest(key, groups)
         )
+        index = self._restored_index(
+            [(group.start_line, sha) for group, sha in groups], disassembly
+        )
+        self.stats.lazy_restores += 1
         index.patched_groups = patched
         if patched:
             index.build_seconds = time.perf_counter() - started
@@ -699,30 +684,17 @@ class ArtifactStore:
             self.stats.index_hits += 1
         return index
 
-    def _lazy_from_manifest(
-        self, manifest: dict, disassembly: Disassembly
-    ) -> Optional[LazyTokenIndex]:
-        """A lazy index over the manifest's shards, or None.
-
-        Presence is checked by ``stat`` only — no shard byte is read or
-        parsed here; the first query pays for candidacy probes and any
-        materialization.  A missing or empty shard disqualifies the
-        whole entry, and the caller falls back to the patching path.
-        """
-        parts: list[tuple[int, LazyShardView]] = []
-        for group in manifest["groups"]:
-            sha = group["shard"]
-            path = self._shard_path(sha)
-            try:
-                if path.stat().st_size <= 0:
-                    return None
-            except OSError:
-                return None
-            parts.append((group["start_line"], LazyShardView(path, sha)))
+    def _restored_index(
+        self, groups: list[tuple[int, str]], disassembly: Disassembly
+    ) -> LazyTokenIndex:
+        """The app index over ``(start_line, shard sha)`` per group, one
+        unopened :class:`LazyShardView` each."""
         return LazyTokenIndex(
-            parts,
+            [
+                (start, LazyShardView(self._shard_path(sha), sha))
+                for start, sha in groups
+            ],
             heal=self._heal_group_fn(disassembly),
-            group_cache=self._group_cache,
             stats=self.stats,
         )
 
@@ -737,7 +709,7 @@ class ArtifactStore:
         """
         def heal(index: int) -> dict:
             payload = self._write_shard(*self._groups(disassembly)[index])
-            # Laziness only heals shards that existed but could not be
+            # A heal only repairs a shard that existed but could not be
             # trusted, so every heal is also a corrupt-entry event.
             self.stats.corrupt_entries += 1
             self.stats.shards_patched += 1

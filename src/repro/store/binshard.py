@@ -582,17 +582,6 @@ class LazyShardView:
         self.bytes_decoded += length
         return self._mm[offset:offset + length]
 
-    def payload(self) -> dict:
-        """Fully decode the shard (token records included)."""
-        header = self._ensure()
-        # decode_shard re-verifies CRCs via _checked; fine — it is the
-        # cold full-restore path, not the per-query one.
-        payload = decode_shard(self._mm, self.sha)
-        self.bytes_decoded += sum(
-            length for _, _, length in header.sections.values()
-        )
-        return payload
-
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Drop the mapping (e.g. after the file was healed in place)."""

@@ -1,38 +1,43 @@
-"""The mmap-backed lazy index: groups materialize on first query.
+"""The app's token index: each library group answers for its own lines.
 
-An eager restore pays for every shard group an app embeds, but a
-targeted analysis (the paper's whole pitch) usually queries a handful
-of sinks in a handful of libraries.  :class:`LazyTokenIndex` is the
-drop-in :class:`~repro.search.backends.indexed.TokenIndex` the store
-returns for an all-binary warm entry: it holds one
-:class:`~repro.store.binshard.LazyShardView` per manifest group and
-answers ``token_lines`` by
+An app renders as library groups (:mod:`repro.store.sharding`), and
+each group folds into its own mini-index.  :class:`LazyTokenIndex` is
+the one app index.  It holds one part per group, in render order:
 
-1. classifying the needle shape exactly as ``TokenIndex`` does;
-2. testing each *unmaterialized* group for candidacy with zero-copy
-   reads (the CRC filter for exact/containment lookups, an
-   ``mmap.find`` over the vocabulary blob for substring scans) — a
-   non-candidate group contributes nothing and decodes nothing;
-3. materializing candidate groups into per-group ``TokenIndex``
-   objects (one mini-index decode each) and unioning their re-based
-   answers.
+* a cold build (:meth:`TokenIndex.for_disassembly
+  <repro.search.backends.indexed.TokenIndex.for_disassembly>`) holds
+  each group's fold in memory, as a group
+  :class:`~repro.search.backends.indexed.TokenIndex`;
+* a restore (:meth:`ArtifactStore.load_index
+  <repro.store.artifacts.ArtifactStore.load_index>`) holds one
+  :class:`~repro.store.binshard.LazyShardView` per manifest group, and a
+  group is faulted in from its mmapped shard on the first query that may
+  match it.
+
+A query (``token_lines``)
+
+1. computes the needle's bytes and CRC once;
+2. tests each mapped group not yet decoded for candidacy with zero-copy
+   reads (the CRC filter for exact/containment lookups, an ``mmap.find``
+   over the vocabulary blob for substring scans) — a non-candidate group
+   contributes nothing and decodes nothing;
+3. asks every candidate group's mini-index (one decode per faulted
+   group) and concatenates the answers, each rebased by its group's
+   start line, in line order.
 
 The union is exact, not approximate: every needle shape the index
-serves decomposes per group — composed posting lists, containment
-buckets and string/vocabulary scans are each the union of the per-group
-results re-based by the group's start line — so a lazily answered query
-equals the composed index's answer (the parity suite enforces this).
+serves decomposes per group — posting lists, containment buckets and
+string/vocabulary scans are each the union of the per-group results
+rebased by the group's start line — so the app index answers every
+query exactly as a direct fold of the app-wide token stream does (the
+parity suite checks this against ``TokenIndex(disassembly)``).
 
-Materialized groups live in a bounded LRU; eviction only costs a
-re-decode on the next fault.  Accessing a whole-index structure
-(``vocab``, ``postings``, ``exact``, ``containing``) materializes the
-index fully via :func:`~repro.store.sharding.compose_index`, keeping
-structure-identity with a fresh fold.
-
-Corruption discovered at any point — candidacy probe, mini-index
-decode, full decode — triggers the ``heal`` callback, which re-folds
-the damaged group from the live disassembly and republishes its shard
-(surfacing as ``patched_groups``/``shards_patched``).
+Decoded groups live in a bounded LRU of :data:`GROUP_CACHE` entries;
+eviction only costs a re-decode on the next fault.  Corruption
+discovered at any point — header read, candidacy probe, mini-index
+decode — triggers the ``heal`` callback, which re-folds the damaged
+group from the live disassembly and republishes its shard (surfacing
+as ``patched_groups``/``shards_patched``).
 """
 
 from __future__ import annotations
@@ -40,57 +45,57 @@ from __future__ import annotations
 import threading
 import zlib
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from repro.search.backends.indexed import _DESCRIPTOR_RE, TokenIndex
 from repro.store.binshard import LazyShardView, ShardCorrupt
-from repro.store.sharding import compose_index
 
-#: Materialized per-group indexes a lazy index keeps at once.  Eviction
-#: is safe (a re-fault re-decodes), so the bound trades resident memory
-#: for decode work on adversarial query patterns.
-DEFAULT_GROUP_CACHE = 16
+#: Decoded groups a restored index keeps at once, read when the index
+#: is built.  Eviction is safe (a re-fault re-decodes), so the bound
+#: trades resident memory for decode work on adversarial query patterns.
+GROUP_CACHE = 16
 
 
 class LazyTokenIndex:
-    """A query-compatible ``TokenIndex`` over mmapped binary shards."""
-
-    #: Marks this index as lazily materialized (backends branch on it
-    #: instead of touching structures whose access would materialize).
-    lazy = True
+    """An app's token index, answered group by group."""
 
     def __init__(
         self,
-        parts: list[tuple[int, LazyShardView]],
-        heal: Callable[[int], dict],
-        group_cache: int = DEFAULT_GROUP_CACHE,
+        parts: list[tuple[int, Union[TokenIndex, LazyShardView]]],
+        heal: Optional[Callable[[int], dict]] = None,
         stats=None,
     ) -> None:
-        """``parts`` is ``(start_line, view)`` per manifest group, in
-        render order; ``heal`` re-folds group *i* from the live
-        disassembly, republishes its shard, and returns the repaired
-        payload; ``stats`` (a ``StoreStats``) receives materialization
-        counters."""
+        """``parts`` is ``(start_line, group)`` per library group, in
+        render order: a group's in-memory fold (a cold build) or a view
+        of its published shard (a restore).  ``heal`` re-folds group *i*
+        from the live disassembly, republishes its shard, and returns
+        the repaired payload; ``stats`` (a ``StoreStats``) receives the
+        decode counters."""
         self._parts = parts
         self._heal = heal
         self._cache: OrderedDict[int, TokenIndex] = OrderedDict()
-        self._cache_size = max(1, group_cache)
+        self._cache_size = max(1, GROUP_CACHE)
         self._touched: set[int] = set()
-        self._full: Optional[TokenIndex] = None
         self._stats = stats
         self._lock = threading.Lock()
         self.restored = True
         self.build_seconds = 0.0
-        #: Groups healed from the live disassembly (mirrors the eager
-        #: restore's patch counter).
+        #: Groups the store published from the live disassembly: the
+        #: missing ones of a partial hit, then every healed one.
         self.patched_groups = 0
         #: Decoded groups dropped by the LRU bound on this index (also
         #: aggregated into ``StoreStats.group_cache_evictions``).
         self.evictions = 0
 
     # ------------------------------------------------------------------
-    # Laziness observables
+    # Observables (the decode counters stay zero where nothing is mapped)
     # ------------------------------------------------------------------
+    def _views(self) -> list[LazyShardView]:
+        return [
+            group for _, group in self._parts
+            if isinstance(group, LazyShardView)
+        ]
+
     @property
     def groups_total(self) -> int:
         return len(self._parts)
@@ -102,52 +107,49 @@ class LazyTokenIndex:
 
     @property
     def bytes_mapped(self) -> int:
-        return sum(view.bytes_mapped for _, view in self._parts)
+        return sum(view.bytes_mapped for view in self._views())
 
     @property
     def bytes_decoded(self) -> int:
-        return sum(view.bytes_decoded for _, view in self._parts)
+        return sum(view.bytes_decoded for view in self._views())
 
-    def _view_counter(self, index: int, attr: str) -> int:
-        """A header counter off one view, healing a corrupt file.
+    def _group_count(self, index: int, attr: str) -> int:
+        """One group's ``vocab_count`` or ``posting_entries``.
 
-        The restore only stat-checked the file, so the first header
-        read is where a torn or truncated shard surfaces — repair it
-        exactly like a query would.
+        A mapped group reads them from its shard header.  The restore
+        only stat-checked the file, so the first header read is where a
+        torn or truncated shard surfaces — repair it exactly like a
+        query would.
         """
-        _, view = self._parts[index]
+        _, group = self._parts[index]
         try:
-            return getattr(view, attr)
+            return getattr(group, attr)
         except ShardCorrupt:
             self._repair(index)
-            return getattr(view, attr)
+            return getattr(group, attr)
 
     @property
     def posting_entries(self) -> int:
-        """Exact: group line ranges are disjoint, so composition never
-        merges two groups' posting entries."""
-        if self._full is not None:
-            return self._full.posting_entries
+        """Exact: group line ranges are disjoint, so no two groups'
+        posting entries name the same line."""
         with self._lock:
             return sum(
-                self._view_counter(index, "posting_entries")
+                self._group_count(index, "posting_entries")
                 for index in range(len(self._parts))
             )
 
     @property
     def vocab_size(self) -> int:
-        """Exact once materialized; a per-group-sum upper bound before
-        (shared library tokens dedup only at composition)."""
-        if self._full is not None:
-            return len(self._full.vocab)
+        """The groups' summed vocabulary sizes: a token text that occurs
+        in two groups counts twice."""
         with self._lock:
             return sum(
-                self._view_counter(index, "vocab_count")
+                self._group_count(index, "vocab_count")
                 for index in range(len(self._parts))
             )
 
     # ------------------------------------------------------------------
-    # Group materialization
+    # Group faults
     # ------------------------------------------------------------------
     def _repair(self, index: int) -> dict:
         payload = self._heal(index)
@@ -156,26 +158,25 @@ class LazyTokenIndex:
         view.reset()  # the file was republished; drop the stale mapping
         return payload
 
-    def _group_payload(self, index: int) -> dict:
-        _, view = self._parts[index]
-        try:
-            return view.mini_index()
-        except ShardCorrupt:
-            return self._repair(index)
-
     def _group_index(self, index: int) -> TokenIndex:
+        _, group = self._parts[index]
+        if isinstance(group, TokenIndex):
+            return group
         cached = self._cache.get(index)
         if cached is not None:
             self._cache.move_to_end(index)
             return cached
-        payload = self._group_payload(index)
         try:
-            group = TokenIndex.from_payload(payload)
+            payload = group.mini_index()
+        except ShardCorrupt:
+            payload = self._repair(index)
+        try:
+            decoded = TokenIndex.from_payload(payload)
         except (KeyError, TypeError, ValueError):
             # CRC-clean but structurally inconsistent (a foreign or
             # buggy writer): heal exactly like bit rot.
-            group = TokenIndex.from_payload(self._repair(index))
-        self._cache[index] = group
+            decoded = TokenIndex.from_payload(self._repair(index))
+        self._cache[index] = decoded
         self._touched.add(index)
         if self._stats is not None:
             self._stats.groups_materialized += 1
@@ -184,15 +185,13 @@ class LazyTokenIndex:
             self.evictions += 1
             if self._stats is not None:
                 self._stats.group_cache_evictions += 1
-        return group
+        return decoded
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def token_lines(self, needle: str) -> list[int]:
         """Every line whose tokens contain *needle* as a substring."""
-        if self._full is not None:
-            return self._full.token_lines(needle)
         needle_bytes = needle.encode("utf-8", "surrogatepass")
         crc = zlib.crc32(needle_bytes)
         # A descriptor-shaped needle is answered purely from exact and
@@ -203,70 +202,30 @@ class LazyTokenIndex:
         filter_only = bool(_DESCRIPTOR_RE.fullmatch(needle))
         lines: list[int] = []
         with self._lock:
-            for index, (start, view) in enumerate(self._parts):
-                if index in self._cache:
-                    candidate = True  # already paid for
-                else:
+            for index, (start, group) in enumerate(self._parts):
+                mapped = isinstance(group, LazyShardView)
+                if mapped and index not in self._cache:
                     try:
-                        candidate = view.may_contain(crc) or (
+                        candidate = group.may_contain(crc) or (
                             not filter_only
-                            and view.blob_contains(needle_bytes)
+                            and group.blob_contains(needle_bytes)
                         )
                     except ShardCorrupt:
-                        candidate = True  # materialize (and heal) below
-                if not candidate:
-                    continue
-                group = self._group_index(index)
+                        candidate = True  # decode (and heal) below
+                    if not candidate:
+                        continue
                 # Group answers are sorted and group line ranges are
                 # disjoint ascending, so appending keeps global order.
                 lines.extend(
-                    start + rel for rel in group.token_lines(needle)
+                    start + rel
+                    for rel in self._group_index(index).token_lines(needle)
                 )
         return lines
-
-    # ------------------------------------------------------------------
-    # Full materialization (structure access, parity checks)
-    # ------------------------------------------------------------------
-    def materialize(self) -> TokenIndex:
-        """Compose every group; structure-identical to a fresh fold."""
-        with self._lock:
-            return self._materialize_locked()
-
-    def _materialize_locked(self) -> TokenIndex:
-        if self._full is None:
-            parts = [
-                (start, self._group_payload(index))
-                for index, (start, _) in enumerate(self._parts)
-            ]
-            full = compose_index(parts)
-            full.patched_groups = self.patched_groups
-            self._full = full
-        return self._full
-
-    @property
-    def vocab(self) -> list[str]:
-        return self.materialize().vocab
-
-    @property
-    def postings(self) -> list[list[int]]:
-        return self.materialize().postings
-
-    @property
-    def exact(self) -> dict[str, int]:
-        return self.materialize().exact
-
-    @property
-    def containing(self) -> dict[str, list[int]]:
-        return self.materialize().containing
-
-    @property
-    def _string_ids(self) -> list[int]:
-        return self.materialize()._string_ids
 
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release every mapping (tests, explicit teardown)."""
         with self._lock:
-            for _, view in self._parts:
+            for view in self._views():
                 view.close()
             self._cache.clear()

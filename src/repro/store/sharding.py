@@ -22,15 +22,14 @@ numbers relative to the group start and a prefolded mini-index
 lines.  The text and layout let an index hit rebuild the app's
 :class:`~repro.dex.disassembler.Disassembly` without rendering it.
 
-Composition is exact: merging a manifest's mini-indexes in render
-order, re-basing each shard's relative lines onto the group's recorded
-start line, reproduces a direct fold of the app-wide token stream
-structure for structure (the parity suite enforces equality on
-``vocab``, ``postings``, ``exact``, ``containing`` and the string-id
-list).  That is also how a cold app's
-:class:`~repro.search.backends.indexed.TokenIndex` is built: each group
-is folded once (:meth:`ShardGroup.fold`), the folds are composed, and
-a save publishes the same folds as the groups' shards.
+The group is also the unit of the app's index
+(:class:`~repro.store.lazy.LazyTokenIndex`): each group answers a query
+from its own mini-index over its relative lines, rebased onto the
+group's recorded start line, and the answers concatenate in line order
+to a direct fold's answer (the parity suite checks this).  A cold build
+folds each group once (:meth:`ShardGroup.fold`) and queries the folds;
+a save publishes the same folds as the groups' shards, and a restore
+queries the shards.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import struct
 from dataclasses import dataclass
 
 from repro.dex.disassembler import Disassembly, GroupColumns, group_label
-from repro.search.backends.indexed import TokenIndex, fold_tokens
+from repro.search.backends.indexed import fold_tokens
 
 #: The *content-address* version: feeds every app key and shard key.
 #: Deliberately decoupled from the store's container FORMAT_VERSION,
@@ -212,8 +211,8 @@ class ShardGroup:
         :func:`~repro.search.backends.indexed.fold_tokens` — the fold
         ``store verify`` replays.  :meth:`TokenIndex.for_disassembly
         <repro.search.backends.indexed.TokenIndex.for_disassembly>`
-        composes the app's index from these folds and a save publishes
-        them, so a cold job folds each group exactly once.
+        queries these folds group by group and a save publishes them,
+        so a cold job folds each group exactly once.
         """
         cached = self.__dict__.get("_fold")
         if cached is None:
@@ -339,7 +338,7 @@ def shard_payload(group: ShardGroup, key: str) -> dict:
     Carries every restore product: the group's text and layout (bytes;
     composed back into the app's disassembly) and its mini-index
     (:meth:`ShardGroup.fold`) — vocabulary, posting lists, string ids
-    and the local containment map, merged into per-app structures
+    and the local containment map, which a restored index queries
     without re-folding any token or re-running the containment regexes
     — plus the relative token stream the mini-index was folded from,
     which ``store verify`` refolds and hashes.
@@ -364,71 +363,3 @@ def tokens_from_shard(payload: dict) -> tuple[tuple[int, str, str], ...]:
         (int(rel), str(kind), str(text))
         for rel, kind, text in payload["tokens"]
     )
-
-
-def compose_index(parts: list[tuple[int, dict]]) -> TokenIndex:
-    """Merge group mini-indexes into one app-level :class:`TokenIndex`.
-
-    ``parts`` pairs each group's start line with its mini-index — a
-    :meth:`ShardGroup.fold` or a decoded shard payload, both of which
-    hold duplicate-free vocabularies and ascending posting lists.
-    Groups are merged in manifest (render) order, so the merged
-    vocabulary reproduces the global first-appearance order a fresh
-    fold would assign; posting lists are re-based per group and, since
-    a later group's lines all follow an earlier group's, appended; and
-    the containment map is merged by remapping each group's local token
-    ids and sorting the union — exact because a fresh build's bucket
-    for any substring is precisely the ascending list of every token
-    id whose text contains it (:func:`_containment_keys` yields each
-    substring at most once per token).  The composed index is
-    structure-for-structure identical to a fresh build, and reports
-    ``restored=True`` / ``build_seconds == 0.0``.
-
-    Raises ``KeyError``/``TypeError``/``ValueError`` on any payload
-    shape mismatch, mirroring :meth:`TokenIndex.from_payload`.
-    """
-    vocab: list[str] = []
-    postings: list[list[int]] = []
-    string_ids: list[int] = []
-    exact: dict[str, int] = {}
-    containing: dict[str, list[int]] = {}
-    for start_line, payload in parts:
-        local_vocab = payload["vocab"]
-        local_postings = payload["postings"]
-        if len(local_postings) != len(local_vocab):
-            raise ValueError("shard postings/vocab length mismatch")
-        local_strings = set(payload["string_ids"])
-        remap: list[int] = []
-        for local_tid, text in enumerate(local_vocab):
-            rebased = [start_line + rel for rel in local_postings[local_tid]]
-            tid = exact.get(text)
-            if tid is None:
-                tid = len(vocab)
-                exact[text] = tid
-                vocab.append(text)
-                postings.append(rebased)
-                if local_tid in local_strings:
-                    string_ids.append(tid)
-            else:
-                postings[tid] += rebased
-            remap.append(tid)
-        for sub, local_tids in payload["containing"].items():
-            tids = [remap[local_tid] for local_tid in local_tids]
-            merged = containing.get(sub)
-            containing[sub] = sorted(
-                tids if merged is None else set(merged).union(tids)
-            )
-
-    index = TokenIndex.__new__(TokenIndex)
-    index.restored = True
-    index.patched_groups = 0
-    index.vocab = vocab
-    index.postings = postings
-    index.exact = exact
-    index._string_ids = string_ids
-    index.containing = containing
-    index._joined_vocab = None
-    index._joined_strings = None
-    index.posting_entries = sum(len(p) for p in postings)
-    index.build_seconds = 0.0
-    return index

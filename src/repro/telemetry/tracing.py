@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import contextvars
 import os
+import random
 import threading
 import time
-import uuid
 from collections import OrderedDict
 from typing import Iterator, Optional, Union
 
@@ -47,12 +47,16 @@ _current: "contextvars.ContextVar[Optional[Span]]" = contextvars.ContextVar(
 )
 
 
+# Ids come from the module's Mersenne Twister, several times cheaper
+# than ``uuid4`` (an ``os.urandom`` call each); they need only be
+# distinct, not unguessable.  ``random`` reseeds itself in a forked
+# child, so a cold-lane worker never repeats its parent's ids.
 def _new_trace_id() -> str:
-    return uuid.uuid4().hex
+    return "%032x" % random.getrandbits(128)
 
 
 def _new_span_id() -> str:
-    return uuid.uuid4().hex[:16]
+    return "%016x" % random.getrandbits(64)
 
 
 class Span:
@@ -298,10 +302,6 @@ class Tracer:
 #: tracer; library spans land there because the ambient parent carries
 #: its tracer through the context variable.
 _default = Tracer(enabled=False)
-
-
-def default_tracer() -> Tracer:
-    return _default
 
 
 def current_span():

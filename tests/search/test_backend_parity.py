@@ -9,6 +9,7 @@ assert identical :class:`SearchHit` lists, then run the full
 
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +20,21 @@ from repro.dex.types import FieldSignature
 from repro.search.index import BytecodeSearcher
 from repro.store import ArtifactStore
 from repro.workload.corpus import benchmark_app_spec
-from repro.workload.generator import generate_app
+from repro.workload.generator import AppSpec, LibrarySpec, generate_app
 from repro.workload.paperapps import build_heyzap, build_palcomp3
+
+
+def _two_library_app():
+    """An app of three library groups: its own and two libraries'."""
+    return generate_app(AppSpec(
+        "com.v.app",
+        seed=3,
+        size_mb=0.3,
+        libraries=(
+            LibrarySpec("com.lib.one", seed=4),
+            LibrarySpec("org.sdk.two", seed=5),
+        ),
+    )).apk
 
 #: Deliberately adversarial class names: descriptors that embed each
 #: other (``La;`` is a substring of ``Lcom/La;``), inner classes, and
@@ -201,13 +215,20 @@ class TestRestoredIndexParity:
             assert warm.backend.stats.index_restored
             assert warm.backend.stats.index_build_seconds == 0.0
 
-    def test_paper_apps_restored_reports_equal(self):
+    @pytest.mark.parametrize("build", [
+        pytest.param(build_heyzap, id="heyzap"),
+        pytest.param(_two_library_app, id="two_libraries"),
+    ])
+    def test_paper_apps_restored_reports_equal(self, build):
+        # The backend stats may not depend on how the index was
+        # prepared: a cold build and an index hit report one
+        # vocabulary size, the groups' summed vocabularies.
         with tempfile.TemporaryDirectory() as root:
             config = BackDroidConfig(
                 search_backend="indexed", store_dir=root, store_mode="index"
             )
-            cold = BackDroid(config).analyze(build_heyzap())
-            warm = BackDroid(config).analyze(build_heyzap())
+            cold = BackDroid(config).analyze(build())
+            warm = BackDroid(config).analyze(build())
             assert _report_key(cold) == _report_key(warm)
             assert not cold.backend_stats["index_restored"]
             assert warm.backend_stats["index_restored"]

@@ -78,7 +78,7 @@ class TestTokenIndex:
 
     def test_invocation_query_is_exact_lookup(self):
         apk = _small_apk()
-        index = TokenIndex.for_disassembly(apk.disassembly)
+        index = TokenIndex(apk.disassembly)
         sig = MethodSignature("com.t.Callee", "run", (), "void")
         assert sig.to_dex() in index.exact
 
@@ -115,7 +115,7 @@ class TestTokenIndex:
 
     def test_descriptor_containment_covers_signatures(self):
         apk = _small_apk()
-        index = TokenIndex.for_disassembly(apk.disassembly)
+        index = TokenIndex(apk.disassembly)
         # 'Lcom/t/Callee;' occurs inside the invoke signature token.
         tids = index.containing["Lcom/t/Callee;"]
         assert any(

@@ -2,6 +2,7 @@
 metrics endpoints, and the client's observability read path."""
 
 import os
+import re
 
 import pytest
 
@@ -173,6 +174,28 @@ class TestColdCrossProcessTrace:
             assert worker["parent_id"] == dispatch["span_id"]
             assert by_name["search.sinks"]["pid"] == worker["pid"]
             assert dispatch["attrs"]["worker_pid"] == worker["pid"]
+
+    def test_span_ids_are_distinct_and_well_formed(self, tmp_path):
+        # Ids come from ``random``, which reseeds itself in a forked
+        # worker, so ids drawn on the two sides of the process boundary
+        # never repeat each other.
+        traces = []
+        with StoreAwareScheduler(
+            _config(tmp_path), workers=1, cold_executor="process"
+        ) as scheduler:
+            for index in (0, 2):
+                job = scheduler.submit(
+                    benchmark_app_spec(index, scale=SCALE)
+                )
+                done = scheduler.wait(job.id, timeout=60)
+                assert done.state == "done"
+                assert re.fullmatch(r"[0-9a-f]{32}", done.trace_id)
+                traces.append(done.trace)
+        spans = [span for trace in traces for span in trace]
+        assert len({span["pid"] for span in spans}) == 2
+        ids = [span["span_id"] for span in spans]
+        assert all(re.fullmatch(r"[0-9a-f]{16}", i) for i in ids)
+        assert len(set(ids)) == len(ids)
 
     def test_crash_respawn_keeps_one_trace_across_attempts(
         self, tmp_path, monkeypatch

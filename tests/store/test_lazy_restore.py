@@ -3,9 +3,10 @@
 Covers the laziness contract end to end: a fully binary warm entry
 restores as a :class:`LazyTokenIndex` that (1) answers every needle
 shape identically to a fresh fold, (2) decodes only the groups a query
-touches — strictly fewer bytes than full materialization, (3) survives
-LRU eviction and re-faults correctly, and (4) self-heals corrupt shard
-sections from the live disassembly.
+touches — strictly fewer bytes than a query touching every group, (3)
+survives LRU eviction and re-faults correctly, and (4) self-heals
+corrupt shard sections from the live disassembly.  Needles come from
+``TokenIndex(disassembly)``, the direct fold of the app.
 """
 
 import gc
@@ -14,12 +15,15 @@ import warnings
 
 import pytest
 
+import repro.store.lazy as lazy
 from repro.search.backends.indexed import TokenIndex, _DESCRIPTOR_RE
 from repro.search.index import BytecodeSearcher
 from repro.store import ArtifactStore, LazyShardView, store_key
 from repro.store.binshard import BIN_FORMAT_VERSION
 from repro.store.lazy import LazyTokenIndex
 from repro.workload.generator import AppSpec, LibrarySpec, generate_app
+
+from answer_parity import assert_same_answers
 
 #: Shared library specs: each package prefix becomes its own shard
 #: group, so the generated app restores as a genuinely multi-group
@@ -79,7 +83,7 @@ def _single_group_needle(fresh):
 class TestLazyRestoreShape:
     def test_full_binary_entry_restores_lazily(self, store):
         restored = _warm_lazy(store)
-        assert restored.lazy and restored.restored
+        assert restored.restored and restored.patched_groups == 0
         assert restored.build_seconds == 0.0
         assert restored.groups_total >= len(_LIBS)
         assert restored.materialized_groups == 0
@@ -87,9 +91,9 @@ class TestLazyRestoreShape:
 
 
     def test_empty_shard_takes_the_patching_path(self, store):
-        # An empty file is the one shard state the stat-only lazy check
-        # rejects: the load composes eagerly, patching just that group,
-        # and republishes so the next restore is lazy again.
+        # An empty file is the one shard state the stat-only check
+        # rejects: the load publishes just that group, republishes the
+        # manifest, and serves the same lazy index.
         apk = _build_apk()
         store.save_index(
             apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
@@ -100,72 +104,69 @@ class TestLazyRestoreShape:
         assert store.probe(key).level == "partial"
 
         restored = store.load_index(_build_apk().disassembly)
-        assert restored is not None
-        assert not getattr(restored, "lazy", False)
+        assert isinstance(restored, LazyTokenIndex)
         assert restored.patched_groups == 1
-        fresh = TokenIndex.for_disassembly(_build_apk().disassembly)
-        assert restored.vocab == fresh.vocab
-        assert restored.postings == fresh.postings
+        assert restored.materialized_groups == 0
         assert victim.stat().st_size > 0
-        assert isinstance(
-            store.load_index(_build_apk().disassembly), LazyTokenIndex
-        )
+        assert store.stats.lazy_restores == 1
+        assert_same_answers(restored, TokenIndex(_build_apk().disassembly))
+        assert restored.patched_groups == 1
+        again = store.load_index(_build_apk().disassembly)
+        assert isinstance(again, LazyTokenIndex)
+        assert again.patched_groups == 0
 
 
 class TestQueryParity:
     def test_every_needle_shape_matches_fresh_fold(self, store):
         restored = _warm_lazy(store)
-        fresh = TokenIndex.for_disassembly(_build_apk().disassembly)
+        fresh = TokenIndex(_build_apk().disassembly)
         for needle in _sample_needles(fresh):
             assert restored.token_lines(needle) == \
                 fresh.token_lines(needle), needle
 
     def test_partial_then_full_materialization_parity(self, store):
-        # Query one group first, then materialize everything: the full
-        # structures must equal a fresh fold structure for structure.
+        # Query one group first, then every needle of the fresh fold:
+        # each answer must equal the fold's, with every group decoded.
         restored = _warm_lazy(store)
-        fresh = TokenIndex.for_disassembly(_build_apk().disassembly)
+        fresh = TokenIndex(_build_apk().disassembly)
         needle = _single_group_needle(fresh)
         assert restored.token_lines(needle) == fresh.token_lines(needle)
         assert 0 < restored.materialized_groups < restored.groups_total
 
-        full = restored.materialize()
-        assert full.vocab == fresh.vocab
-        assert full.postings == fresh.postings
-        assert full.exact == fresh.exact
-        assert full.containing == fresh.containing
-        assert full._string_ids == fresh._string_ids
-        assert full.posting_entries == fresh.posting_entries
-        # Structure access keeps answering through the composed index.
+        assert_same_answers(restored, fresh)
+        assert restored.materialized_groups == restored.groups_total
+        assert restored.posting_entries == fresh.posting_entries
         assert restored.token_lines(needle) == fresh.token_lines(needle)
 
     def test_subset_query_decodes_strictly_fewer_bytes(self, store):
         # The acceptance bar: a warm session touching a strict subset
         # of groups decodes strictly fewer bytes than a full restore.
         restored = _warm_lazy(store)
-        fresh = TokenIndex.for_disassembly(_build_apk().disassembly)
+        fresh = TokenIndex(_build_apk().disassembly)
         restored.token_lines(_single_group_needle(fresh))
         subset_bytes = restored.bytes_decoded
         assert 0 < subset_bytes < restored.bytes_mapped
 
-        restored.materialize()
+        assert_same_answers(restored, fresh)  # touches every group
         assert subset_bytes < restored.bytes_decoded
 
     def test_counters_stay_exact_without_materializing(self, store):
         restored = _warm_lazy(store)
-        fresh = TokenIndex.for_disassembly(_build_apk().disassembly)
-        # posting_entries is exact from headers (disjoint line ranges);
-        # vocab_size is an upper bound until composition dedups.
+        fresh = TokenIndex(_build_apk().disassembly)
+        # Both counts come from the shard headers: posting_entries is
+        # exact (disjoint line ranges), and vocab_size is the groups'
+        # summed vocabularies, as on the cold index.
+        cold = TokenIndex.for_disassembly(_build_apk().disassembly)
         assert restored.posting_entries == fresh.posting_entries
-        assert restored.vocab_size >= len(fresh.vocab)
+        assert restored.vocab_size == cold.vocab_size >= len(fresh.vocab)
         assert restored.materialized_groups == 0
 
 
 class TestLruEviction:
-    def test_eviction_and_refault_stay_correct(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store", group_cache=1)
+    def test_eviction_and_refault_stay_correct(self, store, monkeypatch):
+        monkeypatch.setattr(lazy, "GROUP_CACHE", 1)
         restored = _warm_lazy(store)
-        fresh = TokenIndex.for_disassembly(_build_apk().disassembly)
+        fresh = TokenIndex(_build_apk().disassembly)
         one = next(t for t in fresh.vocab
                    if _DESCRIPTOR_RE.fullmatch(t) and "lazylib1" in t)
         two = next(t for t in fresh.vocab
@@ -196,7 +197,7 @@ class TestSelfHeal:
 
         restored = store.load_index(_build_apk().disassembly)
         assert isinstance(restored, LazyTokenIndex)  # stat-only check
-        fresh = TokenIndex.for_disassembly(_build_apk().disassembly)
+        fresh = TokenIndex(_build_apk().disassembly)
         for needle in _sample_needles(fresh):
             assert restored.token_lines(needle) == \
                 fresh.token_lines(needle), needle
@@ -206,17 +207,13 @@ class TestSelfHeal:
         # the next restore is an untouched lazy hit.
         assert all(entry.ok for entry in store.verify())
         again = store.load_index(_build_apk().disassembly)
-        again.materialize()
+        assert_same_answers(again, fresh)
         assert again.patched_groups == 0
 
     def _assert_heals_to_parity(self, store, victim):
         restored = store.load_index(_build_apk().disassembly)
         assert isinstance(restored, LazyTokenIndex)  # stat-only check
-        fresh = TokenIndex.for_disassembly(_build_apk().disassembly)
-        full = restored.materialize()
-        assert full.vocab == fresh.vocab
-        assert full.postings == fresh.postings
-        assert full.containing == fresh.containing
+        assert_same_answers(restored, TokenIndex(_build_apk().disassembly))
         assert restored.patched_groups == 1
         # The heal republished a current shard in place.
         assert all(entry.ok for entry in store.verify())
@@ -257,7 +254,7 @@ class TestSelfHeal:
         searcher = BytecodeSearcher(
             _build_apk().disassembly, backend="indexed", store=store
         )
-        fresh = TokenIndex.for_disassembly(_build_apk().disassembly)
+        fresh = TokenIndex(_build_apk().disassembly)
         searcher.backend.token_lines(_single_group_needle(fresh))
         described = searcher.backend.describe()
         assert described["index_restored"]

@@ -4,8 +4,8 @@ The contracts under test, in the order the satellite checklist names
 them: two apps embedding one library persist its shard exactly once; gc
 never sweeps a shard any live manifest still references; a manifest
 pointing at a missing shard reads as a miss (and the index path patches
-only the damaged group); and a shard-composed index is byte-identical
-to a freshly built one.
+only the damaged group); and an app's index, cold or restored from
+shards, answers every query exactly as a direct fold of the app does.
 """
 
 import os
@@ -22,14 +22,23 @@ from repro.store import (
     shard_key,
     store_key,
 )
-from repro.store.binshard import decode_shard, encode_shard
-from repro.store.sharding import (
-    compose_index,
-    shard_payload,
-    tokens_from_shard,
+from repro.store.binshard import (
+    SEC_VOCAB,
+    decode_shard,
+    encode_shard,
+    read_header,
 )
+from repro.store.lazy import LazyTokenIndex
+from repro.store.sharding import shard_payload, tokens_from_shard
+from repro.workload.corpus import benchmark_app_spec
 from repro.workload.generator import AppSpec, LibrarySpec, generate_app
-from repro.workload.paperapps import build_heyzap, build_lg_tv_plus
+from repro.workload.paperapps import (
+    build_heyzap,
+    build_lg_tv_plus,
+    build_palcomp3,
+)
+
+from answer_parity import assert_same_answers
 
 SHARED_LIB = LibrarySpec(
     package="org.sharedsdk", seed=7, classes=10, methods_per_class=5
@@ -43,6 +52,22 @@ def _app(package, seed, libraries=(SHARED_LIB,)):
     return AppSpec(
         package=package, seed=seed, libraries=libraries, filler_classes=4
     )
+
+
+def _corpus_app(index):
+    return lambda: generate_app(benchmark_app_spec(index, scale=0.05)).apk
+
+
+def _five_library_app():
+    return generate_app(AppSpec(
+        package="com.lazyhost.app",
+        seed=1,
+        libraries=tuple(
+            LibrarySpec(package=f"org.lazylib{i}.sdk", seed=40 + i,
+                        classes=3)
+            for i in range(5)
+        ),
+    )).apk
 
 
 @pytest.fixture
@@ -156,17 +181,14 @@ class TestCrossAppDedup:
         store.save_index(one, TokenIndex.for_disassembly(one))
 
         # The second app was never saved, yet its library group is
-        # already on disk: the restore composes it and patches only the
+        # already on disk: the restore serves it and patches only the
         # app's own groups.
         two = generate_app(_app("com.beta", 2)).apk.disassembly
         restored = store.load_index(two)
-        fresh = TokenIndex(two)
         assert restored is not None
         assert 0 < restored.patched_groups < len(store._groups(two))
         assert store.stats.partial_hits == 1
-        assert restored.vocab == fresh.vocab
-        assert restored.postings == fresh.postings
-        assert restored.containing == fresh.containing
+        assert_same_answers(restored, TokenIndex(two))
 
 
 class TestRefcountedGc:
@@ -235,13 +257,15 @@ class TestRefcountedGc:
 
 
 class TestComposeParity:
-    def _parity(self, restored, fresh):
-        assert restored.vocab == fresh.vocab
-        assert restored.postings == fresh.postings
-        assert restored.exact == fresh.exact
-        assert restored.containing == fresh.containing
-        assert restored._string_ids == fresh._string_ids
-        assert restored.posting_entries == fresh.posting_entries
+    """Every app index answers as the direct fold does.
+
+    ``posting_entries`` is exact on any index (group line ranges are
+    disjoint), so it is checked alongside the answers.
+    """
+
+    def _parity(self, index, fresh):
+        assert_same_answers(index, fresh)
+        assert index.posting_entries == fresh.posting_entries
 
     def test_composed_index_matches_fresh_build(self, store):
         for build in (build_heyzap, build_lg_tv_plus):
@@ -259,13 +283,58 @@ class TestComposeParity:
         lambda: generate_app(_app("com.alpha", 1, (SHARED_LIB, OTHER_LIB))).apk,
     ])
     def test_cold_index_composes_the_group_folds(self, build):
-        # A cold index is its groups' folds composed; it must equal a
-        # direct fold of the app-wide token stream, and still report
-        # itself as built rather than restored.
+        # A cold index queries its groups' folds; it must answer as a
+        # direct fold of the app-wide token stream does, and still
+        # report itself as built rather than restored.
         disassembly = build().disassembly
         index = TokenIndex.for_disassembly(disassembly)
         assert not index.restored and index.build_seconds > 0.0
         self._parity(index, TokenIndex(disassembly))
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(build_heyzap, id="heyzap"),
+        pytest.param(build_lg_tv_plus, id="lg_tv_plus"),
+        pytest.param(build_palcomp3, id="palcomp3"),
+        pytest.param(_corpus_app(0), id="bench0"),
+        pytest.param(_corpus_app(2), id="bench2"),
+        pytest.param(_corpus_app(3), id="bench3"),
+        pytest.param(_five_library_app, id="five_libraries"),
+    ])
+    def test_every_index_of_an_app_answers_as_its_fold(self, build, store):
+        # However the app was prepared — cold, fully restored, restored
+        # with one of several shards deleted, or restored over a
+        # bit-flipped shard that heals — its index answers alike.
+        disassembly = build().disassembly
+        reference = TokenIndex(disassembly)
+        cold = TokenIndex.for_disassembly(disassembly)
+        assert not cold.restored
+        self._parity(cold, reference)
+        store.save_index(disassembly, cold)
+        shas = [sha for _, sha in store._groups(disassembly)]
+
+        full = store.load_index(build().disassembly)
+        assert full.restored and full.patched_groups == 0
+        self._parity(full, reference)
+
+        if len(shas) > 1:
+            store._shard_path(shas[-1]).unlink()
+            partial = store.load_index(build().disassembly)
+            # The load itself published the missing group; no query
+            # had to heal it.
+            assert store._shard_path(shas[-1]).stat().st_size > 0
+            self._parity(partial, reference)
+            assert partial.patched_groups == 1
+
+        victim = store._shard_path(shas[0])
+        blob = bytearray(victim.read_bytes())
+        _, offset, length = read_header(blob).sections[SEC_VOCAB]
+        blob[offset + length // 2] ^= 0x01
+        victim.write_bytes(bytes(blob))
+        healed = store.load_index(build().disassembly)
+        assert healed.patched_groups == 0  # the restore only stats
+        self._parity(healed, reference)
+        assert healed.patched_groups == 1
+        assert all(entry.ok for entry in store.verify())
 
     def test_patched_composition_is_still_byte_identical(self, store):
         disassembly = generate_app(_app("com.alpha", 1)).apk.disassembly
@@ -279,20 +348,23 @@ class TestComposeParity:
         self._parity(restored, TokenIndex(disassembly))
 
     def test_compose_from_raw_payloads_matches_token_fold(self):
-        # The composition primitive itself, without any store I/O.
+        # The grouped index itself, without any store I/O: each group
+        # answers from its raw shard payload.
         disassembly = build_lg_tv_plus().disassembly
         parts = []
         for group in partition_disassembly(disassembly):
             sha = shard_key(group)
-            parts.append(
-                (group.start_line, shard_payload(group, sha))
-            )
-        composed = compose_index(parts)
-        self._parity(composed, TokenIndex(disassembly))
+            parts.append((
+                group.start_line,
+                TokenIndex.from_payload(shard_payload(group, sha)),
+            ))
+        assert len(parts) > 1
+        self._parity(LazyTokenIndex(parts), TokenIndex(disassembly))
 
     def test_payloads_survive_the_binary_container(self):
         # Every payload field goes through the one container intact,
-        # so composing decoded shards still matches a fresh fold.
+        # so an index over decoded shards still answers as a fresh
+        # fold does.
         disassembly = build_lg_tv_plus().disassembly
         parts = []
         for group in partition_disassembly(disassembly):
@@ -305,8 +377,10 @@ class TestComposeParity:
                         tokens_from_shard(payload)
                 else:
                     assert decoded[name] == value, name
-            parts.append((group.start_line, decoded))
-        self._parity(compose_index(parts), TokenIndex(disassembly))
+            parts.append(
+                (group.start_line, TokenIndex.from_payload(decoded))
+            )
+        self._parity(LazyTokenIndex(parts), TokenIndex(disassembly))
 
     def test_fold_tokens_matches_token_index_fold(self):
         disassembly = build_heyzap().disassembly
