@@ -17,8 +17,9 @@ Acceptance bars (the ISSUE/CI gate):
 * on the two-app corpus the shared store is at least **30% smaller**
   than the summed private stores;
 * every restored index **answers as a fresh fold does**: for each
-  vocabulary text and containment key of the fold, plus a mid-token
-  substring of each, ``token_lines`` returns the same lines;
+  vocabulary text of the fold and each descriptor- or signature-shaped
+  substring of one, plus a mid-token substring of each,
+  ``token_lines`` returns the same lines;
 * restoring an index from shards is **no slower than folding it from
   the token stream** — warm restores must stay cheaper than cold
   builds (the no-regression bar).
@@ -30,6 +31,7 @@ the 30% bar is always measured on the first two apps).
 from __future__ import annotations
 
 import os
+import re
 import statistics
 import tempfile
 import time
@@ -59,6 +61,35 @@ def _corpus_specs() -> list[AppSpec]:
         )
         for index in range(SHARD_APPS)
     ]
+
+
+#: A dex reference-type descriptor, possibly array-wrapped, and the
+#: characters one can start at.
+_DESCRIPTOR = re.compile(r"\[*L[^;]+;")
+_OPENER = re.compile(r"[\[L]")
+
+
+def _needles(fresh) -> set:
+    """Every vocabulary text of ``fresh`` and every descriptor- or
+    signature-shaped substring of one, plus a mid-token substring of
+    each: the needle set of ``tests/store/answer_parity.py``."""
+    keys = set(fresh.vocab)
+    for text in fresh.vocab:
+        # Suffixes a class-name suffix query can hit (``La;.m:()V``
+        # inside ``Lcom/La;.m:()V``) ...
+        until = min(text.rfind(";."), text.rfind(":"))
+        for opener in _OPENER.finditer(text, 1):
+            at = opener.start()
+            if at <= until or _DESCRIPTOR.fullmatch(text, at):
+                keys.add(text[at:])
+        # ... and descriptors ending mid-token, with their own suffixes
+        # (``[[Lcom/La;`` holds ``[Lcom/La;``, ``Lcom/La;``, ``La;``).
+        for match in _DESCRIPTOR.finditer(text):
+            end = match.end()
+            for opener in _OPENER.finditer(text, match.start(), end):
+                if _DESCRIPTOR.fullmatch(text, opener.start(), end):
+                    keys.add(text[opener.start():end])
+    return keys | {key[1:-1] for key in keys if len(key) > 2}
 
 
 def _fresh_disassembly(spec: AppSpec):
@@ -98,8 +129,7 @@ def run_sharding(root: str):
         restore_times.append(time.perf_counter() - started)
         assert restored is not None and restored.patched_groups == 0
         fresh = TokenIndex(warm)
-        keys = set(fresh.vocab).union(fresh.containing)
-        for needle in keys | {key[1:-1] for key in keys if len(key) > 2}:
+        for needle in _needles(fresh):
             assert restored.token_lines(needle) == \
                 fresh.token_lines(needle), needle
 

@@ -365,7 +365,7 @@ def main(argv=None) -> int:
     )
     touched, total = restore["groups"]
     rows = [
-        ["warm restore, v3 lazy mmap", f"{restore['lazy_s'] * 1e3:.2f}ms"],
+        ["warm restore, lazy mmap", f"{restore['lazy_s'] * 1e3:.2f}ms"],
         ["groups touched / total", f"{touched} / {total}"],
         ["bytes decoded / mapped",
          f"{restore['bytes_decoded']} / {restore['bytes_mapped']}"],

@@ -19,6 +19,7 @@ Run with::
     PYTHONPATH=src python examples/store_sharding.py
 """
 
+import re
 import tempfile
 
 from repro.search.backends.indexed import TokenIndex
@@ -34,11 +35,39 @@ def _spec(package: str, seed: int) -> AppSpec:
                    libraries=(SDK,))
 
 
+#: A dex reference-type descriptor, possibly array-wrapped, and the
+#: characters one can start at.
+_DESCRIPTOR = re.compile(r"\[*L[^;]+;")
+_OPENER = re.compile(r"[\[L]")
+
+
+def _needles(fresh) -> set:
+    """Every vocabulary text of ``fresh`` and every descriptor- or
+    signature-shaped substring of one, plus a mid-token substring of
+    each: the needle set of ``tests/store/answer_parity.py``."""
+    keys = set(fresh.vocab)
+    for text in fresh.vocab:
+        # Suffixes a class-name suffix query can hit (``La;.m:()V``
+        # inside ``Lcom/La;.m:()V``) ...
+        until = min(text.rfind(";."), text.rfind(":"))
+        for opener in _OPENER.finditer(text, 1):
+            at = opener.start()
+            if at <= until or _DESCRIPTOR.fullmatch(text, at):
+                keys.add(text[at:])
+        # ... and descriptors ending mid-token, with their own suffixes
+        # (``[[Lcom/La;`` holds ``[Lcom/La;``, ``Lcom/La;``, ``La;``).
+        for match in _DESCRIPTOR.finditer(text):
+            end = match.end()
+            for opener in _OPENER.finditer(text, match.start(), end):
+                if _DESCRIPTOR.fullmatch(text, opener.start(), end):
+                    keys.add(text[opener.start():end])
+    return keys | {key[1:-1] for key in keys if len(key) > 2}
+
+
 def _assert_parity(restored: LazyTokenIndex, fresh: TokenIndex) -> None:
     """``restored`` answers as the direct fold ``fresh`` does, for every
-    vocabulary text and containment key plus a mid-token substring."""
-    keys = set(fresh.vocab).union(fresh.containing)
-    for needle in keys | {key[1:-1] for key in keys if len(key) > 2}:
+    needle of :func:`_needles`."""
+    for needle in _needles(fresh):
         assert restored.token_lines(needle) == \
             fresh.token_lines(needle), needle
 

@@ -12,7 +12,8 @@ load-bearing behaviors:
 * every node publishes specmap entries: a cold job on ``n2`` leaves
   its spec resolvable, so a resubmission is classified warm;
 * SIGKILLing the node that owns an in-flight job reclaims the job onto
-  the surviving peer under the same trace.
+  the surviving peer under the same trace, and the killed node's cold
+  workers, one of them busy with that job, exit within 5 s.
 
 Exits nonzero on the first violated assertion, so CI can run it
 directly::
@@ -45,6 +46,15 @@ def check(condition: bool, message: str) -> None:
     if not condition:
         print(f"FAIL: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def running(pid: int) -> bool:
+    """Whether *pid* is a live, non-zombie process (False without /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 def wait_job(client: ServiceClient, job_id: str, timeout: float) -> dict:
@@ -142,7 +152,17 @@ def main() -> int:
             )
             trace_id = victim["trace_id"]
             time.sleep(0.5)
+            workers = harness.client("n1").stats()["cold"]["worker_pids"]
+            check(bool(workers), "n1 reports no cold worker pids")
             harness.kill_node("n1")
+            deadline = time.time() + 5.0
+            while time.time() < deadline and any(map(running, workers)):
+                time.sleep(0.1)
+            check(
+                not any(map(running, workers)),
+                f"n1's cold workers {workers} outlived it",
+            )
+            print("ok: n1's cold workers exited with it")
             recovered = wait_job(client, victim["id"], timeout=60.0)
             check(
                 recovered["state"] == "done",

@@ -5,10 +5,10 @@ A :class:`SearchBackend` answers the three line-level queries the
 
 * ``literal_lines`` — every line containing an arbitrary substring;
 * ``pattern_lines`` — every line matched by a regular expression;
-* ``token_lines``  — every line where a *token-shaped* needle occurs
-  (full dex method/field signatures, type descriptors, quoted string
-  literals and quoted header descriptors — the shapes the paper's
-  searches actually use, see Sec. IV).
+* ``token_lines``  — every line where a needle occurs inside an
+  emitted token (full dex method/field signatures, type descriptors,
+  quoted string literals and quoted header descriptors — the shapes
+  the paper's searches actually use, see Sec. IV).
 
 Backends only return absolute line numbers; mapping a line back into the
 program-analysis space (Fig. 3, steps 2-3) stays in the searcher, so
@@ -157,12 +157,15 @@ class SearchBackend(abc.ABC):
 
     @abc.abstractmethod
     def token_lines(self, needle: str) -> list[int]:
-        """Lines containing a token-shaped needle.
+        """Lines where *needle* occurs inside an emitted token.
 
         Must agree exactly with ``literal_lines`` for every needle whose
-        occurrences fall inside emitted tokens (dex signatures, type
-        descriptors, quoted literals) — the backend-parity property the
-        test suite enforces.
+        every occurrence lies inside an emitted token (dex signatures,
+        type descriptors, quoted literals), whatever its shape: a whole
+        token text or any substring of one.  A line where the needle
+        occurs only outside tokens need not be found.  The
+        backend-parity suite checks this against a brute-force scan of
+        the token stream.
         """
 
     # ------------------------------------------------------------------

@@ -5,18 +5,14 @@ line a bytecode search could target (method/field signatures, type
 descriptors, quoted literals) and emits them as one token stream per
 library group (:attr:`~repro.dex.disassembler.Disassembly.group_tokens`).
 This backend folds each group's stream once (:func:`fold_tokens`) into a
-group :class:`TokenIndex` of
+group :class:`TokenIndex`: the group's vocabulary (its distinct token
+texts) and each text's posting list of line numbers.
 
-* ``exact``      — token text -> posting list of line numbers, so the
-  hot queries (``find_invocations``, ``find_field_accesses``) become a
-  dict lookup instead of an O(text) scan;
-* ``containing`` — type descriptor -> the tokens embedding it, so
-  descriptor queries (``classes_mentioning``, ``find_const_class``) keep
-  the substring semantics of a raw text search (a descriptor also
-  appears inside invoke signatures, field signatures, array descriptors
-  and header protos) without scanning the text;
-* a tiny *vocabulary scan* fallback for needle shapes the index does not
-  recognise — still far smaller than the full plaintext.
+Every token query is answered one way: find the needle in the group's
+joined vocabulary and return the lines of every token text that contains
+it.  That is the linear scan's answer for any needle whose every
+occurrence lies inside tokens, read from a vocabulary a small fraction
+of the plaintext's size.
 
 The app's index asks each group in turn and concatenates the answers in
 line order (:class:`~repro.store.lazy.LazyTokenIndex`); a cold build and
@@ -32,7 +28,6 @@ The group folds are the ones the artifact store publishes as shards.
 
 from __future__ import annotations
 
-import re
 import time
 import weakref
 from typing import TYPE_CHECKING, Optional
@@ -44,51 +39,29 @@ from repro.telemetry import tracing
 if TYPE_CHECKING:
     from repro.store.lazy import LazyTokenIndex
 
-#: A bare dex reference-type descriptor, possibly array-wrapped.
-_DESCRIPTOR_RE = re.compile(r"\[*L[^;]+;")
-#: Where a descriptor can start: an array bracket or a class ``L``.
-_OPENER_RE = re.compile(r"[\[L]")
 
-
-def fold_tokens(
-    tokens,
-) -> tuple[list[str], list[list[int]], list[int], dict[str, list[int]]]:
+def fold_tokens(tokens) -> tuple[list[str], list[list[int]]]:
     """Fold ``(line, kind, text)`` triples into a mini-index.
 
     The one fold in the codebase: a library group's shard, the app's
     index (composed from its groups' folds) and ``store verify``'s
-    replay all come from it.  Returns ``(vocab, postings, string_ids,
-    containing)``: token texts in first-appearance order, each text's
-    ascending lines, the ids of ``"string"`` tokens, and every
-    containment key's ascending token ids (:func:`_containment_keys`).
+    replay all come from it.  Returns ``(vocab, postings)``: token texts
+    in first-appearance order and each text's ascending lines.
     """
     vocab: list[str] = []
     postings: list[list[int]] = []
-    string_ids: list[int] = []
-    exact: dict[str, int] = {}
-    for line_no, kind, text in tokens:
-        tid = exact.get(text)
+    ids: dict[str, int] = {}
+    for line_no, _kind, text in tokens:
+        tid = ids.get(text)
         if tid is None:
-            exact[text] = len(vocab)
-            if kind == "string":
-                string_ids.append(len(vocab))
+            ids[text] = len(vocab)
             vocab.append(text)
             postings.append([line_no])
             continue
         posting = postings[tid]
         if posting[-1] != line_no:
             posting.append(line_no)
-    containing: dict[str, list[int]] = {}
-    for tid, text in enumerate(vocab):
-        # _containment_keys yields each key at most once per token, so
-        # every bucket stays ascending and duplicate-free.
-        for sub in _containment_keys(text):
-            bucket = containing.get(sub)
-            if bucket is None:
-                containing[sub] = [tid]
-            else:
-                bucket.append(tid)
-    return vocab, postings, string_ids, containing
+    return vocab, postings
 
 
 class TokenIndex:
@@ -145,20 +118,16 @@ class TokenIndex:
         <repro.store.sharding.ShardGroup.fold>`) as it is: it came from
         :func:`fold_tokens`, so no entry is checked or copied."""
         index = cls.__new__(cls)
-        index._wrap(
-            fold["vocab"], fold["postings"], fold["string_ids"],
-            fold["containing"],
-        )
+        index._wrap(fold["vocab"], fold["postings"])
         return index
 
     @classmethod
     def from_payload(cls, payload: dict) -> "TokenIndex":
         """Rebuild a group's index from a decoded shard's mini-index.
 
-        No token-stream fold and no containment-key derivation, but
-        every entry is checked: raises ``KeyError``/``TypeError``/
-        ``ValueError`` on any shape mismatch so the store can treat the
-        shard as corrupt.
+        No token-stream fold, but every entry is checked: raises
+        ``KeyError``/``TypeError``/``ValueError`` on any shape mismatch
+        so the store can treat the shard as corrupt.
         """
         vocab = [str(text) for text in payload["vocab"]]
         postings = [
@@ -167,37 +136,14 @@ class TokenIndex:
         ]
         if len(postings) != len(vocab):
             raise ValueError("postings/vocab length mismatch")
-        string_ids = [int(tid) for tid in payload["string_ids"]]
-        containing = {
-            str(sub): [int(tid) for tid in tids]
-            for sub, tids in payload["containing"].items()
-        }
-        valid = range(len(vocab))
-        for tid in string_ids:
-            if tid not in valid:
-                raise ValueError("string id out of range")
-        for tids in containing.values():
-            for tid in tids:
-                if tid not in valid:
-                    raise ValueError("containment id out of range")
         index = cls.__new__(cls)
-        index._wrap(vocab, postings, string_ids, containing)
+        index._wrap(vocab, postings)
         return index
 
-    def _wrap(
-        self,
-        vocab: list[str],
-        postings: list[list[int]],
-        string_ids: list[int],
-        containing: dict[str, list[int]],
-    ) -> None:
+    def _wrap(self, vocab: list[str], postings: list[list[int]]) -> None:
         self.vocab = vocab
         self.postings = postings
-        self._string_ids = string_ids
-        self.containing = containing
-        self.exact = {text: tid for tid, text in enumerate(vocab)}
-        self._joined_vocab: Optional[JoinedText] = None
-        self._joined_strings: Optional[JoinedText] = None
+        self._joined: Optional[JoinedText] = None
         self.posting_entries = sum(map(len, postings))
 
     @property
@@ -207,118 +153,33 @@ class TokenIndex:
 
     # ------------------------------------------------------------------
     def token_lines(self, needle: str) -> list[int]:
-        """Every line whose tokens contain *needle* as a substring."""
-        lines: set[int] = set()
-        tid = self.exact.get(needle)
-        if tid is not None:
-            lines.update(self.postings[tid])
-        if _DESCRIPTOR_RE.fullmatch(needle):
-            # Descriptors also occur inside longer tokens (signatures,
-            # protos, array types, string values); the containment map
-            # registered every such occurrence at build time, so this
-            # stays a dict lookup.
-            for tid in self.containing.get(needle, ()):
-                lines.update(self.postings[tid])
-        elif ";." in needle and ":" in needle:
-            # A full method/field signature.  Inside signature tokens it
-            # can only occur as a suffix (class names may suffix each
-            # other: ``La;.m:()V`` inside ``Lcom/La;.m:()V``) — covered
-            # by the containment map; string-literal values can embed it
-            # anywhere, so those are scanned too.
-            for tid in self.containing.get(needle, ()):
-                lines.update(self.postings[tid])
-            lines.update(self._scan(self._strings_joined(), needle,
-                                    self._string_ids))
-        elif len(needle) >= 2 and needle[0] == "'" == needle[-1]:
-            # A quoted header literal: header tokens are quoted whole
-            # (exact lookup), but string values may embed the quoted
-            # form verbatim.
-            lines.update(self._scan(self._strings_joined(), needle,
-                                    self._string_ids))
-        elif len(needle) >= 2 and needle[0] == '"' == needle[-1]:
-            # A quoted string literal: scan only the string vocabulary
-            # (values may embed each other).
-            lines.update(self._scan(self._strings_joined(), needle,
-                                    self._string_ids))
-        else:
-            # Unrecognised shape: scan the whole vocabulary — still a
-            # small fraction of the plaintext.
-            lines.update(self._scan(self._vocab_joined(), needle, None))
-        return sorted(lines)
+        """Every line whose tokens contain *needle* as a substring.
 
-    # ------------------------------------------------------------------
-    def _vocab_joined(self) -> JoinedText:
-        if self._joined_vocab is None:
-            self._joined_vocab = JoinedText(self.vocab)
-        return self._joined_vocab
-
-    def _strings_joined(self) -> JoinedText:
-        if self._joined_strings is None:
-            self._joined_strings = JoinedText(
-                [self.vocab[tid] for tid in self._string_ids]
-            )
-        return self._joined_strings
-
-    def _scan(
-        self, joined: JoinedText, needle: str, id_map: Optional[list[int]]
-    ) -> set[int]:
-        """Substring-scan a vocabulary join, returning matching lines."""
+        One substring scan of the joined vocabulary.  A match counts
+        only if it ends inside the token text it starts in: one that
+        runs over the ``\\n`` separating two texts counts for neither.
+        """
+        if not self.vocab:
+            return []
+        if self._joined is None:
+            self._joined = JoinedText(self.vocab)
+        text, offsets = self._joined.text, self._joined.line_offsets
         lines: set[int] = set()
         start = 0
         while True:
-            offset = joined.text.find(needle, start)
+            offset = text.find(needle, start)
             if offset < 0:
-                break
-            row = joined.line_of_offset(offset)
-            tid = id_map[row] if id_map is not None else row
-            lines.update(self.postings[tid])
-            start = joined.line_offsets[row + 1]
-        return lines
-
-
-def _containment_keys(token: str):
-    """All substrings of *token* a descriptor/signature query could be.
-
-    Two families, both required to preserve the substring semantics of
-    the linear scan:
-
-    * every proper suffix starting at a ``[`` or ``L`` — a signature or
-      descriptor needle occurring *inside* a token always extends to the
-      token's end, because one class name can suffix another
-      (``La;.m:()V`` inside ``Lcom/La;.m:()V``);
-    * every descriptor ending *mid*-token (parameter and return types in
-      signatures, protos and array descriptors), including its own
-      array-prefix/``L``-restart suffixes (``[[Lcom/La;`` can satisfy
-      queries for ``[Lcom/La;``, ``Lcom/La;`` and ``La;``).
-
-    Each key is yielded once, in that order.
-    """
-    seen: set[str] = set()
-    # A suffix holds ";." and ":" exactly when it starts at or before
-    # the last of each.
-    signature_until = min(token.rfind(";."), token.rfind(":"))
-    for opener in _OPENER_RE.finditer(token, 1):
-        i = opener.start()
-        # Only descriptor- or signature-shaped suffixes can ever be
-        # looked up; skipping the rest bounds the map (a long string
-        # literal full of 'L's would otherwise materialise one key per
-        # occurrence).  Suffixes never repeat: each has its own length.
-        if i <= signature_until or _DESCRIPTOR_RE.fullmatch(token, i):
-            sub = token[i:]
-            seen.add(sub)
-            yield sub
-    for match in _DESCRIPTOR_RE.finditer(token):
-        end = match.end()
-        for opener in _OPENER_RE.finditer(token, match.start(), end):
-            if _DESCRIPTOR_RE.fullmatch(token, opener.start(), end):
-                sub = token[opener.start():end]
-                if sub not in seen:
-                    seen.add(sub)
-                    yield sub
+                return sorted(lines)
+            tid = self._joined.line_of_offset(offset)
+            # Every later match inside this text ends later still, so
+            # the scan resumes at the next text either way.
+            start = offsets[tid + 1]
+            if offset + len(needle) < start:
+                lines.update(self.postings[tid])
 
 
 class InvertedIndexBackend(SearchBackend):
-    """Dict-lookup token queries over the app's per-group index.
+    """Token queries answered by the app's per-group index.
 
     With an artifact ``store`` attached, the index is restored from the
     store's per-class-group shards when any exist for this disassembly
@@ -347,10 +208,7 @@ class InvertedIndexBackend(SearchBackend):
             if index is None and self.store is not None:
                 with tracing.span("index.restore") as restore_span:
                     index = self.store.load_index(self.disassembly)
-                    restore_span.set_attrs(
-                        hit=index is not None,
-                        bytes_mapped=getattr(index, "bytes_mapped", 0),
-                    )
+                    restore_span.set_attr("hit", index is not None)
                 if index is not None:
                     # Share the restored index with sibling searchers,
                     # weakly: a restored index's heal callback holds

@@ -70,6 +70,13 @@ _log = get_logger("repro.service.cluster")
 #: treated as dead.  Heartbeats default to a third of it.
 DEFAULT_LEASE_TTL = 10.0
 
+#: Accepted dispatches a cluster job may use before the router fails it.
+MAX_ATTEMPTS = 3
+
+#: Cluster job records the router keeps; the oldest finished ones go
+#: first.
+RETAIN_JOBS = 1024
+
 
 # ----------------------------------------------------------------------
 # The node directory (a thin OO face over the store's node manifests)
@@ -272,7 +279,7 @@ class ClusterRouter(HTTPRoutes):
     A monitor thread polls in-flight jobs: terminal results are
     cached; a job whose node went silent past the TTL is **reclaimed**
     — re-dispatched to a live peer under the same root span with a
-    fresh per-attempt ``dispatch`` span — up to ``max_attempts``
+    fresh per-attempt ``dispatch`` span — up to :data:`MAX_ATTEMPTS`
     accepted dispatches.
     """
 
@@ -281,10 +288,7 @@ class ClusterRouter(HTTPRoutes):
         store_root,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         monitor_interval: Optional[float] = None,
-        max_attempts: int = 3,
-        retain_jobs: int = 1024,
         client_timeout: float = 10.0,
-        tracing_enabled: bool = True,
     ) -> None:
         self.store = ArtifactStore(store_root)
         self.directory = NodeDirectory(self.store, lease_ttl)
@@ -294,10 +298,8 @@ class ClusterRouter(HTTPRoutes):
             if monitor_interval is not None
             else max(0.05, lease_ttl / 4.0)
         )
-        self.max_attempts = max_attempts
-        self.retain_jobs = retain_jobs
         self.client_timeout = client_timeout
-        self.tracer = tracing.Tracer(enabled=tracing_enabled)
+        self.tracer = tracing.Tracer(enabled=True)
         self.draining = False
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -530,10 +532,10 @@ class ClusterRouter(HTTPRoutes):
                     record.node_id,
                     record.id,
                     record.attempts + 1,
-                    self.max_attempts,
+                    MAX_ATTEMPTS,
                     extra={"trace_id": record.trace_id},
                 )
-            if record.attempts >= self.max_attempts:
+            if record.attempts >= MAX_ATTEMPTS:
                 self._fail(
                     record,
                     f"job lost on {record.failed_nodes} after "
@@ -604,7 +606,7 @@ class ClusterRouter(HTTPRoutes):
             self._records[record.id] = record
             self._order.append(record.id)
             self.routed += 1
-            while len(self._order) > self.retain_jobs:
+            while len(self._order) > RETAIN_JOBS:
                 evicted = self._order.pop(0)
                 old = self._records.get(evicted)
                 if old is not None and old.state in ("done", "failed"):

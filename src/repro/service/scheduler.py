@@ -123,7 +123,6 @@ class StoreAwareScheduler:
         session_cache_size: int = 4,
         registry=None,
         cold_executor: str = "thread",
-        tracing_enabled: bool = True,
         node_id: Optional[str] = None,
     ) -> None:
         if workers < 1:
@@ -199,7 +198,8 @@ class StoreAwareScheduler:
         self._closed = False
         #: The scheduler's own tracer: library spans opened during a
         #: job's execution land here via the ambient-span context var.
-        self.tracer = tracing.Tracer(enabled=tracing_enabled)
+        #: On by default; clearing ``tracer.enabled`` turns it off.
+        self.tracer = tracing.Tracer(enabled=True)
         #: In-flight span handles per primary job id:
         #: ``job_id -> (root_span, queue_span)``.
         self._job_spans: dict[str, tuple] = {}

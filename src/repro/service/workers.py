@@ -44,6 +44,18 @@ from repro.telemetry import tracing
 #: the cancel-a-running-worker path deterministically.
 STALL_ENV_VAR = "BACKDROID_COLD_STALL_SECONDS"
 
+#: Seconds between a worker's checks that its owner is still alive.  A
+#: busy worker reads no pipe, so without this check it would finish its
+#: task for an owner that was killed meanwhile.
+OWNER_POLL_SECONDS = 0.5
+
+#: The CPU-priority handicap of every cold worker.  Cold analyses are
+#: throughput work; the service interpreter (event loop + warm lane) is
+#: latency-sensitive.  A GIL-holding thread cannot be deprioritized, but
+#: a process can: niced workers soak up idle CPU without preempting warm
+#: restores when cores are scarce.
+DEFAULT_NICE = 10
+
 
 # ======================================================================
 # Worker entry points (module-level: they pickle by reference)
@@ -74,7 +86,20 @@ def run_analysis_payload(spec, config=None, request=None) -> dict:
         return outcome_payload(outcome)
 
 
-def _worker_main(conn, parent_conn, nice: int = 0) -> None:
+def _exit_when_orphaned(owner_pid: int) -> None:
+    """Poll the parent pid; exit the process once it is not *owner_pid*.
+
+    An orphan is re-parented (to init or a subreaper), so a changed
+    parent pid means the owner died.  ``prctl(PR_SET_PDEATHSIG)`` is no
+    substitute: it fires when the forking *thread* exits, and the lane
+    forks replacement workers from dispatcher threads.
+    """
+    while os.getppid() == owner_pid:
+        time.sleep(OWNER_POLL_SECONDS)
+    os._exit(1)
+
+
+def _worker_main(conn, parent_conn, owner_pid: int) -> None:
     """One worker process's loop: recv task, analyze, send payload.
 
     A ``None`` task (or a closed pipe) is the shutdown signal.  The
@@ -84,7 +109,10 @@ def _worker_main(conn, parent_conn, nice: int = 0) -> None:
     ``parent_conn`` is the parent's end of this worker's pipe, which a
     forked child inherits.  It is closed first thing: while the child
     holds it, the parent's death never reads as EOF here, and the
-    worker would outlive a killed service forever.
+    worker would outlive a killed service forever.  An idle worker
+    sees that EOF at once; a busy one reads no pipe until its task
+    ends, so a daemon thread also watches for the death of
+    ``owner_pid``, the process that forked it.
 
     Trace propagation: when the task carries a serialized span context,
     the worker runs the analysis under a local tracer's ``worker`` span
@@ -92,11 +120,14 @@ def _worker_main(conn, parent_conn, nice: int = 0) -> None:
     result, so the job's trace crosses the process boundary intact.
     """
     parent_conn.close()
-    if nice:
-        try:
-            os.nice(nice)
-        except (AttributeError, OSError):
-            pass  # platform without nice(), or lowering denied
+    threading.Thread(
+        target=_exit_when_orphaned, args=(owner_pid,), daemon=True,
+        name="backdroid-owner-watch",
+    ).start()
+    try:
+        os.nice(DEFAULT_NICE)
+    except (AttributeError, OSError):
+        pass  # platform without nice(), or lowering denied
     while True:
         try:
             task = conn.recv()
@@ -152,11 +183,11 @@ class ColdResult:
 class _Worker:
     """One long-lived worker process plus the parent's pipe end."""
 
-    def __init__(self, ctx, nice: int = 0) -> None:
+    def __init__(self, ctx) -> None:
         parent_conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, parent_conn, nice),
+            args=(child_conn, parent_conn, os.getpid()),
             name="backdroid-cold-worker",
             daemon=True,
         )
@@ -208,35 +239,17 @@ class ProcessLane:
     capacity is invariant under both cancellations and crashes.
     """
 
-    #: Default CPU-priority handicap for cold workers.  Cold analyses
-    #: are throughput work; the service interpreter (event loop + warm
-    #: lane) is latency-sensitive.  A GIL-holding thread cannot be
-    #: deprioritized, but a process can: niced workers soak up idle CPU
-    #: without preempting warm restores when cores are scarce.
-    DEFAULT_NICE = 10
-
-    def __init__(
-        self,
-        workers: int,
-        start_method: Optional[str] = None,
-        nice: int = DEFAULT_NICE,
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError("workers must be a positive integer")
         methods = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            # fork keeps per-worker startup in the low milliseconds and
-            # needs no importable __main__; everywhere it is missing
-            # (Windows), spawn is the portable fallback.
-            start_method = "fork" if "fork" in methods else methods[0]
-        if start_method not in methods:
-            raise ValueError(
-                f"unknown start method {start_method!r}: choose from {methods}"
-            )
-        self.start_method = start_method
+        # fork keeps per-worker startup in the low milliseconds and
+        # needs no importable __main__; everywhere it is missing
+        # (Windows), spawn is the portable fallback.
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else methods[0]
+        )
         self.workers = workers
-        self.nice = nice
-        self._ctx = multiprocessing.get_context(start_method)
         self._lock = threading.Lock()
         #: Job token -> the worker currently executing it.
         self._running: dict[str, _Worker] = {}
@@ -248,7 +261,7 @@ class ProcessLane:
         self._idle: "queue.Queue[_Worker]" = queue.Queue()
         self._all: list[_Worker] = []
         for _ in range(workers):
-            worker = _Worker(self._ctx, nice=nice)
+            worker = _Worker(self._ctx)
             self._all.append(worker)
             self._idle.put(worker)
 
@@ -319,7 +332,7 @@ class ProcessLane:
                 self._all.remove(worker)
             closed = self._closed
             if not closed:
-                replacement = _Worker(self._ctx, nice=self.nice)
+                replacement = _Worker(self._ctx)
                 self._all.append(replacement)
                 self.workers_restarted += 1
         if replacement is not None:

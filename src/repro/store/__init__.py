@@ -9,7 +9,7 @@
   process-pool batch executor.
 * :mod:`repro.store.sharding` — the class-group partitioner, the group
   folds and shard content addressing.
-* :mod:`repro.store.binshard` — the v3 mmap-friendly binary shard
+* :mod:`repro.store.binshard` — the v4 mmap-friendly binary shard
   container (struct-packed sections + offset table) and the zero-copy
   :class:`LazyShardView` over one mapped shard file.
 * :mod:`repro.store.lazy` — :class:`LazyTokenIndex`, the one app index,
@@ -21,7 +21,6 @@ The on-disk format is specified in ``docs/STORE_FORMAT.md``.
 """
 
 from repro.store.artifacts import (
-    FORMAT_VERSION,
     PROBE_LEVELS,
     WARM_LEVELS,
     ArtifactStore,
@@ -33,7 +32,7 @@ from repro.store.artifacts import (
     store_key,
 )
 from repro.store.binshard import (
-    BIN_FORMAT_VERSION,
+    FORMAT_VERSION,
     LazyShardView,
     ShardCorrupt,
     ShardStale,
@@ -50,7 +49,6 @@ from repro.store.sharding import (
 )
 
 __all__ = [
-    "BIN_FORMAT_VERSION",
     "FORMAT_VERSION",
     "GROUP_CACHE",
     "KEY_VERSION",

@@ -27,7 +27,7 @@ Layout (see ``docs/STORE_FORMAT.md`` for the full spec)::
         manifest.json           ordered shard references + line offsets
         outcome-<config>.json   one finished batch outcome per config
     <root>/shards/<sha[:2]>/<sha>.bin
-        one class group, v3 binary container (struct-packed sections;
+        one class group, v4 binary container (struct-packed sections;
         see :mod:`repro.store.binshard`): text + layout + relative
         tokens + prefolded mini-index
     <root>/specmap/<fp[:2]>/<fp>.json
@@ -68,6 +68,7 @@ from typing import Callable, Iterator, Optional
 from repro.dex.disassembler import PREAMBLE, Disassembly, RestoredDisassembly
 from repro.search.backends.indexed import TokenIndex, fold_tokens
 from repro.store.binshard import (
+    FORMAT_VERSION,
     SEC_LAYOUT,
     SEC_TEXT,
     LazyShardView,
@@ -88,13 +89,6 @@ from repro.store.sharding import (
     shard_payload,
     tokens_from_shard,
 )
-
-#: The container version every writer publishes and the only one the
-#: read path accepts: an entry of any other version reads as stale, and
-#: the next run that touches it rebuilds and republishes it.  Content
-#: addresses hash under :data:`~repro.store.sharding.KEY_VERSION`
-#: instead, so a container change alone moves no key.
-FORMAT_VERSION = 3
 
 
 @dataclass
@@ -998,10 +992,9 @@ class ArtifactStore:
            its stored tokens, text and layout and must match its file
            name (rules out a shard silently swapped for another group's
            content);
-        2. **mini-index parity** — the stored vocabulary/posting
-           lists/string ids must equal a fresh fold of the shard's own
-           token stream, exactly the equality the backend-parity suite
-           enforces for live restores;
+        2. **mini-index parity** — the stored vocabulary and posting
+           lists must equal a fresh fold of the shard's own token
+           stream;
         3. **presence/readability** — a referenced shard that is gone
            or unreadable is reported (``missing-shard`` / ``corrupt``).
 
@@ -1089,11 +1082,6 @@ class ArtifactStore:
                 postings = [
                     [int(n) for n in posting] for posting in payload["postings"]
                 ]
-                string_ids = [int(t) for t in payload["string_ids"]]
-                containing = {
-                    str(sub): [int(t) for t in tids]
-                    for sub, tids in payload["containing"].items()
-                }
                 text = bytes(payload["text"])
                 layout = bytes(payload["layout"])
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -1127,8 +1115,6 @@ class ArtifactStore:
                 for name, stored_side, fresh_side in (
                     ("vocab", vocab, fresh[0]),
                     ("postings", postings, fresh[1]),
-                    ("string_ids", string_ids, fresh[2]),
-                    ("containing", containing, fresh[3]),
                 )
                 if stored_side != fresh_side
             ]

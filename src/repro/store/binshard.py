@@ -1,22 +1,20 @@
-"""The v3 binary shard container: struct-packed sections over mmap.
+"""The v4 binary shard container: struct-packed sections over mmap.
 
 A whole-document shard encoding would cost a full parse on every
 restore, even when the session only ever queries a handful of library
-groups.  The v3 container packs a shard's logical content — the group's
-plaintext and layout, relative token records, the vocabulary, posting
-lists, string-token ids and the containment map — into independently
-decodable **sections** behind a fixed header and an offset table, so a
-reader can :func:`mmap.mmap` the file and decode *only the byte ranges
-a query actually touches*:
+groups.  The v4 container packs a shard's logical content — the group's
+plaintext and layout, relative token records, the vocabulary and its
+posting lists — into independently decodable **sections** behind a
+fixed header and an offset table, so a reader can :func:`mmap.mmap` the
+file and decode *only the byte ranges a query actually touches*:
 
-* the header + section table (96-odd bytes) identify the shard and
-  locate every section;
-* the **filter** section (a sorted ``u32`` array of CRC32s over every
-  vocabulary text and every containment key) answers "could this group
-  possibly contain the needle?" with a zero-copy binary search;
-* the **vocabulary blob** answers substring-shaped candidacy with an
-  ``mmap.find`` over the raw bytes — no decoding at all;
-* only a *candidate* group pays for decoding its mini-index sections;
+* the header + section table (176 bytes) identify the shard and locate
+  every section;
+* the **vocabulary blob** answers "could this group contain the
+  needle?" with an ``mmap.find`` over the raw bytes — no decoding at
+  all;
+* only a *candidate* group pays for decoding its mini-index (the
+  vocabulary and posting sections);
 * the **text** and **layout** sections are read only to rebuild the
   app's disassembly on an index hit.
 
@@ -29,10 +27,9 @@ disassembly (the self-heal path).
 
 Layout (all integers little-endian, no alignment padding)::
 
-    header   <4sHHIIIIII32s>   magic "BDSH", container version,
+    header   <4sHHIIII32s>     magic "BDSH", container version,
                                section count, line_count, token_count,
-                               vocab_count, string_id_count,
-                               containment_count, posting_entries,
+                               vocab_count, posting_entries,
                                raw sha256 (the shard's content address)
     table    <HHIQQ> * n       section id, reserved, crc32, offset, length
     sections                   see the per-section codecs below
@@ -41,21 +38,17 @@ Section encodings:
 
 * ``VOCAB``       ``u32 lens[vocab_count]`` + concatenated UTF-8 blob
 * ``POSTINGS``    ``u32 lens[vocab_count]`` + ``u32 lines[entries]``
-* ``STRING_IDS``  ``u32 ids[string_id_count]``
-* ``CONTAIN``     ``u32 key_lens[n]`` + ``u32 val_lens[n]`` + keys blob
-                  + ``u32 values[sum(val_lens)]``
 * ``TOKENS``      ``u8 kind_count`` + (``u8 len`` + bytes) per kind +
                   ``u32 rel_lines[t]`` + ``u8 kind_ids[t]`` +
                   ``u32 text_tids[t]`` (texts dedup through the vocab)
-* ``FILTER``      sorted unique ``u32 crc32`` of every vocab text and
-                  every containment key
 * ``TEXT``        the group's plaintext, raw UTF-8, every line
                   newline-terminated
 * ``LAYOUT``      class names, method-block bounds with dex signatures,
                   and each instruction line's statement index (see
                   :func:`repro.store.sharding.encode_layout`)
 
-The container version is independent of the *content* addresses (see
+Section ids 3, 4 and 6 are retired: no v4 section uses them.  The
+container version is independent of the *content* addresses (see
 :data:`repro.store.sharding.KEY_VERSION`): a shard's sha names what it
 holds, not how it is encoded.
 """
@@ -69,26 +62,28 @@ import zlib
 from pathlib import Path
 from typing import Optional
 
-#: The container version this module writes (the store's v3).
-BIN_FORMAT_VERSION = 3
+#: The container version every writer publishes and the only one the
+#: read path accepts, for shards and JSON entries alike: an entry of any
+#: other version reads as stale, and the next run that touches it
+#: rebuilds and republishes it.  Content addresses hash under
+#: :data:`~repro.store.sharding.KEY_VERSION` instead, so a container
+#: change alone moves no key.
+FORMAT_VERSION = 4
 
 MAGIC = b"BDSH"
 
-_HEADER = struct.Struct("<4sHHIIIIII32s")
+_HEADER = struct.Struct("<4sHHIIII32s")
 _SECTION_ENTRY = struct.Struct("<HHIQQ")
 
 SEC_VOCAB = 1
 SEC_POSTINGS = 2
-SEC_STRING_IDS = 3
-SEC_CONTAIN = 4
 SEC_TOKENS = 5
-SEC_FILTER = 6
 SEC_TEXT = 7
 SEC_LAYOUT = 8
 
 #: Sections whose decode yields the prefolded mini-index (what a lazy
 #: group materialization pays for).
-MINI_INDEX_SECTIONS = (SEC_VOCAB, SEC_POSTINGS, SEC_STRING_IDS, SEC_CONTAIN)
+MINI_INDEX_SECTIONS = (SEC_VOCAB, SEC_POSTINGS)
 
 
 class ShardCorrupt(Exception):
@@ -103,18 +98,15 @@ class BinHeader:
     """One decoded header + section table."""
 
     __slots__ = (
-        "line_count", "token_count", "vocab_count", "string_id_count",
-        "containment_count", "posting_entries", "sha", "sections",
+        "line_count", "token_count", "vocab_count", "posting_entries",
+        "sha", "sections",
     )
 
     def __init__(self, line_count, token_count, vocab_count,
-                 string_id_count, containment_count, posting_entries,
-                 sha, sections):
+                 posting_entries, sha, sections):
         self.line_count = line_count
         self.token_count = token_count
         self.vocab_count = vocab_count
-        self.string_id_count = string_id_count
-        self.containment_count = containment_count
         self.posting_entries = posting_entries
         #: Hex content address the file claims to hold.
         self.sha = sha
@@ -137,11 +129,10 @@ def read_header(buf) -> BinHeader:
     if size < _HEADER.size:
         raise ShardCorrupt("file shorter than the shard header")
     (magic, version, section_count, line_count, token_count, vocab_count,
-     string_id_count, containment_count, posting_entries,
-     sha_raw) = _HEADER.unpack_from(buf, 0)
+     posting_entries, sha_raw) = _HEADER.unpack_from(buf, 0)
     if magic != MAGIC:
         raise ShardCorrupt("bad shard magic")
-    if version != BIN_FORMAT_VERSION:
+    if version != FORMAT_VERSION:
         raise ShardStale(f"container version {version}")
     table_end = _HEADER.size + _SECTION_ENTRY.size * section_count
     if size < table_end:
@@ -154,14 +145,11 @@ def read_header(buf) -> BinHeader:
         if offset < table_end or offset + length > size:
             raise ShardCorrupt(f"section {sec_id} out of bounds")
         sections[sec_id] = (crc, offset, length)
-    for required in (
-        *MINI_INDEX_SECTIONS, SEC_TOKENS, SEC_FILTER, SEC_TEXT, SEC_LAYOUT,
-    ):
+    for required in (*MINI_INDEX_SECTIONS, SEC_TOKENS, SEC_TEXT, SEC_LAYOUT):
         if required not in sections:
             raise ShardCorrupt(f"section {required} missing")
-    return BinHeader(line_count, token_count, vocab_count, string_id_count,
-                     containment_count, posting_entries, sha_raw.hex(),
-                     sections)
+    return BinHeader(line_count, token_count, vocab_count, posting_entries,
+                     sha_raw.hex(), sections)
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +157,7 @@ def read_header(buf) -> BinHeader:
 # ----------------------------------------------------------------------
 def encode_shard(payload: dict, key: str) -> bytes:
     """Pack one shard payload (:func:`~repro.store.sharding.shard_payload`)
-    into the v3 container.
+    into the v4 container.
 
     ``key`` is the shard's hex content address; it is embedded raw in
     the header so a reader can reject a renamed/swapped file without
@@ -186,8 +174,6 @@ def shard_chunks(payload: dict, key: str) -> list[bytes]:
     """
     vocab = payload["vocab"]
     postings = payload["postings"]
-    string_ids = payload["string_ids"]
-    containing = payload["containing"]
     tokens = payload["tokens"]
 
     vocab_blobs = [text.encode("utf-8", "surrogatepass") for text in vocab]
@@ -201,17 +187,6 @@ def shard_chunks(payload: dict, key: str) -> list[bytes]:
         struct.pack(f"<{len(postings)}I", *map(len, postings))
         + struct.pack(f"<{len(flat_lines)}I", *flat_lines)
     )
-
-    sec_string_ids = struct.pack(f"<{len(string_ids)}I", *string_ids)
-
-    keys = [sub.encode("utf-8", "surrogatepass") for sub in containing]
-    values = list(itertools.chain.from_iterable(containing.values()))
-    sec_contain = b"".join((
-        struct.pack(f"<{len(keys)}I", *map(len, keys)),
-        struct.pack(f"<{len(containing)}I", *map(len, containing.values())),
-        *keys,
-        struct.pack(f"<{len(values)}I", *values),
-    ))
 
     exact = {text: tid for tid, text in enumerate(vocab)}
     # Kinds in first-appearance order.
@@ -240,28 +215,18 @@ def shard_chunks(payload: dict, key: str) -> list[bytes]:
         struct.pack(f"<{count}I", *token_tids),
     ))
 
-    crcs = sorted({
-        zlib.crc32(blob) for blob in vocab_blobs
-    } | {
-        zlib.crc32(blob) for blob in keys
-    })
-    sec_filter = struct.pack(f"<{len(crcs)}I", *crcs)
-
     ordered = (
         (SEC_VOCAB, sec_vocab),
         (SEC_POSTINGS, sec_postings),
-        (SEC_STRING_IDS, sec_string_ids),
-        (SEC_CONTAIN, sec_contain),
         (SEC_TOKENS, sec_tokens),
-        (SEC_FILTER, sec_filter),
         (SEC_TEXT, payload["text"]),
         (SEC_LAYOUT, payload["layout"]),
     )
     table_end = _HEADER.size + _SECTION_ENTRY.size * len(ordered)
     header = _HEADER.pack(
-        MAGIC, BIN_FORMAT_VERSION, len(ordered),
-        int(payload["line_count"]), count, len(vocab), len(string_ids),
-        len(keys), len(flat_lines), bytes.fromhex(key),
+        MAGIC, FORMAT_VERSION, len(ordered),
+        int(payload["line_count"]), count, len(vocab), len(flat_lines),
+        bytes.fromhex(key),
     )
     table = bytearray()
     offset = table_end
@@ -322,41 +287,6 @@ def _decode_postings(
     return postings
 
 
-def _decode_string_ids(buf, offset: int, length: int, count: int) -> list[int]:
-    if 4 * count > length:
-        raise ShardCorrupt("string ids overrun their section")
-    return list(struct.unpack_from(f"<{count}I", buf, offset))
-
-
-def _decode_containing(
-    buf, offset: int, length: int, count: int
-) -> dict[str, list[int]]:
-    if 8 * count > length:
-        raise ShardCorrupt("containment tables overrun their section")
-    key_lens = struct.unpack_from(f"<{count}I", buf, offset)
-    val_lens = struct.unpack_from(f"<{count}I", buf, offset + 4 * count)
-    keys_start = offset + 8 * count
-    values_start = keys_start + sum(key_lens)
-    total_values = sum(val_lens)
-    if values_start + 4 * total_values - offset > length:
-        raise ShardCorrupt("containment map overruns its section")
-    flat = struct.unpack_from(f"<{total_values}I", buf, values_start)
-    containing: dict[str, list[int]] = {}
-    cursor = keys_start
-    value_cursor = 0
-    try:
-        for key_len, val_len in zip(key_lens, val_lens):
-            sub = bytes(buf[cursor:cursor + key_len]).decode(
-                "utf-8", "surrogatepass"
-            )
-            cursor += key_len
-            containing[sub] = list(flat[value_cursor:value_cursor + val_len])
-            value_cursor += val_len
-    except UnicodeDecodeError as exc:
-        raise ShardCorrupt(f"containment key undecodable: {exc}") from exc
-    return containing
-
-
 def _decode_tokens(
     buf, offset: int, length: int, count: int, vocab: list[str]
 ) -> list[list]:
@@ -402,16 +332,7 @@ def decode_mini_index(buf, header: BinHeader) -> dict:
     postings = _decode_postings(
         buf, off, length, header.vocab_count, header.posting_entries
     )
-    off, length = _checked(buf, header, SEC_STRING_IDS)
-    string_ids = _decode_string_ids(buf, off, length, header.string_id_count)
-    off, length = _checked(buf, header, SEC_CONTAIN)
-    containing = _decode_containing(buf, off, length, header.containment_count)
-    return {
-        "vocab": vocab,
-        "postings": postings,
-        "string_ids": string_ids,
-        "containing": containing,
-    }
+    return {"vocab": vocab, "postings": postings}
 
 
 def decode_shard(buf, sha: Optional[str] = None) -> dict:
@@ -432,7 +353,7 @@ def decode_shard(buf, sha: Optional[str] = None) -> dict:
     for name, sec_id in (("text", SEC_TEXT), ("layout", SEC_LAYOUT)):
         off, length = _checked(buf, header, sec_id)
         payload[name] = bytes(buf[off:off + length])
-    payload["version"] = BIN_FORMAT_VERSION
+    payload["version"] = FORMAT_VERSION
     payload["key"] = header.sha
     payload["line_count"] = header.line_count
     return payload
@@ -444,10 +365,10 @@ def decode_shard(buf, sha: Optional[str] = None) -> dict:
 class LazyShardView:
     """One mmapped shard file, decoded only where touched.
 
-    The file is opened and mapped on first use; candidacy probes
-    (:meth:`may_contain`, :meth:`blob_contains`) read the filter and
-    vocabulary-blob byte ranges without building any Python structures,
-    and :meth:`mini_index` decodes exactly the four mini-index sections.
+    The file is opened and mapped on first use; the candidacy probe
+    (:meth:`blob_contains`) reads the vocabulary blob's byte range
+    without building any Python structures, and :meth:`mini_index`
+    decodes exactly the two mini-index sections.
     ``bytes_mapped``/``bytes_decoded`` account for what was mapped and
     what was actually decoded — the observables the lazy-restore tests
     and the sustained-traffic benchmark assert on.
@@ -530,28 +451,6 @@ class LazyShardView:
         return self._ensure().vocab_count
 
     # ------------------------------------------------------------------
-    def may_contain(self, crc: int) -> bool:
-        """Whether *crc* is in the shard's filter (zero-copy bisect).
-
-        A hit means the needle *may* be a vocabulary text or containment
-        key of this group (CRC collisions give false positives, never
-        false negatives); a miss proves the group cannot answer an
-        exact or containment lookup for it.
-        """
-        offset, length = self._section(SEC_FILTER)
-        mapped = self._mm
-        lo, hi = 0, length // 4
-        while lo < hi:
-            mid = (lo + hi) // 2
-            value = struct.unpack_from("<I", mapped, offset + 4 * mid)[0]
-            if value < crc:
-                lo = mid + 1
-            elif value > crc:
-                hi = mid
-            else:
-                return True
-        return False
-
     def blob_contains(self, needle: bytes) -> bool:
         """Whether the raw vocabulary blob contains *needle*.
 
@@ -567,7 +466,7 @@ class LazyShardView:
 
     # ------------------------------------------------------------------
     def mini_index(self) -> dict:
-        """Decode the four mini-index sections (one group's fault-in)."""
+        """Decode the two mini-index sections (one group's fault-in)."""
         header = self._ensure()
         payload = decode_mini_index(self._mm, header)
         self.bytes_decoded += sum(

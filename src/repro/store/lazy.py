@@ -16,21 +16,21 @@ the one app index.  It holds one part per group, in render order:
 
 A query (``token_lines``)
 
-1. computes the needle's bytes and CRC once;
-2. tests each mapped group not yet decoded for candidacy with zero-copy
-   reads (the CRC filter for exact/containment lookups, an ``mmap.find``
-   over the vocabulary blob for substring scans) — a non-candidate group
-   contributes nothing and decodes nothing;
+1. encodes the needle once;
+2. tests each mapped group not yet decoded for candidacy with one
+   zero-copy ``mmap.find`` over its vocabulary blob — a group whose blob
+   lacks the needle has no token text containing it, so it contributes
+   nothing and decodes nothing;
 3. asks every candidate group's mini-index (one decode per faulted
    group) and concatenates the answers, each rebased by its group's
    start line, in line order.
 
-The union is exact, not approximate: every needle shape the index
-serves decomposes per group — posting lists, containment buckets and
-string/vocabulary scans are each the union of the per-group results
-rebased by the group's start line — so the app index answers every
-query exactly as a direct fold of the app-wide token stream does (the
-parity suite checks this against ``TokenIndex(disassembly)``).
+The union is exact, not approximate: a group answers with the lines of
+its token texts that contain the needle, every line's tokens belong to
+exactly one group, and group line ranges are disjoint, so the rebased
+answers concatenate to the answer of a direct fold of the app-wide
+token stream (the parity suite checks this against
+``TokenIndex(disassembly)``).
 
 Decoded groups live in a bounded LRU of :data:`GROUP_CACHE` entries;
 eviction only costs a re-decode on the next fault.  Corruption
@@ -43,11 +43,10 @@ as ``patched_groups``/``shards_patched``).
 from __future__ import annotations
 
 import threading
-import zlib
 from collections import OrderedDict
 from typing import Callable, Optional, Union
 
-from repro.search.backends.indexed import _DESCRIPTOR_RE, TokenIndex
+from repro.search.backends.indexed import TokenIndex
 from repro.store.binshard import LazyShardView, ShardCorrupt
 
 #: Decoded groups a restored index keeps at once, read when the index
@@ -193,27 +192,16 @@ class LazyTokenIndex:
     def token_lines(self, needle: str) -> list[int]:
         """Every line whose tokens contain *needle* as a substring."""
         needle_bytes = needle.encode("utf-8", "surrogatepass")
-        crc = zlib.crc32(needle_bytes)
-        # A descriptor-shaped needle is answered purely from exact and
-        # containment lookups, both of whose keys are in the filter —
-        # the blob scan would only add false-positive candidacies.
-        # Every other shape may also substring-scan token texts, which
-        # the raw vocabulary blob witnesses conservatively.
-        filter_only = bool(_DESCRIPTOR_RE.fullmatch(needle))
         lines: list[int] = []
         with self._lock:
             for index, (start, group) in enumerate(self._parts):
                 mapped = isinstance(group, LazyShardView)
                 if mapped and index not in self._cache:
                     try:
-                        candidate = group.may_contain(crc) or (
-                            not filter_only
-                            and group.blob_contains(needle_bytes)
-                        )
+                        if not group.blob_contains(needle_bytes):
+                            continue
                     except ShardCorrupt:
-                        candidate = True  # decode (and heal) below
-                    if not candidate:
-                        continue
+                        pass  # decode (and heal) below
                 # Group answers are sorted and group line ranges are
                 # disjoint ascending, so appending keeps global order.
                 lines.extend(

@@ -18,8 +18,7 @@ it.  A shard therefore stores the group's plaintext and its *layout*
 (class names, method-block bounds with dex signatures, and each
 instruction line's statement index), plus the group's tokens with line
 numbers relative to the group start and a prefolded mini-index
-(vocabulary, posting lists, string-token ids) over those relative
-lines.  The text and layout let an index hit rebuild the app's
+(vocabulary and posting lists) over those relative lines.  The text and layout let an index hit rebuild the app's
 :class:`~repro.dex.disassembler.Disassembly` without rendering it.
 
 The group is also the unit of the app's index
@@ -206,8 +205,8 @@ class ShardGroup:
     def fold(self) -> dict:
         """The group's mini-index, folded once (memoized).
 
-        ``vocab``, ``postings``, ``string_ids`` and ``containing`` over
-        group-relative lines and group-local token ids, from
+        ``vocab`` and ``postings`` over group-relative lines and
+        group-local token ids, from
         :func:`~repro.search.backends.indexed.fold_tokens` — the fold
         ``store verify`` replays.  :meth:`TokenIndex.for_disassembly
         <repro.search.backends.indexed.TokenIndex.for_disassembly>`
@@ -216,13 +215,8 @@ class ShardGroup:
         """
         cached = self.__dict__.get("_fold")
         if cached is None:
-            vocab, postings, string_ids, containing = fold_tokens(self.tokens)
-            cached = {
-                "vocab": vocab,
-                "postings": postings,
-                "string_ids": string_ids,
-                "containing": containing,
-            }
+            vocab, postings = fold_tokens(self.tokens)
+            cached = {"vocab": vocab, "postings": postings}
             object.__setattr__(self, "_fold", cached)
         return cached
 
@@ -337,11 +331,10 @@ def shard_payload(group: ShardGroup, key: str) -> dict:
 
     Carries every restore product: the group's text and layout (bytes;
     composed back into the app's disassembly) and its mini-index
-    (:meth:`ShardGroup.fold`) — vocabulary, posting lists, string ids
-    and the local containment map, which a restored index queries
-    without re-folding any token or re-running the containment regexes
-    — plus the relative token stream the mini-index was folded from,
-    which ``store verify`` refolds and hashes.
+    (:meth:`ShardGroup.fold`) — the vocabulary and posting lists a
+    restored index queries without re-folding any token — plus the
+    relative token stream the mini-index was folded from, which
+    ``store verify`` refolds and hashes.
     """
     return {
         "key": key,

@@ -209,11 +209,9 @@ class Tracer:
     scheduler's lanes.
     """
 
-    def __init__(
-        self, enabled: bool = False, max_traces: int = DEFAULT_MAX_TRACES
-    ) -> None:
+    def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        self.max_traces = max_traces
+        self.max_traces = DEFAULT_MAX_TRACES
         self._lock = threading.Lock()
         self._traces: "OrderedDict[str, list[dict]]" = OrderedDict()
         #: Spans dropped because their trace was evicted before collect.

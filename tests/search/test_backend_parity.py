@@ -17,6 +17,8 @@ from repro.android.apk import Apk
 from repro.core import BackDroid, BackDroidConfig
 from repro.dex.builder import AppBuilder
 from repro.dex.types import FieldSignature
+from repro.search.backends import InvertedIndexBackend, LinearScanBackend
+from repro.search.backends.indexed import TokenIndex
 from repro.search.index import BytecodeSearcher
 from repro.store import ArtifactStore
 from repro.workload.corpus import benchmark_app_spec
@@ -160,6 +162,43 @@ class TestQueryParity:
         assert indexed.find_const_string("NOPE") == []
         assert indexed.classes_mentioning("com.ghost.Nope") == set()
         assert linear.classes_mentioning("com.ghost.Nope") == set()
+
+
+class TestTokenOracle:
+    """A needle finds exactly the lines of the tokens holding it: a
+    brute-force scan of the token stream is the oracle, and the linear
+    scan finds those lines and maybe more (a needle can also occur
+    outside tokens)."""
+
+    @given(woven_apps(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_token_substrings_answer_as_brute_force(self, case, data):
+        apk, _, _ = case
+        disassembly = apk.disassembly
+        tokens = disassembly.tokens
+        # Substrings of the "\n"-joined vocabulary: mostly substrings of
+        # one token text, some running from one text into the next
+        # (those lie in no token).
+        joined = "\n".join(TokenIndex(disassembly).vocab)
+        needles = []
+        for _ in range(8):
+            start = data.draw(st.integers(0, len(joined)))
+            end = data.draw(st.integers(start, min(len(joined), start + 40)))
+            needles.append(joined[start:end])
+        with tempfile.TemporaryDirectory() as root:
+            store = ArtifactStore(root)
+            cold = InvertedIndexBackend(disassembly, store=store)
+            cold.index  # folds, then publishes the shards
+            restored = store.load_index(disassembly)
+            linear = LinearScanBackend(disassembly)
+            for needle in needles:
+                oracle = sorted(
+                    {token.line_no for token in tokens if needle in token.text}
+                )
+                assert cold.token_lines(needle) == oracle, needle
+                assert restored.token_lines(needle) == oracle, needle
+                assert set(oracle) <= set(linear.token_lines(needle)), needle
+            restored.close()
 
 
 def _assert_searchers_agree(reference, candidate, apk, names, strings):

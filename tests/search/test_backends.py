@@ -11,7 +11,7 @@ from repro.search.backends import (
     LinearScanBackend,
     create_backend,
 )
-from repro.search.backends.indexed import TokenIndex, _containment_keys
+from repro.search.backends.indexed import TokenIndex
 from repro.search.caching import SearchCommandCache
 from repro.search.index import BytecodeSearcher
 
@@ -27,6 +27,24 @@ def _small_apk():
     caller.invoke_static("com.t.Callee", "run")
     caller.return_void()
     return Apk(package="com.t", classes=app.build())
+
+
+def _array_apk():
+    """``com.La.m0`` allocates a ``com.La[][]``; ``com.Other`` calls it."""
+    app = AppBuilder()
+    method = app.new_class("com.La").method("m0", static=True)
+    method.new_array("com.La[]", 2)
+    method.return_void()
+    caller = app.new_class("com.Other").method("go", static=True)
+    caller.invoke_static("com.La", "m0")
+    caller.return_void()
+    return Apk(package="com", classes=app.build())
+
+
+def _token_line(disassembly, text):
+    """The one line holding a token with exactly *text*."""
+    (line_no,) = {t.line_no for t in disassembly.tokens if t.text == text}
+    return line_no
 
 
 class TestRegistry:
@@ -76,15 +94,34 @@ class TestTokenIndex:
         assert TokenIndex.for_disassembly(apk.disassembly) is \
             TokenIndex.for_disassembly(apk.disassembly)
 
-    def test_invocation_query_is_exact_lookup(self):
-        apk = _small_apk()
-        index = TokenIndex(apk.disassembly)
-        sig = MethodSignature("com.t.Callee", "run", (), "void")
-        assert sig.to_dex() in index.exact
+    def test_invocation_signature_finds_its_invoke_line(self):
+        disassembly = _small_apk().disassembly
+        needle = MethodSignature("com.t.Callee", "run", (), "void").to_dex()
+        answer = InvertedIndexBackend(disassembly).token_lines(needle)
+        assert answer == [_token_line(disassembly, needle)]
+        assert answer == LinearScanBackend(disassembly).token_lines(needle)
 
-    def test_embedded_descriptor_suffixes(self):
-        found = set(_containment_keys("[[Lcom/La;"))
-        assert found == {"[[Lcom/La;", "[Lcom/La;", "Lcom/La;", "La;"}
+    def test_descriptor_needles_find_an_array_token(self):
+        # '[[Lcom/La;' holds '[Lcom/La;', 'Lcom/La;' and 'La;'.
+        disassembly = _array_apk().disassembly
+        backend = InvertedIndexBackend(disassembly)
+        array_line = _token_line(disassembly, "[[Lcom/La;")
+        for needle in ("[Lcom/La;", "Lcom/La;", "La;"):
+            assert array_line in backend.token_lines(needle), needle
+
+    def test_signature_suffix_finds_a_longer_class_name(self):
+        # 'La;.m0:()V' (class 'a') lies inside 'Lcom/La;.m0:()V' (class
+        # 'com.La').
+        disassembly = _array_apk().disassembly
+        assert InvertedIndexBackend(disassembly).token_lines("La;.m0:()V") \
+            == [_token_line(disassembly, "Lcom/La;.m0:()V")]
+
+    def test_mid_token_needle_answers_as_the_linear_scan(self):
+        disassembly = _array_apk().disassembly
+        needle = "com/La;.m0:()"
+        answer = InvertedIndexBackend(disassembly).token_lines(needle)
+        assert answer == [_token_line(disassembly, "Lcom/La;.m0:()V")]
+        assert answer == LinearScanBackend(disassembly).token_lines(needle)
 
     def test_needles_embedded_in_string_values(self):
         # A const-string value may embed quoted descriptors, raw
@@ -106,22 +143,12 @@ class TestTokenIndex:
         assert linear._search_token(sig.to_dex(), kind="caller-method") == \
             indexed._search_token(sig.to_dex(), kind="caller-method")
 
-    def test_signature_suffixes_registered(self):
-        # 'La;.m0:()V' (class 'a') occurs inside 'Lcom/La;.m0:()V'
-        # (class 'com.La') — the containment map must cover it.
-        found = set(_containment_keys("Lcom/La;.m0:()V"))
-        assert "La;.m0:()V" in found
-        assert "La;" in found
-
-    def test_descriptor_containment_covers_signatures(self):
-        apk = _small_apk()
-        index = TokenIndex(apk.disassembly)
-        # 'Lcom/t/Callee;' occurs inside the invoke signature token.
-        tids = index.containing["Lcom/t/Callee;"]
-        assert any(
-            "invoke" not in index.vocab[tid] and ";.run:" in index.vocab[tid]
-            for tid in tids
-        )
+    def test_descriptor_needle_finds_the_signatures_embedding_it(self):
+        # 'Lcom/t/Callee;' lies inside the invoke's signature token.
+        disassembly = _small_apk().disassembly
+        invoke_line = _token_line(disassembly, "Lcom/t/Callee;.run:()V")
+        assert invoke_line in \
+            InvertedIndexBackend(disassembly).token_lines("Lcom/t/Callee;")
 
 
 class TestBackendStats:

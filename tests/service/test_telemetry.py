@@ -242,8 +242,8 @@ class TestDisabledTelemetry:
             _config(tmp_path),
             workers=1,
             cold_executor="process",
-            tracing_enabled=False,
         ) as scheduler:
+            scheduler.tracer.enabled = False
             job = scheduler.submit(benchmark_app_spec(0, scale=SCALE))
             done = scheduler.wait(job.id, timeout=60)
             assert done.state == "done"

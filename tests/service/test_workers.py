@@ -151,20 +151,11 @@ class TestProcessLane:
         assert all(not p.is_alive() for p in processes)
         assert lane.pids() == []
 
-    @pytest.mark.skipif(
-        not os.path.isdir("/proc"), reason="reads process state from /proc"
-    )
-    def test_workers_exit_when_their_owner_is_sigkilled(self):
-        # An owner killed with no chance to shut its lane down must not
-        # leave idle workers behind: each one's pipe reads EOF once no
-        # live process holds the parent end.
+    def _assert_workers_die_with_their_owner(self, owner_script):
+        """Run *owner_script* (which prints its lane's worker pids),
+        SIGKILL it, and require every worker gone within 5 s."""
         owner = subprocess.Popen(
-            [sys.executable, "-c",
-             "import time\n"
-             "from repro.service.workers import ProcessLane\n"
-             "lane = ProcessLane(workers=2)\n"
-             "print(*lane.pids(), flush=True)\n"
-             "time.sleep(120)\n"],
+            [sys.executable, "-c", owner_script],
             stdout=subprocess.PIPE,
             text=True,
             env={**os.environ,
@@ -173,7 +164,7 @@ class TestProcessLane:
         pids = []
         try:
             pids = [int(pid) for pid in owner.stdout.readline().split()]
-            assert len(pids) == 2
+            assert pids
             owner.send_signal(signal.SIGKILL)
             owner.wait(timeout=10)
             deadline = time.monotonic() + 5
@@ -188,10 +179,42 @@ class TestProcessLane:
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process state from /proc"
+    )
+    def test_workers_exit_when_their_owner_is_sigkilled(self):
+        # An owner killed with no chance to shut its lane down must not
+        # leave idle workers behind: each one's pipe reads EOF once no
+        # live process holds the parent end.
+        self._assert_workers_die_with_their_owner(
+            "import time\n"
+            "from repro.service.workers import ProcessLane\n"
+            "lane = ProcessLane(workers=2)\n"
+            "print(*lane.pids(), flush=True)\n"
+            "time.sleep(120)\n"
+        )
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process state from /proc"
+    )
+    def test_busy_workers_exit_when_their_owner_is_sigkilled(self):
+        # A worker inside a task reads no pipe, so it must notice its
+        # owner's death some other way, well before the task ends.
+        self._assert_workers_die_with_their_owner(
+            "import threading, time\n"
+            "from repro.service.workers import ProcessLane\n"
+            "from repro.workload.corpus import benchmark_app_spec\n"
+            "lane = ProcessLane(workers=1)\n"
+            "spec = benchmark_app_spec(0, scale=0.05)\n"
+            "threading.Thread(target=lane.execute, daemon=True,\n"
+            "                 args=('job-1', spec, None, None, 60)).start()\n"
+            "while not lane._running:\n"
+            "    time.sleep(0.01)\n"
+            "time.sleep(0.5)  # the task is on the worker: it stalls\n"
+            "print(*lane.pids(), flush=True)\n"
+            "time.sleep(120)\n"
+        )
+
     def test_worker_count_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             ProcessLane(workers=0)
-
-    def test_unknown_start_method_is_rejected(self):
-        with pytest.raises(ValueError, match="start method"):
-            ProcessLane(workers=1, start_method="teleport")

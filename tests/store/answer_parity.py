@@ -7,11 +7,58 @@ app-wide token stream, by its answers: ``token_lines`` is the only
 query an app index serves.
 """
 
+import re
+
+#: A bare dex reference-type descriptor, possibly array-wrapped.
+DESCRIPTOR_RE = re.compile(r"\[*L[^;]+;")
+#: Where a descriptor can start: an array bracket or a class ``L``.
+_OPENER_RE = re.compile(r"[\[L]")
+
+
+def embedded_needles(text):
+    """The descriptor- and signature-shaped substrings of a token text.
+
+    Two families, the needles a descriptor or signature query can find
+    *inside* a longer token:
+
+    * every proper suffix starting at a ``[`` or ``L`` that is still a
+      descriptor or still holds a signature's ``;.`` and ``:`` — one
+      class name can suffix another (``La;.m:()V`` inside
+      ``Lcom/La;.m:()V``);
+    * every descriptor ending mid-token (parameter and return types in
+      signatures, protos and array descriptors), with its own
+      array-prefix/``L``-restart suffixes (``[[Lcom/La;`` holds
+      ``[Lcom/La;``, ``Lcom/La;`` and ``La;``).
+    """
+    found = set()
+    # A suffix holds ";." and ":" exactly when it starts at or before
+    # the last of each.
+    signature_until = min(text.rfind(";."), text.rfind(":"))
+    for opener in _OPENER_RE.finditer(text, 1):
+        i = opener.start()
+        if i <= signature_until or DESCRIPTOR_RE.fullmatch(text, i):
+            found.add(text[i:])
+    for match in DESCRIPTOR_RE.finditer(text):
+        end = match.end()
+        for opener in _OPENER_RE.finditer(text, match.start(), end):
+            if DESCRIPTOR_RE.fullmatch(text, opener.start(), end):
+                found.add(text[opener.start():end])
+    return found
+
+
+def token_needles(reference):
+    """Every vocabulary text of *reference* and every descriptor- or
+    signature-shaped substring of one."""
+    needles = set(reference.vocab)
+    for text in reference.vocab:
+        needles |= embedded_needles(text)
+    return needles
+
 
 def reference_needles(reference):
-    """Every vocabulary text and containment key of *reference*, plus a
-    mid-token substring of each, in sorted order."""
-    keys = set(reference.vocab).union(reference.containing)
+    """:func:`token_needles`, plus a mid-token substring of each, in
+    sorted order."""
+    keys = token_needles(reference)
     return sorted(keys | {key[1:-1] for key in keys if len(key) > 2})
 
 

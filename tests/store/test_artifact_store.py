@@ -237,7 +237,7 @@ class TestRetiredContainer:
     def test_v2_store_reads_as_a_miss_then_republishes(self, store):
         # Readers accept FORMAT_VERSION only: a store last written by
         # the retired JSON container is a cold miss, never an error,
-        # and the rebuild publishes a lazily restorable v3 entry.
+        # and the rebuild publishes a lazily restorable current entry.
         apk = build_heyzap()
         store.save_index(apk.disassembly)
         key = store_key(apk.disassembly)
@@ -1033,8 +1033,10 @@ class TestVerify:
         key = self._populate(store, build_heyzap())
         path = store._manifest_path(key)
         payload = json.loads(path.read_text())
-        # v1 predates shards; v2 is the retired JSON shard container.
-        for version in (1, 2):
+        # v1 predates shards; v2 is the retired JSON shard container;
+        # v3 shards also carried string ids, a containment map and a
+        # CRC filter.
+        for version in (1, 2, 3):
             payload["version"] = version
             path.write_text(json.dumps(payload))
 

@@ -1,8 +1,8 @@
-"""Tests for zero-copy lazy restores (the v3 binary shard path).
+"""Tests for zero-copy lazy restores (the binary shard path).
 
 Covers the laziness contract end to end: a fully binary warm entry
 restores as a :class:`LazyTokenIndex` that (1) answers every needle
-shape identically to a fresh fold, (2) decodes only the groups a query
+identically to a fresh fold, (2) decodes only the groups a query
 touches — strictly fewer bytes than a query touching every group, (3)
 survives LRU eviction and re-faults correctly, and (4) self-heals
 corrupt shard sections from the live disassembly.  Needles come from
@@ -16,14 +16,14 @@ import warnings
 import pytest
 
 import repro.store.lazy as lazy
-from repro.search.backends.indexed import TokenIndex, _DESCRIPTOR_RE
+from repro.search.backends.indexed import TokenIndex
 from repro.search.index import BytecodeSearcher
 from repro.store import ArtifactStore, LazyShardView, store_key
-from repro.store.binshard import BIN_FORMAT_VERSION
+from repro.store.binshard import FORMAT_VERSION
 from repro.store.lazy import LazyTokenIndex
 from repro.workload.generator import AppSpec, LibrarySpec, generate_app
 
-from answer_parity import assert_same_answers
+from answer_parity import DESCRIPTOR_RE, assert_same_answers
 
 #: Shared library specs: each package prefix becomes its own shard
 #: group, so the generated app restores as a genuinely multi-group
@@ -57,17 +57,17 @@ def _warm_lazy(store, seed=1):
 
 
 def _sample_needles(fresh):
-    """One needle per shape class the index serves, from live vocab."""
+    """Needles of every shape a search sends, from live vocab."""
     descriptor = next(
-        t for t in fresh.vocab if _DESCRIPTOR_RE.fullmatch(t)
+        t for t in fresh.vocab if DESCRIPTOR_RE.fullmatch(t)
     )
     signature = next(t for t in fresh.vocab if ";." in t and ":" in t)
     return [
-        fresh.vocab[0],              # exact token lookup
-        descriptor,                  # containment-map lookup
-        signature,                   # containment + string scan
-        signature[2:-2],             # mid-token substring: blob scan
-        "lazylib2",                  # unknown shape: full vocab scan
+        fresh.vocab[0],              # a whole token text
+        descriptor,                  # also inside signatures and protos
+        signature,                   # also inside string values
+        signature[2:-2],             # a mid-token substring
+        "lazylib2",                  # a package name, in many tokens
         "Lcom/definitely/absent;",   # no group can answer
     ]
 
@@ -76,7 +76,7 @@ def _single_group_needle(fresh):
     """A descriptor only one library group's classes can answer."""
     return next(
         t for t in fresh.vocab
-        if _DESCRIPTOR_RE.fullmatch(t) and "lazylib3" in t
+        if DESCRIPTOR_RE.fullmatch(t) and "lazylib3" in t
     )
 
 
@@ -168,9 +168,9 @@ class TestLruEviction:
         restored = _warm_lazy(store)
         fresh = TokenIndex(_build_apk().disassembly)
         one = next(t for t in fresh.vocab
-                   if _DESCRIPTOR_RE.fullmatch(t) and "lazylib1" in t)
+                   if DESCRIPTOR_RE.fullmatch(t) and "lazylib1" in t)
         two = next(t for t in fresh.vocab
-                   if _DESCRIPTOR_RE.fullmatch(t) and "lazylib4" in t)
+                   if DESCRIPTOR_RE.fullmatch(t) and "lazylib4" in t)
         for needle in (one, two, one, two):
             assert restored.token_lines(needle) == \
                 fresh.token_lines(needle), needle
@@ -218,7 +218,7 @@ class TestSelfHeal:
         # The heal republished a current shard in place.
         assert all(entry.ok for entry in store.verify())
         assert struct.unpack_from("<H", victim.read_bytes(), 4)[0] == \
-            BIN_FORMAT_VERSION
+            FORMAT_VERSION
 
     def test_truncated_shard_heals_from_live_disassembly(self, store):
         # Truncation leaves a parseable header whose section table

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import BackDroidConfig, analyze_spec, run_batch
 from repro.search.backends.indexed import TokenIndex, fold_tokens
+from repro.search.backends.linear import LinearScanBackend
 from repro.store import (
     ArtifactStore,
     group_label,
@@ -38,7 +39,7 @@ from repro.workload.paperapps import (
     build_palcomp3,
 )
 
-from answer_parity import assert_same_answers
+from answer_parity import assert_same_answers, token_needles
 
 SHARED_LIB = LibrarySpec(
     package="org.sharedsdk", seed=7, classes=10, methods_per_class=5
@@ -68,6 +69,19 @@ def _five_library_app():
             for i in range(5)
         ),
     )).apk
+
+
+#: Apps whose every index must answer as the app's direct fold does:
+#: the paper apps, three corpus apps and a five-library app.
+_PARITY_APPS = [
+    pytest.param(build_heyzap, id="heyzap"),
+    pytest.param(build_lg_tv_plus, id="lg_tv_plus"),
+    pytest.param(build_palcomp3, id="palcomp3"),
+    pytest.param(_corpus_app(0), id="bench0"),
+    pytest.param(_corpus_app(2), id="bench2"),
+    pytest.param(_corpus_app(3), id="bench3"),
+    pytest.param(_five_library_app, id="five_libraries"),
+]
 
 
 @pytest.fixture
@@ -291,15 +305,7 @@ class TestComposeParity:
         assert not index.restored and index.build_seconds > 0.0
         self._parity(index, TokenIndex(disassembly))
 
-    @pytest.mark.parametrize("build", [
-        pytest.param(build_heyzap, id="heyzap"),
-        pytest.param(build_lg_tv_plus, id="lg_tv_plus"),
-        pytest.param(build_palcomp3, id="palcomp3"),
-        pytest.param(_corpus_app(0), id="bench0"),
-        pytest.param(_corpus_app(2), id="bench2"),
-        pytest.param(_corpus_app(3), id="bench3"),
-        pytest.param(_five_library_app, id="five_libraries"),
-    ])
+    @pytest.mark.parametrize("build", _PARITY_APPS)
     def test_every_index_of_an_app_answers_as_its_fold(self, build, store):
         # However the app was prepared — cold, fully restored, restored
         # with one of several shards deleted, or restored over a
@@ -335,6 +341,23 @@ class TestComposeParity:
         self._parity(healed, reference)
         assert healed.patched_groups == 1
         assert all(entry.ok for entry in store.verify())
+
+    @pytest.mark.parametrize("build", _PARITY_APPS)
+    def test_token_needles_find_the_lines_of_their_tokens(self, build):
+        # Every vocabulary text and every descriptor- or signature-shaped
+        # substring of one finds exactly the lines of the tokens holding
+        # it.  The linear scan finds those lines too, and more where the
+        # needle also occurs outside any token (palcomp3's
+        # "LocalServer:(Landroid/content/Context;" is also on a method
+        # header line).
+        disassembly = build().disassembly
+        index = TokenIndex.for_disassembly(disassembly)
+        linear = LinearScanBackend(disassembly)
+        tokens = disassembly.tokens
+        for needle in token_needles(TokenIndex(disassembly)):
+            holding = sorted({t.line_no for t in tokens if needle in t.text})
+            assert index.token_lines(needle) == holding, needle
+            assert set(holding) <= set(linear.token_lines(needle)), needle
 
     def test_patched_composition_is_still_byte_identical(self, store):
         disassembly = generate_app(_app("com.alpha", 1)).apk.disassembly
@@ -385,12 +408,10 @@ class TestComposeParity:
     def test_fold_tokens_matches_token_index_fold(self):
         disassembly = build_heyzap().disassembly
         triples = [(t.line_no, t.kind, t.text) for t in disassembly.tokens]
-        vocab, postings, string_ids, containing = fold_tokens(triples)
+        vocab, postings = fold_tokens(triples)
         fresh = TokenIndex(disassembly)
         assert vocab == fresh.vocab
         assert postings == fresh.postings
-        assert string_ids == fresh._string_ids
-        assert containing == fresh.containing
 
 
 class TestPipelineIntegration:

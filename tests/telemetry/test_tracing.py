@@ -4,7 +4,7 @@ disabled-mode no-ops, and the rendered tree."""
 import os
 
 from repro import telemetry
-from repro.telemetry import NULL_SPAN, Tracer, render_span_tree
+from repro.telemetry import NULL_SPAN, Tracer, render_span_tree, tracing
 from repro.telemetry.tracing import current_span
 
 
@@ -106,8 +106,9 @@ class TestBuffering:
         assert len(tracer.collect(span.trace_id)) == 1
         assert tracer.collect(span.trace_id) == []
 
-    def test_oldest_trace_evicted_beyond_the_bound(self):
-        tracer = Tracer(enabled=True, max_traces=2)
+    def test_oldest_trace_evicted_beyond_the_bound(self, monkeypatch):
+        monkeypatch.setattr(tracing, "DEFAULT_MAX_TRACES", 2)
+        tracer = Tracer(enabled=True)
         spans = []
         for _ in range(3):
             s = tracer.start_span("job")
