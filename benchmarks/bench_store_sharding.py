@@ -18,8 +18,9 @@ Acceptance bars (the ISSUE/CI gate):
   than the summed private stores;
 * every restored index **answers as a fresh fold does**: for each
   vocabulary text of the fold and each descriptor- or signature-shaped
-  substring of one, plus a mid-token substring of each,
-  ``token_lines`` returns the same lines;
+  substring of one, plus a mid-token substring of each (the needle set
+  of ``tests/store/answer_parity.py``), ``token_lines`` returns the
+  same lines;
 * restoring an index from shards is **no slower than folding it from
   the token stream** — warm restores must stay cheaper than cold
   builds (the no-regression bar).
@@ -31,15 +32,24 @@ the 30% bar is always measured on the first two apps).
 from __future__ import annotations
 
 import os
-import re
 import statistics
+import sys
 import tempfile
 import time
+from pathlib import Path
 
-from benchmarks.conftest import emit_table, render_table
-from repro.search.backends.indexed import TokenIndex
-from repro.store import ArtifactStore
-from repro.workload.generator import AppSpec, LibrarySpec, generate_app
+# The parity bar asks the test suite's needle set (one generator).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests/store"))
+
+from answer_parity import assert_same_answers  # noqa: E402
+from benchmarks.conftest import emit_table, render_table  # noqa: E402
+from repro.search.backends.indexed import TokenIndex  # noqa: E402
+from repro.store import ArtifactStore  # noqa: E402
+from repro.workload.generator import (  # noqa: E402
+    AppSpec,
+    LibrarySpec,
+    generate_app,
+)
 
 SHARD_APPS = max(2, int(os.environ.get("REPRO_BENCH_SHARD_APPS", "6")))
 
@@ -61,35 +71,6 @@ def _corpus_specs() -> list[AppSpec]:
         )
         for index in range(SHARD_APPS)
     ]
-
-
-#: A dex reference-type descriptor, possibly array-wrapped, and the
-#: characters one can start at.
-_DESCRIPTOR = re.compile(r"\[*L[^;]+;")
-_OPENER = re.compile(r"[\[L]")
-
-
-def _needles(fresh) -> set:
-    """Every vocabulary text of ``fresh`` and every descriptor- or
-    signature-shaped substring of one, plus a mid-token substring of
-    each: the needle set of ``tests/store/answer_parity.py``."""
-    keys = set(fresh.vocab)
-    for text in fresh.vocab:
-        # Suffixes a class-name suffix query can hit (``La;.m:()V``
-        # inside ``Lcom/La;.m:()V``) ...
-        until = min(text.rfind(";."), text.rfind(":"))
-        for opener in _OPENER.finditer(text, 1):
-            at = opener.start()
-            if at <= until or _DESCRIPTOR.fullmatch(text, at):
-                keys.add(text[at:])
-        # ... and descriptors ending mid-token, with their own suffixes
-        # (``[[Lcom/La;`` holds ``[Lcom/La;``, ``Lcom/La;``, ``La;``).
-        for match in _DESCRIPTOR.finditer(text):
-            end = match.end()
-            for opener in _OPENER.finditer(text, match.start(), end):
-                if _DESCRIPTOR.fullmatch(text, opener.start(), end):
-                    keys.add(text[opener.start():end])
-    return keys | {key[1:-1] for key in keys if len(key) > 2}
 
 
 def _fresh_disassembly(spec: AppSpec):
@@ -128,10 +109,7 @@ def run_sharding(root: str):
         restored = shared.load_index(warm)
         restore_times.append(time.perf_counter() - started)
         assert restored is not None and restored.patched_groups == 0
-        fresh = TokenIndex(warm)
-        for needle in _needles(fresh):
-            assert restored.token_lines(needle) == \
-                fresh.token_lines(needle), needle
+        assert_same_answers(restored, TokenIndex(warm))
 
     return {
         "private_bytes": private_bytes,

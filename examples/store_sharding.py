@@ -19,12 +19,23 @@ Run with::
     PYTHONPATH=src python examples/store_sharding.py
 """
 
-import re
+import sys
 import tempfile
+from pathlib import Path
 
-from repro.search.backends.indexed import TokenIndex
-from repro.store import ArtifactStore, LazyTokenIndex
-from repro.workload.generator import AppSpec, LibrarySpec, generate_app
+# Parity is checked over the test suite's needle set: every vocabulary
+# text, every descriptor- or signature-shaped substring of one, and a
+# mid-token substring of each.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests/store"))
+
+from answer_parity import assert_same_answers  # noqa: E402
+from repro.search.backends.indexed import TokenIndex  # noqa: E402
+from repro.store import ArtifactStore  # noqa: E402
+from repro.workload.generator import (  # noqa: E402
+    AppSpec,
+    LibrarySpec,
+    generate_app,
+)
 
 SDK = LibrarySpec(package="org.vendored.sdk", seed=3, classes=20,
                   methods_per_class=6)
@@ -33,43 +44,6 @@ SDK = LibrarySpec(package="org.vendored.sdk", seed=3, classes=20,
 def _spec(package: str, seed: int) -> AppSpec:
     return AppSpec(package=package, seed=seed, filler_classes=6,
                    libraries=(SDK,))
-
-
-#: A dex reference-type descriptor, possibly array-wrapped, and the
-#: characters one can start at.
-_DESCRIPTOR = re.compile(r"\[*L[^;]+;")
-_OPENER = re.compile(r"[\[L]")
-
-
-def _needles(fresh) -> set:
-    """Every vocabulary text of ``fresh`` and every descriptor- or
-    signature-shaped substring of one, plus a mid-token substring of
-    each: the needle set of ``tests/store/answer_parity.py``."""
-    keys = set(fresh.vocab)
-    for text in fresh.vocab:
-        # Suffixes a class-name suffix query can hit (``La;.m:()V``
-        # inside ``Lcom/La;.m:()V``) ...
-        until = min(text.rfind(";."), text.rfind(":"))
-        for opener in _OPENER.finditer(text, 1):
-            at = opener.start()
-            if at <= until or _DESCRIPTOR.fullmatch(text, at):
-                keys.add(text[at:])
-        # ... and descriptors ending mid-token, with their own suffixes
-        # (``[[Lcom/La;`` holds ``[Lcom/La;``, ``Lcom/La;``, ``La;``).
-        for match in _DESCRIPTOR.finditer(text):
-            end = match.end()
-            for opener in _OPENER.finditer(text, match.start(), end):
-                if _DESCRIPTOR.fullmatch(text, opener.start(), end):
-                    keys.add(text[opener.start():end])
-    return keys | {key[1:-1] for key in keys if len(key) > 2}
-
-
-def _assert_parity(restored: LazyTokenIndex, fresh: TokenIndex) -> None:
-    """``restored`` answers as the direct fold ``fresh`` does, for every
-    needle of :func:`_needles`."""
-    for needle in _needles(fresh):
-        assert restored.token_lines(needle) == \
-            fresh.token_lines(needle), needle
 
 
 def main() -> None:
@@ -96,7 +70,7 @@ def main() -> None:
             restored = store.load_index(disassembly)
             assert restored is not None and restored.patched_groups == 0
             assert restored.build_seconds == 0.0
-            _assert_parity(restored, TokenIndex(disassembly))
+            assert_same_answers(restored, TokenIndex(disassembly))
         print("parity            : restored indexes answer as fresh folds")
 
         # --- a never-saved sibling app warm-starts off the SDK -------
@@ -104,7 +78,7 @@ def main() -> None:
         restored = store.load_index(gamma)
         assert restored is not None, "SDK shard should make this a partial hit"
         assert restored.patched_groups >= 1
-        _assert_parity(restored, TokenIndex(gamma))
+        assert_same_answers(restored, TokenIndex(gamma))
         print(f"cross-app warm    : gamma served "
               f"{len(store._groups(gamma)) - restored.patched_groups} shared "
               f"shard(s), folded {restored.patched_groups} of its own")

@@ -124,7 +124,10 @@ class StoreStats:
     shards_shared: int = 0
     writes: int = 0
     #: Entries that existed but were unreadable or failed validation
-    #: (torn JSON, wrong version, key mismatch) and fell back to a miss.
+    #: (torn JSON, wrong version, key mismatch) and fell back to a miss,
+    #: and damaged shards a query healed (a shard of another container
+    #: version heals without counting here: it is out of date, not
+    #: damaged).
     corrupt_entries: int = 0
     #: Index restores, full and partial hits alike: each is served as a
     #: :class:`~repro.store.lazy.LazyTokenIndex` (mmapped binary shards;
@@ -701,11 +704,13 @@ class ArtifactStore:
         caller drops its stale mapping and proceeds with the repaired
         payload.
         """
-        def heal(index: int) -> dict:
+        def heal(index: int, stale: bool) -> dict:
             payload = self._write_shard(*self._groups(disassembly)[index])
-            # A heal only repairs a shard that existed but could not be
-            # trusted, so every heal is also a corrupt-entry event.
-            self.stats.corrupt_entries += 1
+            # A heal repairs a shard that existed but could not be
+            # trusted: a corrupt-entry event, unless the shard was only
+            # of another container version.
+            if not stale:
+                self.stats.corrupt_entries += 1
             self.stats.shards_patched += 1
             return payload
 

@@ -37,7 +37,9 @@ eviction only costs a re-decode on the next fault.  Corruption
 discovered at any point — header read, candidacy probe, mini-index
 decode — triggers the ``heal`` callback, which re-folds the damaged
 group from the live disassembly and republishes its shard (surfacing
-as ``patched_groups``/``shards_patched``).
+as ``patched_groups``/``shards_patched``).  A shard of another container
+version heals the same way, but is told apart: it is out of date, not
+damaged.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from collections import OrderedDict
 from typing import Callable, Optional, Union
 
 from repro.search.backends.indexed import TokenIndex
-from repro.store.binshard import LazyShardView, ShardCorrupt
+from repro.store.binshard import LazyShardView, ShardCorrupt, ShardStale
 
 #: Decoded groups a restored index keeps at once, read when the index
 #: is built.  Eviction is safe (a re-fault re-decodes), so the bound
@@ -61,15 +63,16 @@ class LazyTokenIndex:
     def __init__(
         self,
         parts: list[tuple[int, Union[TokenIndex, LazyShardView]]],
-        heal: Optional[Callable[[int], dict]] = None,
+        heal: Optional[Callable[[int, bool], dict]] = None,
         stats=None,
     ) -> None:
         """``parts`` is ``(start_line, group)`` per library group, in
         render order: a group's in-memory fold (a cold build) or a view
-        of its published shard (a restore).  ``heal`` re-folds group *i*
-        from the live disassembly, republishes its shard, and returns
-        the repaired payload; ``stats`` (a ``StoreStats``) receives the
-        decode counters."""
+        of its published shard (a restore).  ``heal(i, stale)`` re-folds
+        group *i* from the live disassembly, republishes its shard, and
+        returns the repaired payload; ``stale`` is true when the shard
+        was only of another container version, not damaged.  ``stats``
+        (a ``StoreStats``) receives the decode counters."""
         self._parts = parts
         self._heal = heal
         self._cache: OrderedDict[int, TokenIndex] = OrderedDict()
@@ -123,8 +126,8 @@ class LazyTokenIndex:
         _, group = self._parts[index]
         try:
             return getattr(group, attr)
-        except ShardCorrupt:
-            self._repair(index)
+        except ShardCorrupt as exc:
+            self._repair(index, exc)
             return getattr(group, attr)
 
     @property
@@ -150,8 +153,8 @@ class LazyTokenIndex:
     # ------------------------------------------------------------------
     # Group faults
     # ------------------------------------------------------------------
-    def _repair(self, index: int) -> dict:
-        payload = self._heal(index)
+    def _repair(self, index: int, cause: Exception) -> dict:
+        payload = self._heal(index, isinstance(cause, ShardStale))
         self.patched_groups += 1
         _, view = self._parts[index]
         view.reset()  # the file was republished; drop the stale mapping
@@ -167,14 +170,14 @@ class LazyTokenIndex:
             return cached
         try:
             payload = group.mini_index()
-        except ShardCorrupt:
-            payload = self._repair(index)
+        except ShardCorrupt as exc:
+            payload = self._repair(index, exc)
         try:
             decoded = TokenIndex.from_payload(payload)
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError) as exc:
             # CRC-clean but structurally inconsistent (a foreign or
             # buggy writer): heal exactly like bit rot.
-            decoded = TokenIndex.from_payload(self._repair(index))
+            decoded = TokenIndex.from_payload(self._repair(index, exc))
         self._cache[index] = decoded
         self._touched.add(index)
         if self._stats is not None:

@@ -151,9 +151,10 @@ class TestProcessLane:
         assert all(not p.is_alive() for p in processes)
         assert lane.pids() == []
 
-    def _assert_workers_die_with_their_owner(self, owner_script):
-        """Run *owner_script* (which prints its lane's worker pids),
-        SIGKILL it, and require every worker gone within 5 s."""
+    def _assert_workers_die_with_their_owner(self, owner_script, workers):
+        """Run *owner_script* (which prints the pids of its lane's
+        *workers* workers), SIGKILL it, and require every one of them
+        gone within 5 s."""
         owner = subprocess.Popen(
             [sys.executable, "-c", owner_script],
             stdout=subprocess.PIPE,
@@ -164,7 +165,7 @@ class TestProcessLane:
         pids = []
         try:
             pids = [int(pid) for pid in owner.stdout.readline().split()]
-            assert pids
+            assert len(pids) == workers
             owner.send_signal(signal.SIGKILL)
             owner.wait(timeout=10)
             deadline = time.monotonic() + 5
@@ -191,7 +192,8 @@ class TestProcessLane:
             "from repro.service.workers import ProcessLane\n"
             "lane = ProcessLane(workers=2)\n"
             "print(*lane.pids(), flush=True)\n"
-            "time.sleep(120)\n"
+            "time.sleep(120)\n",
+            workers=2,
         )
 
     @pytest.mark.skipif(
@@ -212,7 +214,8 @@ class TestProcessLane:
             "    time.sleep(0.01)\n"
             "time.sleep(0.5)  # the task is on the worker: it stalls\n"
             "print(*lane.pids(), flush=True)\n"
-            "time.sleep(120)\n"
+            "time.sleep(120)\n",
+            workers=1,
         )
 
     def test_worker_count_must_be_positive(self):

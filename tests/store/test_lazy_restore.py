@@ -210,11 +210,13 @@ class TestSelfHeal:
         assert_same_answers(again, fresh)
         assert again.patched_groups == 0
 
-    def _assert_heals_to_parity(self, store, victim):
+    def _assert_heals_to_parity(self, store, victim, corrupt_entries):
         restored = store.load_index(_build_apk().disassembly)
         assert isinstance(restored, LazyTokenIndex)  # stat-only check
         assert_same_answers(restored, TokenIndex(_build_apk().disassembly))
         assert restored.patched_groups == 1
+        assert store.stats.shards_patched == 1
+        assert store.stats.corrupt_entries == corrupt_entries
         # The heal republished a current shard in place.
         assert all(entry.ok for entry in store.verify())
         assert struct.unpack_from("<H", victim.read_bytes(), 4)[0] == \
@@ -231,11 +233,12 @@ class TestSelfHeal:
         victim = store._shard_path(store._groups(apk.disassembly)[2][1])
         blob = victim.read_bytes()
         victim.write_bytes(blob[: len(blob) // 2])
-        self._assert_heals_to_parity(store, victim)
+        self._assert_heals_to_parity(store, victim, corrupt_entries=1)
 
     def test_foreign_container_version_heals_like_rot(self, store):
         # One container version is accepted; a shard of any other
-        # version is re-folded on first touch, never decoded.
+        # version is re-folded on first touch, never decoded.  It is
+        # out of date, not damaged, so it is no corrupt entry.
         apk = _build_apk()
         store.save_index(
             apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
@@ -244,7 +247,7 @@ class TestSelfHeal:
         blob = bytearray(victim.read_bytes())
         struct.pack_into("<H", blob, 4, 2)
         victim.write_bytes(bytes(blob))
-        self._assert_heals_to_parity(store, victim)
+        self._assert_heals_to_parity(store, victim, corrupt_entries=0)
 
     def test_backend_surfaces_lazy_stats(self, store):
         apk = _build_apk()

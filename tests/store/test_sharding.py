@@ -71,19 +71,6 @@ def _five_library_app():
     )).apk
 
 
-#: Apps whose every index must answer as the app's direct fold does:
-#: the paper apps, three corpus apps and a five-library app.
-_PARITY_APPS = [
-    pytest.param(build_heyzap, id="heyzap"),
-    pytest.param(build_lg_tv_plus, id="lg_tv_plus"),
-    pytest.param(build_palcomp3, id="palcomp3"),
-    pytest.param(_corpus_app(0), id="bench0"),
-    pytest.param(_corpus_app(2), id="bench2"),
-    pytest.param(_corpus_app(3), id="bench3"),
-    pytest.param(_five_library_app, id="five_libraries"),
-]
-
-
 @pytest.fixture
 def store(tmp_path):
     return ArtifactStore(tmp_path / "store")
@@ -305,13 +292,34 @@ class TestComposeParity:
         assert not index.restored and index.build_seconds > 0.0
         self._parity(index, TokenIndex(disassembly))
 
-    @pytest.mark.parametrize("build", _PARITY_APPS)
+    @pytest.mark.parametrize("build", [
+        pytest.param(build_heyzap, id="heyzap"),
+        pytest.param(build_lg_tv_plus, id="lg_tv_plus"),
+        pytest.param(build_palcomp3, id="palcomp3"),
+        pytest.param(_corpus_app(0), id="bench0"),
+        pytest.param(_corpus_app(2), id="bench2"),
+        pytest.param(_corpus_app(3), id="bench3"),
+        pytest.param(_five_library_app, id="five_libraries"),
+    ])
     def test_every_index_of_an_app_answers_as_its_fold(self, build, store):
         # However the app was prepared — cold, fully restored, restored
         # with one of several shards deleted, or restored over a
         # bit-flipped shard that heals — its index answers alike.
         disassembly = build().disassembly
         reference = TokenIndex(disassembly)
+        # The reference itself: every vocabulary text and every
+        # descriptor- or signature-shaped substring of one finds exactly
+        # the lines of the tokens holding it.  The linear scan finds
+        # those lines too, and more where the needle also occurs outside
+        # any token (palcomp3's "LocalServer:(Landroid/content/Context;"
+        # is also on a method header line).
+        linear = LinearScanBackend(disassembly)
+        for needle in token_needles(reference):
+            holding = sorted(
+                {t.line_no for t in disassembly.tokens if needle in t.text}
+            )
+            assert reference.token_lines(needle) == holding, needle
+            assert set(holding) <= set(linear.token_lines(needle)), needle
         cold = TokenIndex.for_disassembly(disassembly)
         assert not cold.restored
         self._parity(cold, reference)
@@ -341,23 +349,6 @@ class TestComposeParity:
         self._parity(healed, reference)
         assert healed.patched_groups == 1
         assert all(entry.ok for entry in store.verify())
-
-    @pytest.mark.parametrize("build", _PARITY_APPS)
-    def test_token_needles_find_the_lines_of_their_tokens(self, build):
-        # Every vocabulary text and every descriptor- or signature-shaped
-        # substring of one finds exactly the lines of the tokens holding
-        # it.  The linear scan finds those lines too, and more where the
-        # needle also occurs outside any token (palcomp3's
-        # "LocalServer:(Landroid/content/Context;" is also on a method
-        # header line).
-        disassembly = build().disassembly
-        index = TokenIndex.for_disassembly(disassembly)
-        linear = LinearScanBackend(disassembly)
-        tokens = disassembly.tokens
-        for needle in token_needles(TokenIndex(disassembly)):
-            holding = sorted({t.line_no for t in tokens if needle in t.text})
-            assert index.token_lines(needle) == holding, needle
-            assert set(holding) <= set(linear.token_lines(needle)), needle
 
     def test_patched_composition_is_still_byte_identical(self, store):
         disassembly = generate_app(_app("com.alpha", 1)).apk.disassembly
