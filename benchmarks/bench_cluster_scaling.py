@@ -53,10 +53,12 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests/cluster"))
 
+from harness import ClusterHarness  # noqa: E402
 from repro.core.backdroid import BackDroidConfig  # noqa: E402
 from repro.core.batch import analyze_spec  # noqa: E402
-from repro.service import ClusterHarness, ServiceClient  # noqa: E402
+from repro.service import ServiceClient  # noqa: E402
 from repro.workload.corpus import app_spec_from_request  # noqa: E402
 
 TERMINAL = ("done", "failed", "cancelled")

@@ -68,10 +68,11 @@ import time
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
-for _p in (str(_ROOT), str(_ROOT / "src")):
+for _p in (str(_ROOT), str(_ROOT / "src"), str(_ROOT / "tests/store")):
     if _p not in sys.path:
         sys.path.insert(0, _p)
 
+from answer_parity import reference_index  # noqa: E402
 from benchmarks.conftest import emit_table, render_table  # noqa: E402
 from repro.core import BackDroidConfig, analyze_spec  # noqa: E402
 from repro.search.backends.indexed import TokenIndex  # noqa: E402
@@ -137,7 +138,7 @@ def run_warm_restore(root: str, smoke: bool) -> dict:
     n_libs, classes = (8, 6) if smoke else (14, 8)
     repeats = 3 if smoke else 5
     apk = _restore_app(n_libs, classes)
-    fresh = TokenIndex(apk.disassembly)
+    fresh = reference_index(apk.disassembly)
     needle = _needle(fresh)
 
     store = ArtifactStore(Path(root) / "restore")

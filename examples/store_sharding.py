@@ -23,14 +23,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-# Parity is checked over the test suite's needle set: every vocabulary
-# text, every descriptor- or signature-shaped substring of one, and a
-# mid-token substring of each.
+# Parity is checked against the test suite's reference fold, over its
+# needle set: every vocabulary text, every descriptor- or
+# signature-shaped substring of one, and a mid-token substring of each.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests/store"))
 
-from answer_parity import assert_same_answers  # noqa: E402
-from repro.search.backends.indexed import TokenIndex  # noqa: E402
-from repro.store import ArtifactStore  # noqa: E402
+from answer_parity import assert_same_answers, reference_index  # noqa: E402
+from repro.store import ArtifactStore, partition_disassembly  # noqa: E402
 from repro.workload.generator import (  # noqa: E402
     AppSpec,
     LibrarySpec,
@@ -70,7 +69,7 @@ def main() -> None:
             restored = store.load_index(disassembly)
             assert restored is not None and restored.patched_groups == 0
             assert restored.build_seconds == 0.0
-            assert_same_answers(restored, TokenIndex(disassembly))
+            assert_same_answers(restored, reference_index(disassembly))
         print("parity            : restored indexes answer as fresh folds")
 
         # --- a never-saved sibling app warm-starts off the SDK -------
@@ -78,9 +77,9 @@ def main() -> None:
         restored = store.load_index(gamma)
         assert restored is not None, "SDK shard should make this a partial hit"
         assert restored.patched_groups >= 1
-        assert_same_answers(restored, TokenIndex(gamma))
+        assert_same_answers(restored, reference_index(gamma))
         print(f"cross-app warm    : gamma served "
-              f"{len(store._groups(gamma)) - restored.patched_groups} shared "
+              f"{len(partition_disassembly(gamma)) - restored.patched_groups} shared "
               f"shard(s), folded {restored.patched_groups} of its own")
         print("store counters    :", store.stats.as_dict())
 

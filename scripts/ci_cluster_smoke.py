@@ -31,9 +31,11 @@ from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT / "tests/cluster"))
 
+from harness import ClusterHarness  # noqa: E402
 from repro.core import BackDroidConfig, analyze_spec  # noqa: E402
-from repro.service import ClusterHarness, ServiceClient  # noqa: E402
+from repro.service import ServiceClient  # noqa: E402
 from repro.store import ArtifactStore  # noqa: E402
 from repro.workload.corpus import benchmark_app_spec  # noqa: E402
 from repro.workload.generator import spec_fingerprint  # noqa: E402

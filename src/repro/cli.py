@@ -37,7 +37,7 @@ from repro.android.apk import Apk
 from repro.api import AnalysisRequest, AnalysisSession
 from repro.baseline import AmandroidConfig, AmandroidStyleAnalyzer
 from repro.core import STORE_MODES, BackDroid, BackDroidConfig, run_batch
-from repro.core.batch import EXECUTORS, analyze_spec
+from repro.core.batch import EXECUTORS, analyze_spec, key_app
 from repro.search.backends import BACKENDS, DEFAULT_BACKEND
 from repro.store import ArtifactStore, store_key
 from repro.workload.corpus import (
@@ -95,8 +95,8 @@ def cmd_analyze(args) -> int:
         collect_ssg_dumps=args.dump_ssg,
         search_backend=args.backend,
         store_dir=args.store,
-        store_mode=args.store_mode,
     )
+    store = config.artifact_store()
     request = AnalysisRequest.from_config(config)
     # A throwaway per-invocation tracer (disabled without --trace, when
     # every span is a no-op): the root span is ambient, so generation
@@ -107,6 +107,13 @@ def cmd_analyze(args) -> int:
         with telemetry.span("app.generate") as generate:
             apk = _load_app(args.app)
             generate.set_attr("package", apk.package)
+        if store is not None and args.app.startswith("bench:"):
+            # A generated app has a recipe, so its disassembly is
+            # restored from the store as in batch and service jobs.
+            fingerprint = spec_fingerprint(
+                benchmark_app_spec(_bench_index(args.app))
+            )
+            key_app(store, fingerprint, store.load_spec_key(fingerprint), apk)
         envelope = AnalysisSession.from_config(apk, config).run(request)
     if args.trace:
         envelope.trace = {
@@ -521,11 +528,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="bytecode search backend (default: %(default)s)",
         )
 
-    def add_store_flags(p) -> None:
+    def add_store_dir(p) -> None:
         p.add_argument(
             "--store", default=None, metavar="DIR",
             help="persistent warm-start artifact store directory",
         )
+
+    def add_store_flags(p) -> None:
+        add_store_dir(p)
         p.add_argument(
             "--store-mode", choices=STORE_MODES, default="index",
             help="what warm entries may replace: the inverted index only, "
@@ -547,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(printed after the report, or embedded in the "
                          "--json envelope's 'trace' section)")
     add_backend_flag(analyze)
-    add_store_flags(analyze)
+    add_store_dir(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
     compare = sub.add_parser("compare", help="BackDroid vs whole-app baseline")

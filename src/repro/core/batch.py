@@ -186,6 +186,26 @@ def _restore_disassembly(store: ArtifactStore, key: str, apk) -> None:
         apk.disassembly = restored
 
 
+def key_app(
+    store: ArtifactStore,
+    fingerprint: str,
+    mapped_key: Optional[str],
+    apk,
+    restore: bool = True,
+) -> str:
+    """The content key of ``apk``'s disassembly, which ``restore``
+    first rebuilds from ``mapped_key``'s entry, the specmap's key for
+    the recipe ``fingerprint``.  A key that differs is taught to the
+    specmap, so probes and later runs resolve the recipe without
+    generating it."""
+    if restore and mapped_key is not None:
+        _restore_disassembly(store, mapped_key, apk)
+    key = store_key(apk.disassembly)
+    if key != mapped_key:
+        store.save_spec_key(fingerprint, key)
+    return key
+
+
 def analyze_spec(
     spec: AppSpec,
     config: Optional[BackDroidConfig] = None,
@@ -258,21 +278,16 @@ def analyze_spec(
         ):
             apk = session.apk if session is not None else generate_app(spec).apk
         if store is not None:
-            if mapped_key is not None and session is None:
-                _restore_disassembly(store, mapped_key, apk)
-            key = store_key(apk.disassembly)
-            if key != mapped_key:
-                # Teach the store which content key this recipe hashes
-                # to, so scheduler probes and later full-mode hits
-                # resolve it without generating; then retry the lookup
-                # the specmap could not answer.
-                store.save_spec_key(fingerprint, key)
-                if reuse_outcomes:
-                    restored = _restore_outcome(
-                        store, key, outcome_fp, spec.package, "disassembly"
-                    )
-                    if restored is not None:
-                        return restored
+            key = key_app(
+                store, fingerprint, mapped_key, apk, restore=session is None
+            )
+            if key != mapped_key and reuse_outcomes:
+                # Retry the lookup the specmap could not answer.
+                restored = _restore_outcome(
+                    store, key, outcome_fp, spec.package, "disassembly"
+                )
+                if restored is not None:
+                    return restored
         if session is None:
             session = AnalysisSession.from_config(
                 apk, effective, registry=registry

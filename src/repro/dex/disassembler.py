@@ -127,45 +127,6 @@ class InsnLine:
     text: str
 
 
-@dataclass(frozen=True)
-class LineToken:
-    """One searchable token of a rendered line, at its absolute line.
-
-    The renderer knows, at emission time, which substrings of a line a
-    bytecode search could ever target: full method signatures on invoke
-    lines, field signatures on access lines, type descriptors wherever a
-    class is referenced, and quoted string/descriptor literals in class
-    and member headers.  It records them per library group as
-    ``(rel_line, kind, text)`` tuples (:attr:`Disassembly.group_tokens`),
-    which is what indexes are folded from and shards store;
-    :attr:`Disassembly.tokens` lists the same tokens app-wide as
-    ``LineToken`` records.
-
-    ``text`` is always a verbatim substring of the rendered line.
-    """
-
-    line_no: int
-    kind: str  # "msig" | "fsig" | "type" | "string" | "header" | "proto"
-    text: str
-
-
-@dataclass(frozen=True)
-class ClassSpan:
-    """The contiguous line range one class's rendering occupies.
-
-    Class sections are rendered back to back in sorted-name order, so
-    spans tile the post-preamble disassembly.  The artifact store's
-    sharding layer groups consecutive spans by library prefix
-    (:func:`group_label`) and keys each group by its position-independent
-    content — which is what lets two apps embedding the same library
-    share one stored shard.
-    """
-
-    class_name: str  # Java-style name, e.g. "com.lge.app1.MainActivity"
-    start_line: int
-    end_line: int  # exclusive
-
-
 @dataclass
 class MethodBlock:
     """The disassembly section of one method.
@@ -189,9 +150,10 @@ class MethodBlock:
 
 @dataclass
 class GroupColumns:
-    """One library group's method-block layout.
+    """One library group's class names and method-block layout.
 
-    Lines are relative to the group's first line.  Block ``i`` spans
+    ``class_names`` are the group's classes in render order.  Lines are
+    relative to the group's first line.  Block ``i`` spans
     ``block_starts[i]`` to ``block_ends[i]``, its last ``insn_counts[i]``
     lines are instructions, and ``stmt_indices`` holds every instruction
     line's statement index, block after block; ``signatures`` are the
@@ -207,18 +169,20 @@ class GroupColumns:
     insn_counts: list[int] = field(default_factory=list)
     signatures: list[str] = field(default_factory=list)
     stmt_indices: list[int] = field(default_factory=list)
+    class_names: list[str] = field(default_factory=list)
 
 
 class Disassembly:
-    """The full dexdump-style plaintext plus its method-block layout.
+    """The full dexdump-style plaintext plus its library groups.
 
-    The layout is one :class:`GroupColumns` per library group, and a
-    :class:`MethodBlock` is built from them on its first lookup, so
-    neither a render nor a restore allocates one object per method or
-    instruction.  ``group_tokens`` holds each group's searchable tokens
-    as ``(rel_line, kind, text)`` tuples, lines relative to the group's
-    first line.  A hand-built disassembly may carry lines alone: it then
-    has no blocks, no tokens and no class spans.
+    A group is one :class:`GroupColumns` and one tuple of
+    ``group_tokens``: the substrings of its lines a bytecode search
+    could target (signatures, type descriptors, quoted literals), as
+    ``(rel_line, kind, text)`` with lines relative to the group's first
+    line.  A :class:`MethodBlock` is built from the columns on its first
+    lookup, so neither a render nor a restore allocates one object per
+    method or instruction.  A hand-built disassembly may carry lines
+    alone: it then has no groups, which only the linear backend accepts.
     """
 
     def __init__(
@@ -226,16 +190,10 @@ class Disassembly:
         lines: list[str],
         group_columns: Optional[list[GroupColumns]] = None,
         group_tokens: Optional[list[tuple[tuple[int, str, str], ...]]] = None,
-        class_spans: Optional[list[ClassSpan]] = None,
     ) -> None:
         self.lines = lines
         #: Each group's tokens, in the order of ``group_columns``.
         self.group_tokens = group_tokens if group_tokens is not None else []
-        #: Per-class line ranges (empty for hand-built disassemblies;
-        #: the store's sharding layer then falls back to one app-wide
-        #: shard group).
-        self.class_spans = class_spans if class_spans is not None else []
-        self._tokens: Optional[list[LineToken]] = None
         self._set_layout(group_columns if group_columns is not None else [])
 
     def _set_layout(self, group_columns: list[GroupColumns]) -> None:
@@ -255,24 +213,6 @@ class Disassembly:
 
     def __len__(self) -> int:
         return len(self.lines)
-
-    @property
-    def tokens(self) -> list[LineToken]:
-        """Every group's tokens at absolute lines, in line order.
-
-        Built on first read: indexes fold and shards store the
-        group-relative ``group_tokens``, so only readers that want
-        app-wide lines (the tests' reference fold) pay for this list.
-        """
-        if self._tokens is None:
-            self._tokens = [
-                LineToken(columns.start_line + rel, kind, text)
-                for columns, tokens in zip(
-                    self.group_columns, self.group_tokens
-                )
-                for rel, kind, text in tokens
-            ]
-        return self._tokens
 
     # ------------------------------------------------------------------
     def _block(self, group: int, index: int) -> MethodBlock:
@@ -352,9 +292,10 @@ class RestoredDisassembly(Disassembly):
     The lines and each group's :class:`GroupColumns` come from the
     artifact store (:meth:`repro.store.ArtifactStore.load_disassembly`),
     and blocks are built from them exactly as for a rendered app.
-    Tokens and class spans are not stored: the first access renders the
-    app afresh with ``render`` and takes them from that render, whose
-    lines must equal the restored lines — a mismatch raises
+    Tokens are not stored with the text: the first read of
+    ``group_tokens`` (only the store's repair paths fold them) renders
+    the app afresh with ``render`` and takes them from that render,
+    whose lines must equal the restored lines — a mismatch raises
     :class:`RenderMismatch` rather than mixing two renderings.
     """
 
@@ -369,7 +310,8 @@ class RestoredDisassembly(Disassembly):
         self._render = render
         self._fresh: Optional[Disassembly] = None
 
-    def _rendered(self) -> Disassembly:
+    @property
+    def group_tokens(self) -> list[tuple[tuple[int, str, str], ...]]:
         if self._fresh is None:
             fresh = self._render()
             if fresh.lines != self.lines:
@@ -377,19 +319,7 @@ class RestoredDisassembly(Disassembly):
                     "a fresh render differs from the restored plaintext"
                 )
             self._fresh = fresh
-        return self._fresh
-
-    @property
-    def tokens(self) -> list[LineToken]:
-        return self._rendered().tokens
-
-    @property
-    def group_tokens(self) -> list[tuple[tuple[int, str, str], ...]]:
-        return self._rendered().group_tokens
-
-    @property
-    def class_spans(self) -> list[ClassSpan]:
-        return self._rendered().class_spans
+        return self._fresh.group_tokens
 
 
 def _insn_text(line: str) -> str:
@@ -412,7 +342,6 @@ class _Renderer:
 
     def __init__(self) -> None:
         self.lines: list[str] = []
-        self.class_spans: list[ClassSpan] = []
         self.group_columns: list[GroupColumns] = []
         self.group_tokens: list[tuple[tuple[int, str, str], ...]] = []
         #: rendered instruction text -> its searchable tokens.  Identical
@@ -469,17 +398,11 @@ class _Renderer:
             if cls_label != label:
                 self._start_group()
                 label = cls_label
-            start = len(self.lines)
+            self._group.class_names.append(cls.name)
             self._render_class(self._ordinal, cls)
             self._ordinal += 1
-            self.class_spans.append(
-                ClassSpan(cls.name, start, len(self.lines))
-            )
         self._end_group()
-        return Disassembly(
-            self.lines, self.group_columns, self.group_tokens,
-            self.class_spans,
-        )
+        return Disassembly(self.lines, self.group_columns, self.group_tokens)
 
     # ------------------------------------------------------------------
     def _render_class(self, index: int, cls: DexClass) -> None:

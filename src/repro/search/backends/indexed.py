@@ -6,7 +6,9 @@ descriptors, quoted literals) and emits them as one token stream per
 library group (:attr:`~repro.dex.disassembler.Disassembly.group_tokens`).
 This backend folds each group's stream once (:func:`fold_tokens`) into a
 group :class:`TokenIndex`: the group's vocabulary (its distinct token
-texts) and each text's posting list of line numbers.
+texts) and each text's posting list of line numbers.  No job path folds
+a whole app in one piece; the tests keep that direct fold as their
+reference.
 
 Every token query is answered one way: find the needle in the group's
 joined vocabulary and return the lines of every token text that contains
@@ -71,17 +73,13 @@ class TokenIndex:
     groups in turn, and each group answers with one of these.
     """
 
-    def __init__(self, disassembly: Disassembly) -> None:
-        """Fold the app-wide token stream directly, in one piece.
-
-        No job path folds a whole app this way: this is the reference
-        whose answers every app index must equal, which the parity suite
-        checks.
-        """
-        self._wrap(*fold_tokens(
-            (token.line_no, token.kind, token.text)
-            for token in disassembly.tokens
-        ))
+    def __init__(self, vocab: list[str], postings: list[list[int]]) -> None:
+        """Wrap one fold (:func:`fold_tokens`) as it is: no entry is
+        checked or copied."""
+        self.vocab = vocab
+        self.postings = postings
+        self._joined: Optional[JoinedText] = None
+        self.posting_entries = sum(map(len, postings))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -103,23 +101,13 @@ class TokenIndex:
 
             started = time.perf_counter()
             cached = LazyTokenIndex([
-                (group.start_line, cls.from_fold(group.fold()))
+                (group.start_line, cls(**group.fold()))
                 for group in partition_disassembly(disassembly)
             ])
             cached.restored = False
             cached.build_seconds = time.perf_counter() - started
             disassembly._token_index_cache = cached
         return cached
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_fold(cls, fold: dict) -> "TokenIndex":
-        """Wrap a group's in-memory fold (:meth:`ShardGroup.fold
-        <repro.store.sharding.ShardGroup.fold>`) as it is: it came from
-        :func:`fold_tokens`, so no entry is checked or copied."""
-        index = cls.__new__(cls)
-        index._wrap(fold["vocab"], fold["postings"])
-        return index
 
     @classmethod
     def from_payload(cls, payload: dict) -> "TokenIndex":
@@ -136,15 +124,7 @@ class TokenIndex:
         ]
         if len(postings) != len(vocab):
             raise ValueError("postings/vocab length mismatch")
-        index = cls.__new__(cls)
-        index._wrap(vocab, postings)
-        return index
-
-    def _wrap(self, vocab: list[str], postings: list[list[int]]) -> None:
-        self.vocab = vocab
-        self.postings = postings
-        self._joined: Optional[JoinedText] = None
-        self.posting_entries = sum(map(len, postings))
+        return cls(vocab, postings)
 
     @property
     def vocab_count(self) -> int:
@@ -216,23 +196,8 @@ class InvertedIndexBackend(SearchBackend):
                     # be a cycle only the cyclic collector frees.
                     self.disassembly._restored_index = weakref.ref(index)
             if index is None:
-                # Only a fold reads the token stream (a restore never
-                # does, so a restored disassembly is never rendered
-                # for it).  Lines beyond the two-line preamble mean at
-                # least one rendered class, which always emits tokens —
-                # a token-less disassembly here was built outside the
-                # disassembler and would make every query silently
-                # return nothing.
-                if (
-                    not any(self.disassembly.group_tokens)
-                    and len(self.disassembly.lines) > 2
-                ):
-                    raise ValueError(
-                        "disassembly carries no token stream; the indexed "
-                        "backend requires Disassembly objects produced by "
-                        "repro.dex.disassembler.disassemble (use the linear "
-                        "backend otherwise)"
-                    )
+                # A disassembly without library groups is refused by
+                # the partition the fold (and the store key) reads.
                 with tracing.span("index.fold") as fold_span:
                     index = TokenIndex.for_disassembly(self.disassembly)
                     fold_span.set_attr(
@@ -240,7 +205,7 @@ class InvertedIndexBackend(SearchBackend):
                     )
                 if self.store is not None:
                     with tracing.span("store.save_index"):
-                        self.store.save_index(self.disassembly, index)
+                        self.store.save_index(self.disassembly)
             self._index = index
             self.stats.index_build_seconds = index.build_seconds
             self.stats.index_restored = index.restored

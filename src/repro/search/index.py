@@ -26,7 +26,7 @@ from typing import Optional
 
 from repro.dex.disassembler import Disassembly
 from repro.dex.types import FieldSignature, MethodSignature, java_to_dex_type
-from repro.search.backends import BackendSpec, JoinedText, create_backend
+from repro.search.backends import BackendSpec, create_backend
 from repro.search.caching import SearchCommandCache
 
 
@@ -79,14 +79,6 @@ class BytecodeSearcher:
     # ------------------------------------------------------------------
     # Core primitives
     # ------------------------------------------------------------------
-    @property
-    def _text(self) -> str:
-        """The joined plaintext (kept for introspection and tests)."""
-        return JoinedText.for_disassembly(self.disassembly).text
-
-    def _line_of_offset(self, offset: int) -> int:
-        return JoinedText.for_disassembly(self.disassembly).line_of_offset(offset)
-
     def _hit(self, line_no: int) -> SearchHit:
         block = self.disassembly.block_at_line(line_no)
         stmt_index = block.stmt_index_for_line(line_no) if block else None

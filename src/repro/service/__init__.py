@@ -32,8 +32,7 @@ would run:
   store: :class:`NodeDirectory` heartbeat gossip, the
   content-key-routing :class:`ClusterRouter` / :class:`ClusterFrontEnd`
   (failover re-dispatch under the same trace, served by the same
-  transport as a node), and the subprocess :class:`ClusterHarness`
-  used by tests, CI and the scaling benchmark.
+  transport as a node).
 
 The CLI front end is ``backdroid serve`` (``--node-id`` joins a
 cluster; ``--peers store`` runs the front end).
@@ -42,7 +41,6 @@ cluster; ``--peers store`` runs the front end).
 from repro.service.cluster import (
     DEFAULT_LEASE_TTL,
     ClusterFrontEnd,
-    ClusterHarness,
     ClusterNode,
     ClusterRouter,
     NodeDirectory,
@@ -79,7 +77,6 @@ __all__ = [
     "TERMINAL_STATES",
     "AnalysisServer",
     "ClusterFrontEnd",
-    "ClusterHarness",
     "ClusterNode",
     "ClusterRouter",
     "ColdResult",

@@ -7,15 +7,16 @@
   finished batch outcomes — all keyed by content hashes plus a format
   version, with atomic (rename-published) writes safe under the
   process-pool batch executor.
-* :mod:`repro.store.sharding` — the class-group partitioner, the group
-  folds and shard content addressing.
+* :mod:`repro.store.sharding` — one :class:`ShardGroup` per library
+  group of a disassembly, the group folds and shard content
+  addressing.
 * :mod:`repro.store.binshard` — the v4 mmap-friendly binary shard
   container (struct-packed sections + offset table) and the zero-copy
   :class:`LazyShardView` over one mapped shard file.
 * :mod:`repro.store.lazy` — :class:`LazyTokenIndex`, the one app index,
   answered group by group: a cold build queries its in-memory group
   folds, a restore faults groups in from their mapped shards on first
-  query (LRU-bounded by :data:`GROUP_CACHE`).
+  query.
 
 The on-disk format is specified in ``docs/STORE_FORMAT.md``.
 """
@@ -39,7 +40,7 @@ from repro.store.binshard import (
     decode_shard,
     encode_shard,
 )
-from repro.store.lazy import GROUP_CACHE, LazyTokenIndex
+from repro.store.lazy import LazyTokenIndex
 from repro.store.sharding import (
     KEY_VERSION,
     ShardGroup,
@@ -50,7 +51,6 @@ from repro.store.sharding import (
 
 __all__ = [
     "FORMAT_VERSION",
-    "GROUP_CACHE",
     "KEY_VERSION",
     "PROBE_LEVELS",
     "WARM_LEVELS",

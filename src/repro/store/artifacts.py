@@ -47,10 +47,12 @@ complete entries — never a torn file.  Duplicate writers race benignly
 
 Corruption and staleness are handled by treating every unreadable,
 version-mismatched or key-mismatched entry as a miss: the caller falls
-back to a fresh build and overwrites the entry.  A manifest pointing at
-a *missing or corrupt shard* is patched in place when the caller holds
-the disassembly (only the damaged groups are re-folded — incremental
-re-indexing), and reads as a plain miss otherwise.
+back to a fresh build and overwrites the entry.  A shard counts only
+when its header is current (this container version, its own content
+address); any other is rebuilt like a missing one.  A manifest pointing
+at a *missing or corrupt shard* is patched in place when the caller
+holds the disassembly (only the damaged groups are re-folded —
+incremental re-indexing), and reads as a plain miss otherwise.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional
 
 from repro.dex.disassembler import PREAMBLE, Disassembly, RestoredDisassembly
-from repro.search.backends.indexed import TokenIndex, fold_tokens
+from repro.search.backends.indexed import fold_tokens
 from repro.store.binshard import (
     FORMAT_VERSION,
     SEC_LAYOUT,
@@ -75,6 +77,7 @@ from repro.store.binshard import (
     ShardCorrupt,
     ShardStale,
     decode_shard,
+    header_is_current,
     shard_chunks,
 )
 from repro.store.lazy import LazyTokenIndex
@@ -83,9 +86,7 @@ from repro.store.sharding import (
     ShardGroup,
     decode_layout,
     encode_lines,
-    group_texts,
     partition_disassembly,
-    shard_key,
     shard_payload,
     tokens_from_shard,
 )
@@ -133,12 +134,8 @@ class StoreStats:
     #: :class:`~repro.store.lazy.LazyTokenIndex` (mmapped binary shards;
     #: groups decode on first query).
     lazy_restores: int = 0
-    #: Shard groups lazily decoded across every lazy restore, re-faults
-    #: after LRU eviction included.
+    #: Shard groups lazily decoded across every lazy restore.
     groups_materialized: int = 0
-    #: Decoded groups dropped by the lazy index's LRU bound (each later
-    #: re-touch is a re-fault counted in ``groups_materialized``).
-    group_cache_evictions: int = 0
 
     def as_dict(self) -> dict:
         """All counters as a JSON-able dict (service ``/v1/stats``)."""
@@ -156,7 +153,6 @@ class StoreStats:
             "corrupt_entries": self.corrupt_entries,
             "lazy_restores": self.lazy_restores,
             "groups_materialized": self.groups_materialized,
-            "group_cache_evictions": self.group_cache_evictions,
         }
 
 
@@ -309,16 +305,18 @@ def store_key(disassembly: Disassembly) -> str:
     Hashes every plaintext line, each newline-terminated, plus the
     :data:`KEY_VERSION`, so any bytecode change — or any change to the
     hashed content itself — yields a different key and naturally
-    invalidates stale entries.  The text is fed group by group: the
+    invalidates stale entries.  The text is fed group by group, over
+    :func:`~repro.store.sharding.partition_disassembly`'s groups: the
     bytes hashed here are the very bytes the shards' text sections
     store, encoded once.  The *container* version is deliberately
     absent: it describes how shards are encoded, not what they hold.
     """
     cached = getattr(disassembly, "_store_key_cache", None)
     if cached is None:
-        groups = group_texts(disassembly)
+        groups = partition_disassembly(disassembly)
+        lines = disassembly.lines
         digest = _key_digest(
-            encode_lines(disassembly.lines[:groups[0].start_line])
+            encode_lines(lines[:groups[0].start_line] if groups else lines)
         )
         for group in groups:
             digest.update(group.text)
@@ -371,14 +369,21 @@ class ArtifactStore:
     def _shard_present(self, sha: str) -> bool:
         """Stat/size-only presence probe — never parses a payload.
 
-        Probes and the index restore call this per shard; decoding
-        there would make every probe cost O(shard bytes) instead of one
-        ``stat``.
+        Probes call this per shard; reading there would make every
+        probe cost a file open per shard instead of one ``stat``.
         """
         try:
             return self._shard_path(sha).stat().st_size > 0
         except OSError:
             return False
+
+    def _shard_current(self, sha: str) -> bool:
+        """Whether a save or an index restore may use ``sha``'s shard.
+
+        A stale or torn-header shard is not current, and is republished
+        like a missing one; damage past the header heals on first use.
+        """
+        return header_is_current(self._shard_path(sha), sha)
 
     def _outcome_path(self, key: str, config_fingerprint: str) -> Path:
         return self.entry_dir(key) / f"outcome-{config_fingerprint}.json"
@@ -459,39 +464,26 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Sharding
     # ------------------------------------------------------------------
-    def _groups(self, disassembly: Disassembly) -> list[tuple[ShardGroup, str]]:
-        """The disassembly's shard groups plus their content keys.
-
-        Memoized on the disassembly: partitioning and hashing are paid
-        once per app even when save/load/patch paths all run.
-        """
-        cached = getattr(disassembly, "_shard_groups_cache", None)
-        if cached is None:
-            cached = [
-                (group, shard_key(group))
-                for group in partition_disassembly(disassembly)
-            ]
-            disassembly._shard_groups_cache = cached
-        return cached
-
-    def _write_shard(self, group: ShardGroup, sha: str) -> dict:
-        """Publish one shard; returns its payload."""
-        payload = shard_payload(group, sha)
-        self._write_bytes(self._shard_path(sha), *shard_chunks(payload, sha))
+    def _write_shard(self, group: ShardGroup) -> dict:
+        """Publish one group's shard; returns its payload."""
+        payload = shard_payload(group, group.sha)
+        self._write_bytes(
+            self._shard_path(group.sha), *shard_chunks(payload, group.sha)
+        )
         return payload
 
     def _publish_entry(self, disassembly: Disassembly) -> None:
         """Write any missing shards plus the app's manifest.
 
-        A shard whose content key already exists on disk is *shared*,
-        not rewritten: that is the cross-app dedup (the second app
-        embedding a library publishes only its manifest reference).
+        A current shard for a group's content key (:meth:`_shard_current`)
+        is *shared*, not rewritten: that is the cross-app dedup (the
+        second app embedding a library publishes only its manifest
+        reference).  A stale or torn-header shard is rewritten.
         """
         key = store_key(disassembly)
-        groups = self._groups(disassembly)
-        for group, sha in groups:
-            existing = self._shard_path(sha)
-            if existing.is_file():
+        groups = partition_disassembly(disassembly)
+        for group in groups:
+            if self._shard_current(group.sha):
                 self.stats.shards_shared += 1
                 try:
                     # Refresh the shared shard's mtime so gc's age gate
@@ -499,34 +491,30 @@ class ArtifactStore:
                     # in flight — a shard published long ago by another
                     # app is "fresh" again the moment a new writer
                     # relies on it.
-                    os.utime(existing)
+                    os.utime(self._shard_path(group.sha))
                 except OSError:
                     pass  # racing gc: the load path patches it back
                 continue
-            self._write_shard(group, sha)
+            self._write_shard(group)
         self._write_json(self._manifest_path(key), self._manifest(key, groups))
 
-    def _manifest(
-        self, key: str, groups: list[tuple[ShardGroup, str]]
-    ) -> dict:
+    def _manifest(self, key: str, groups: list[ShardGroup]) -> dict:
         return {
             "version": FORMAT_VERSION,
             "key": key,
             "key_version": KEY_VERSION,
-            "line_count": max(
-                (g.end_line for g, _ in groups), default=0
-            ),
-            "token_count": sum(len(g.tokens) for g, _ in groups),
-            "layout_digest": _layout_digest(g.layout for g, _ in groups),
+            "line_count": max((g.end_line for g in groups), default=0),
+            "token_count": sum(len(g.tokens) for g in groups),
+            "layout_digest": _layout_digest(g.layout for g in groups),
             "groups": [
                 {
-                    "shard": sha,
+                    "shard": group.sha,
                     "label": group.label,
                     "start_line": group.start_line,
                     "line_count": group.line_count,
                     "tokens": len(group.tokens),
                 }
-                for group, sha in groups
+                for group in groups
             ],
         }
 
@@ -589,21 +577,20 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Inverted-index artifacts
     # ------------------------------------------------------------------
-    def save_index(
-        self, disassembly: Disassembly, index: Optional[TokenIndex] = None
-    ) -> None:
+    def save_index(self, disassembly: Disassembly) -> None:
         """Persist the app's posting lists (sharded) plus its manifest.
 
-        ``index`` is accepted for call-site symmetry with the build
-        path but is not serialized directly: shards store per-group
-        mini-indexes over group-relative lines, which is what makes
-        them position-independent and therefore shareable across apps.
-        Those mini-indexes are the group folds the app's index queries
+        Shards store per-group mini-indexes over group-relative lines,
+        which is what makes them position-independent and therefore
+        shareable across apps.  Those mini-indexes are the group folds
+        the app's index queries
         (:meth:`~repro.store.sharding.ShardGroup.fold`, memoized on the
         disassembly's shard groups), so a save after
-        :meth:`TokenIndex.for_disassembly` publishes them without
-        folding any group again.  Groups whose shards already exist —
-        shared libraries — are not rewritten.
+        :meth:`TokenIndex.for_disassembly
+        <repro.search.backends.indexed.TokenIndex.for_disassembly>`
+        publishes them without folding any group again.  Groups whose
+        shards are already current — shared libraries — are not
+        rewritten.
         """
         self._publish_entry(disassembly)
 
@@ -614,22 +601,23 @@ class ArtifactStore:
 
         Three outcomes:
 
-        * every shard present — a full hit; the index reports
+        * every shard current — a full hit; the index reports
           ``build_seconds == 0.0`` / ``restored``;
-        * some shards present — a *partial* hit: each group whose shard
-          is missing or empty is re-folded from the live disassembly
-          and published (incremental re-indexing), and the manifest is
-          republished; the index reports ``patched_groups > 0`` and the
-          patch time as ``build_seconds``;
-        * no shards present — a plain miss (returns None); the caller
+        * some shards current — a *partial* hit: each group whose shard
+          is missing, empty, stale or torn at its header is re-folded
+          from the live disassembly and published (incremental
+          re-indexing), and the manifest is republished; the index
+          reports ``patched_groups > 0`` and the patch time as
+          ``build_seconds``;
+        * no shard current — a plain miss (returns None); the caller
           builds fresh and saves, which publishes every shard.
 
         Either hit is served as a
         :class:`~repro.store.lazy.LazyTokenIndex`, the index a cold
-        build queries too: shards are only stat-checked here, mmapped
-        on first use, and a group decodes on the first query that may
-        match it.  A shard that is present but damaged heals on first
-        touch.
+        build queries too: only each shard's header is read here
+        (:meth:`_shard_current`), the file is mmapped on first use, and
+        a group decodes on the first query that may match it.  A shard
+        that is damaged past its header heals on first touch.
         """
         started = time.perf_counter()
         key = store_key(disassembly)
@@ -639,25 +627,25 @@ class ArtifactStore:
                 (group["start_line"], group["shard"])
                 for group in manifest["groups"]
             ]
-            if all(self._shard_present(sha) for _, sha in groups):
+            if all(self._shard_current(sha) for _, sha in groups):
                 self.stats.index_hits += 1
                 self.stats.lazy_restores += 1
                 self.stats.shard_hits += len(groups)
                 return self._restored_index(groups, disassembly)
-        # Slow path: no manifest, or a shard is missing or empty.  The
-        # disassembly is authoritative — partition it, hash each group,
-        # and publish every group whose shard is not on disk.
-        groups = self._groups(disassembly)
-        present = [self._shard_present(sha) for _, sha in groups]
-        if not any(present):
+        # Slow path: no manifest, or a shard is not current.  The
+        # disassembly is authoritative — partition it and publish every
+        # group whose shard is not current.
+        groups = partition_disassembly(disassembly)
+        current = [self._shard_current(group.sha) for group in groups]
+        if not any(current):
             self.stats.index_misses += 1
             return None
         patched = 0
-        for (group, sha), on_disk in zip(groups, present):
+        for group, on_disk in zip(groups, current):
             if on_disk:
                 self.stats.shard_hits += 1
                 continue
-            self._write_shard(group, sha)
+            self._write_shard(group)
             self.stats.shard_misses += 1
             self.stats.shards_patched += 1
             patched += 1
@@ -670,7 +658,7 @@ class ArtifactStore:
             self._manifest_path(key), self._manifest(key, groups)
         )
         index = self._restored_index(
-            [(group.start_line, sha) for group, sha in groups], disassembly
+            [(group.start_line, group.sha) for group in groups], disassembly
         )
         self.stats.lazy_restores += 1
         index.patched_groups = patched
@@ -699,13 +687,15 @@ class ArtifactStore:
         """The lazy index's repair callback.
 
         Re-folds group *i* from the live disassembly (manifest group
-        order is :meth:`_groups` order — both derive deterministically
-        from the same bytecode) and republishes its shard; the
-        caller drops its stale mapping and proceeds with the repaired
-        payload.
+        order is :func:`~repro.store.sharding.partition_disassembly`
+        order — both derive deterministically from the same bytecode)
+        and republishes its shard; the caller drops its stale mapping
+        and proceeds with the repaired payload.
         """
         def heal(index: int, stale: bool) -> dict:
-            payload = self._write_shard(*self._groups(disassembly)[index])
+            payload = self._write_shard(
+                partition_disassembly(disassembly)[index]
+            )
             # A heal repairs a shard that existed but could not be
             # trusted: a corrupt-entry event, unless the shard was only
             # of another container version.
@@ -726,18 +716,20 @@ class ArtifactStore:
 
         ``key`` comes from the specmap, so the restore trusts nothing it
         reads until two checks pass: the composed text must hash to
-        ``key``, and the restored class list must equal the app's own
-        (``classes``, the generated app's class pool) — a specmap entry
-        pointing at another app's intact entry passes the first check
-        and fails the second.  The layout must also match the digest
-        the manifest recorded, and every group must span the lines the
-        manifest says, so restored lines agree with the restored index.
+        ``key``, and the class names of the decoded columns must equal
+        the app's own classes (``classes``, the generated app's class
+        pool) — a specmap entry pointing at another app's intact entry
+        passes the first check and fails the second.  The layout must
+        also match the digest the manifest recorded, and every group
+        must span the lines the manifest says, so restored lines agree
+        with the restored index.
 
         Every refusal returns None and the caller renders.  A damaged
-        text or layout section (CRC, hash or digest failure) is first
-        healed: ``render`` renders the app afresh and every group whose
-        stored sections differ is republished.  The restored
-        disassembly also calls ``render`` for tokens or class spans,
+        text or layout section (CRC, hash or digest failure), or one of
+        another container version, is first healed: ``render`` renders
+        the app afresh and every group whose stored sections differ is
+        republished.  Only damage counts as a corrupt entry.  The
+        restored disassembly also calls ``render`` for its tokens,
         which only the heal paths need.  An entry with a missing group
         is left to the index path, which patches it.
         """
@@ -747,8 +739,9 @@ class ArtifactStore:
         groups = manifest["groups"]
         if not groups or groups[0]["start_line"] != len(PREAMBLE):
             return None
-        #: shard sha -> (text, layout), None when a section is damaged.
+        #: shard sha -> (text, layout), None when a section is unusable.
         stored: dict[str, Optional[tuple[bytes, bytes]]] = {}
+        damaged = False
         for group in groups:
             path = self._shard_path(group["shard"])
             if not path.is_file():
@@ -758,8 +751,9 @@ class ArtifactStore:
                 stored[group["shard"]] = (
                     view.section(SEC_TEXT), view.section(SEC_LAYOUT)
                 )
-            except ShardCorrupt:
+            except ShardCorrupt as exc:
                 stored[group["shard"]] = None
+                damaged = damaged or not isinstance(exc, ShardStale)
             finally:
                 view.close()
         intact = all(sections is not None for sections in stored.values())
@@ -770,14 +764,15 @@ class ArtifactStore:
             intact = digest.hexdigest() == key and _layout_digest(
                 stored[group["shard"]][1] for group in groups
             ) == manifest.get("layout_digest")
+            damaged = not intact
         if not intact:
-            self.stats.corrupt_entries += 1
+            if damaged:
+                self.stats.corrupt_entries += 1
             self._heal_sections(key, render(), stored)
             return None
 
         lines = list(PREAMBLE)
         columns = []
-        class_names: list[str] = []
         try:
             for group in groups:
                 text, layout = stored[group["shard"]]
@@ -792,16 +787,11 @@ class ArtifactStore:
                 ):
                     return None
                 lines += chunk
-                names, group_columns = decode_layout(
-                    layout, base, len(lines)
-                )
-                class_names += names
-                columns.append(group_columns)
+                columns.append(decode_layout(layout, base, len(lines)))
         except ValueError:
             return None
-        if class_names != sorted(
-            cls.name for cls in classes.application_classes()
-        ):
+        if [name for group in columns for name in group.class_names] != \
+                sorted(cls.name for cls in classes.application_classes()):
             return None
         restored = RestoredDisassembly(lines, columns, render)
         restored._store_key_cache = key
@@ -818,10 +808,10 @@ class ArtifactStore:
         another key means the entry is not this app's: left alone."""
         if store_key(fresh) != key:
             return
-        groups = self._groups(fresh)
-        for group, sha in groups:
-            if stored.get(sha) != (group.text, group.layout):
-                self._write_shard(group, sha)
+        groups = partition_disassembly(fresh)
+        for group in groups:
+            if stored.get(group.sha) != (group.text, group.layout):
+                self._write_shard(group)
                 self.stats.shards_patched += 1
         self._write_json(self._manifest_path(key), self._manifest(key, groups))
 
@@ -1105,10 +1095,7 @@ class ArtifactStore:
                 )
             prev_end = start_line + line_count
             layouts.append(layout)
-            expected_sha = shard_key(
-                ShardGroup("", 0, line_count, tokens, text, layout)
-            )
-            if expected_sha != sha:
+            if ShardGroup("", 0, line_count, tokens, text, layout).sha != sha:
                 return VerifyEntry(
                     key, "mismatch",
                     f"shard {sha[:12]} content no longer matches its "

@@ -152,6 +152,23 @@ def read_header(buf) -> BinHeader:
                      sha_raw.hex(), sections)
 
 
+def header_is_current(path, sha: str) -> bool:
+    """Whether the file at ``path`` starts with the magic, this
+    container version and ``sha`` as its content address: one read of
+    the fixed header, no section table or CRC."""
+    try:
+        with open(path, "rb") as handle:
+            head = handle.read(_HEADER.size)
+    except OSError:
+        return False
+    if len(head) < _HEADER.size:
+        return False
+    magic, version, *_, sha_raw = _HEADER.unpack(head)
+    return (
+        magic == MAGIC and version == FORMAT_VERSION and sha_raw.hex() == sha
+    )
+
+
 # ----------------------------------------------------------------------
 # Encoding
 # ----------------------------------------------------------------------

@@ -29,11 +29,11 @@ The union is exact, not approximate: a group answers with the lines of
 its token texts that contain the needle, every line's tokens belong to
 exactly one group, and group line ranges are disjoint, so the rebased
 answers concatenate to the answer of a direct fold of the app-wide
-token stream (the parity suite checks this against
-``TokenIndex(disassembly)``).
+token stream (the parity suite checks this against the tests'
+reference fold, ``reference_index`` in ``tests/store/answer_parity.py``).
 
-Decoded groups live in a bounded LRU of :data:`GROUP_CACHE` entries;
-eviction only costs a re-decode on the next fault.  Corruption
+A decoded group stays decoded for the index's lifetime: an app has few
+groups, and a cold index holds every group's fold anyway.  Corruption
 discovered at any point — header read, candidacy probe, mini-index
 decode — triggers the ``heal`` callback, which re-folds the damaged
 group from the live disassembly and republishes its shard (surfacing
@@ -45,16 +45,10 @@ damaged.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Callable, Optional, Union
 
 from repro.search.backends.indexed import TokenIndex
 from repro.store.binshard import LazyShardView, ShardCorrupt, ShardStale
-
-#: Decoded groups a restored index keeps at once, read when the index
-#: is built.  Eviction is safe (a re-fault re-decodes), so the bound
-#: trades resident memory for decode work on adversarial query patterns.
-GROUP_CACHE = 16
 
 
 class LazyTokenIndex:
@@ -75,9 +69,8 @@ class LazyTokenIndex:
         (a ``StoreStats``) receives the decode counters."""
         self._parts = parts
         self._heal = heal
-        self._cache: OrderedDict[int, TokenIndex] = OrderedDict()
-        self._cache_size = max(1, GROUP_CACHE)
-        self._touched: set[int] = set()
+        #: Mapped groups decoded so far, by group number.
+        self._decoded: dict[int, TokenIndex] = {}
         self._stats = stats
         self._lock = threading.Lock()
         self.restored = True
@@ -85,9 +78,6 @@ class LazyTokenIndex:
         #: Groups the store published from the live disassembly: the
         #: missing ones of a partial hit, then every healed one.
         self.patched_groups = 0
-        #: Decoded groups dropped by the LRU bound on this index (also
-        #: aggregated into ``StoreStats.group_cache_evictions``).
-        self.evictions = 0
 
     # ------------------------------------------------------------------
     # Observables (the decode counters stay zero where nothing is mapped)
@@ -104,8 +94,8 @@ class LazyTokenIndex:
 
     @property
     def materialized_groups(self) -> int:
-        """Distinct groups ever decoded (eviction does not un-count)."""
-        return len(self._touched)
+        """Mapped groups decoded so far."""
+        return len(self._decoded)
 
     @property
     def bytes_mapped(self) -> int:
@@ -164,10 +154,9 @@ class LazyTokenIndex:
         _, group = self._parts[index]
         if isinstance(group, TokenIndex):
             return group
-        cached = self._cache.get(index)
-        if cached is not None:
-            self._cache.move_to_end(index)
-            return cached
+        decoded = self._decoded.get(index)
+        if decoded is not None:
+            return decoded
         try:
             payload = group.mini_index()
         except ShardCorrupt as exc:
@@ -178,15 +167,9 @@ class LazyTokenIndex:
             # CRC-clean but structurally inconsistent (a foreign or
             # buggy writer): heal exactly like bit rot.
             decoded = TokenIndex.from_payload(self._repair(index, exc))
-        self._cache[index] = decoded
-        self._touched.add(index)
+        self._decoded[index] = decoded
         if self._stats is not None:
             self._stats.groups_materialized += 1
-        while len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-            self.evictions += 1
-            if self._stats is not None:
-                self._stats.group_cache_evictions += 1
         return decoded
 
     # ------------------------------------------------------------------
@@ -199,7 +182,7 @@ class LazyTokenIndex:
         with self._lock:
             for index, (start, group) in enumerate(self._parts):
                 mapped = isinstance(group, LazyShardView)
-                if mapped and index not in self._cache:
+                if mapped and index not in self._decoded:
                     try:
                         if not group.blob_contains(needle_bytes):
                             continue
@@ -219,4 +202,4 @@ class LazyTokenIndex:
         with self._lock:
             for view in self._views():
                 view.close()
-            self._cache.clear()
+            self._decoded.clear()

@@ -3,12 +3,12 @@
 Real-world apps embed largely identical library/framework code (the
 paper's Table I corpus is dominated by shared SDKs), so per-app
 monolithic artifacts duplicate the same token streams and posting lists
-across the whole store.  This module splits one app's disassembly into
-**shard groups** — maximal runs of consecutively rendered classes that
-share a library prefix — and gives each group a *position-independent*
-content key, so two apps embedding the same library hash its group to
-the same shard no matter where the library lands in either app's
-rendered text.
+across the whole store.  This module turns each of a disassembly's
+**library groups** — maximal runs of consecutively rendered classes
+that share a library prefix — into one :class:`ShardGroup` with a
+*position-independent* content key, so two apps embedding the same
+library hash its group to the same shard no matter where the library
+lands in either app's rendered text.
 
 Position independence is what makes cross-app dedup possible.  The
 disassembler restarts every position-dependent counter (``Class #N``
@@ -18,28 +18,32 @@ it.  A shard therefore stores the group's plaintext and its *layout*
 (class names, method-block bounds with dex signatures, and each
 instruction line's statement index), plus the group's tokens with line
 numbers relative to the group start and a prefolded mini-index
-(vocabulary and posting lists) over those relative lines.  The text and layout let an index hit rebuild the app's
+(vocabulary and posting lists) over those relative lines.  The text and
+layout let an index hit rebuild the app's
 :class:`~repro.dex.disassembler.Disassembly` without rendering it.
 
-The group is also the unit of the app's index
-(:class:`~repro.store.lazy.LazyTokenIndex`): each group answers a query
-from its own mini-index over its relative lines, rebased onto the
-group's recorded start line, and the answers concatenate in line order
-to a direct fold's answer (the parity suite checks this).  A cold build
-folds each group once (:meth:`ShardGroup.fold`) and queries the folds;
-a save publishes the same folds as the groups' shards, and a restore
-queries the shards.
+The group is also the unit of the app's key and index: the app key
+hashes the groups' text (:func:`~repro.store.artifacts.store_key`), and
+:class:`~repro.store.lazy.LazyTokenIndex` asks each group from its own
+mini-index over its relative lines, rebased onto the group's start
+line.  A cold build folds each group once (:meth:`ShardGroup.fold`)
+and queries the folds; a save publishes the same folds as the groups'
+shards, and a restore queries the shards.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import struct
 from dataclasses import dataclass
 
-from repro.dex.disassembler import Disassembly, GroupColumns, group_label
+from repro.dex.disassembler import (
+    PREAMBLE,
+    Disassembly,
+    GroupColumns,
+    group_label,
+)
 from repro.search.backends.indexed import fold_tokens
 
 #: The *content-address* version: feeds every app key and shard key.
@@ -68,14 +72,14 @@ def encode_lines(lines) -> bytes:
 _LAYOUT_HEAD = struct.Struct("<5I")
 
 
-def encode_layout(class_names, columns: GroupColumns) -> bytes:
+def encode_layout(columns: GroupColumns) -> bytes:
     """The layout section of one group (see ``docs/STORE_FORMAT.md``).
 
-    Names and signatures are newline-joined: a decoder that splits them
-    back into a different count than the header records refuses the
+    Class names and signatures are newline-joined: a decoder that splits
+    them back into a different count than the header records refuses the
     section, so a name that embeds a newline can never shift the rest.
     """
-    names = "\n".join(class_names).encode("utf-8", "surrogatepass")
+    names = "\n".join(columns.class_names).encode("utf-8", "surrogatepass")
     signatures = "\n".join(columns.signatures).encode(
         "utf-8", "surrogatepass"
     )
@@ -83,7 +87,7 @@ def encode_layout(class_names, columns: GroupColumns) -> bytes:
     stmts = columns.stmt_indices
     return b"".join((
         _LAYOUT_HEAD.pack(
-            len(class_names), blocks, len(stmts), len(names),
+            len(columns.class_names), blocks, len(stmts), len(names),
             len(signatures),
         ),
         names,
@@ -96,24 +100,6 @@ def encode_layout(class_names, columns: GroupColumns) -> bytes:
     ))
 
 
-def _block_columns(disassembly: Disassembly, start: int, end: int):
-    """The layout columns of the blocks in ``[start, end)``, for line
-    ranges the renderer did not capture (hand-built disassemblies)."""
-    blocks = disassembly.blocks
-    starts = [b.start_line for b in blocks]
-    blocks = blocks[
-        bisect.bisect_left(starts, start):bisect.bisect_left(starts, end)
-    ]
-    return GroupColumns(
-        start, end,
-        [b.start_line - start for b in blocks],
-        [b.end_line - start for b in blocks],
-        [len(b.insns) for b in blocks],
-        [b.signature.to_dex() for b in blocks],
-        [insn.stmt_index for b in blocks for insn in b.insns],
-    )
-
-
 def _split_joined(blob: bytes, count: int) -> list[str]:
     text = blob.decode("utf-8", "surrogatepass")
     items = text.split("\n") if count else []
@@ -122,12 +108,11 @@ def _split_joined(blob: bytes, count: int) -> list[str]:
     return items
 
 
-def decode_layout(
-    buf, start_line: int, end_line: int
-) -> tuple[list[str], GroupColumns]:
-    """Decode one layout section into the group's class names and its
-    columns, placed at ``[start_line, end_line)``; raises ``ValueError``
-    on any shape mismatch (the restore then renders instead)."""
+def decode_layout(buf, start_line: int, end_line: int) -> GroupColumns:
+    """Decode one layout section into the group's columns, class names
+    included, placed at ``[start_line, end_line)``; raises
+    ``ValueError`` on any shape mismatch (the restore then renders
+    instead)."""
     try:
         (class_count, block_count, insn_count, names_len,
          sigs_len) = _LAYOUT_HEAD.unpack_from(buf, 0)
@@ -145,7 +130,7 @@ def decode_layout(
     insn_counts = columns[2 * block_count:]
     if cursor != len(buf) or sum(insn_counts) != insn_count:
         raise ValueError("layout sizes disagree with its header")
-    return names, GroupColumns(
+    return GroupColumns(
         start_line,
         end_line,
         columns[:block_count],
@@ -153,12 +138,13 @@ def decode_layout(
         insn_counts,
         signatures,
         stmts,
+        names,
     )
 
 
 @dataclass(frozen=True)
 class ShardGroup:
-    """One contiguous class group, with group-relative tokens.
+    """One library group, with group-relative tokens.
 
     ``tokens`` holds ``(rel_line, kind, text)`` triples where
     ``rel_line = absolute_line - start_line``; identical library code
@@ -187,10 +173,7 @@ class ShardGroup:
 
         One JSON dump of the whole token list: C-speed, and any
         structural ambiguity (kind/text containing separators) is
-        handled by JSON string escaping.  Cached on the group object so
-        a save that hashes the group and anything downstream that needs
-        the same bytes (verification replay) serializes the token list
-        exactly once per group.
+        handled by JSON string escaping.
         """
         cached = self.__dict__.get("_canonical_bytes")
         if cached is None:
@@ -200,6 +183,17 @@ class ShardGroup:
                 ensure_ascii=True,
             ).encode("utf-8", "surrogatepass")
             object.__setattr__(self, "_canonical_bytes", cached)
+        return cached
+
+    @property
+    def sha(self) -> str:
+        """The group's content address (:func:`shard_key`), computed
+        once: a save, a partial hit and a heal all name the group's
+        shard by it."""
+        cached = self.__dict__.get("_sha")
+        if cached is None:
+            cached = shard_key(self)
+            object.__setattr__(self, "_sha", cached)
         return cached
 
     def fold(self) -> dict:
@@ -221,93 +215,51 @@ class ShardGroup:
         return cached
 
 
-@dataclass(frozen=True)
-class GroupText:
-    """One library group's line range, class names and encoded text."""
-
-    label: str
-    start_line: int
-    end_line: int
-    class_names: tuple[str, ...]
-    text: bytes
-
-
-def group_texts(disassembly: Disassembly) -> list[GroupText]:
-    """The disassembly's library groups with their text (memoized).
-
-    Consecutive :class:`~repro.dex.disassembler.ClassSpan` entries with
-    the same :func:`group_label` merge into one group — exactly the runs
-    the disassembler numbers afresh.  A disassembly without class spans
-    (hand-built test doubles) degrades to a single app-wide group.
-    This is all an app key needs, so keying a rendered app encodes its
-    text once and touches neither tokens nor blocks.
-    """
-    cached = getattr(disassembly, "_group_text_cache", None)
-    if cached is not None:
-        return cached
-    spans = getattr(disassembly, "class_spans", None) or []
-    ranges: list[list] = []  # [label, start, end, class names]
-    for span in spans:
-        label = group_label(span.class_name)
-        if ranges and ranges[-1][0] == label and ranges[-1][2] == span.start_line:
-            ranges[-1][2] = span.end_line
-            ranges[-1][3].append(span.class_name)
-        else:
-            ranges.append(
-                [label, span.start_line, span.end_line, [span.class_name]]
-            )
-    if not ranges:
-        ranges = [["app", 0, len(disassembly.lines), []]]
-    cached = [
-        GroupText(
-            label, start, end, tuple(names),
-            encode_lines(disassembly.lines[start:end]),
-        )
-        for label, start, end, names in ranges
-    ]
-    disassembly._group_text_cache = cached
-    return cached
-
-
 def partition_disassembly(disassembly: Disassembly) -> list[ShardGroup]:
-    """Split a disassembly into library-prefix shard groups (memoized).
+    """The disassembly's library groups as shard groups (memoized).
 
-    The groups are :func:`group_texts`' ranges, each carrying its
-    relative tokens, text and layout.  A rendered group's tokens and
-    columns are the renderer's own, taken as they are.  A disassembly
-    without class spans degrades to one app-wide group, built from its
-    app-wide tokens and blocks, so every store code path works on any
-    :class:`Disassembly` — it just stops deduplicating.
+    One :class:`ShardGroup` per :class:`~repro.dex.disassembler.GroupColumns`,
+    labelled by its first class (:func:`group_label`), with the tokens
+    the renderer recorded for it, its text and its layout section.
+    Every store and index path reads a disassembly through this
+    partition, so this is the one place that refuses a disassembly
+    without library groups: lines past the preamble but no groups (a
+    hand-built ``Disassembly(lines)``), or groups without their tokens,
+    raise ``ValueError``.  A preamble-only disassembly has no groups.
     """
     cached = getattr(disassembly, "_partition_cache", None)
     if cached is not None:
         return cached
-    rendered = {
-        (columns.start_line, columns.end_line): (columns, tokens)
-        for columns, tokens in zip(
-            disassembly.group_columns, disassembly.group_tokens
+    lines = disassembly.lines
+    columns = disassembly.group_columns
+    tokens = disassembly.group_tokens
+    if (
+        len(tokens) != len(columns)
+        or not all(tokens)
+        or (not columns and len(lines) > len(PREAMBLE))
+    ):
+        raise ValueError(
+            "disassembly carries no token stream; the store and the "
+            "indexed backend require Disassembly objects produced by "
+            "repro.dex.disassembler.disassemble (use the linear backend "
+            "otherwise)"
         )
-    }
-    cached = []
-    for group in group_texts(disassembly):
-        start, end = group.start_line, group.end_line
-        columns, tokens = rendered.get((start, end), (None, None))
-        if columns is None:
-            columns = _block_columns(disassembly, start, end)
-            tokens = tuple(
-                (token.line_no - start, token.kind, token.text)
-                for token in disassembly.tokens
-                if start <= token.line_no < end
-            )
-        cached.append(ShardGroup(
-            group.label, start, end - start, tokens, group.text,
-            encode_layout(group.class_names, columns),
-        ))
+    cached = [
+        ShardGroup(
+            group_label(group.class_names[0]),
+            group.start_line,
+            group.end_line - group.start_line,
+            group_tokens,
+            encode_lines(lines[group.start_line:group.end_line]),
+            encode_layout(group),
+        )
+        for group, group_tokens in zip(columns, tokens)
+    ]
     disassembly._partition_cache = cached
     return cached
 
 
-def shard_key(group: ShardGroup, key_version: int = KEY_VERSION) -> str:
+def shard_key(group: ShardGroup) -> str:
     """The content address of one shard group.
 
     Hashes the group's relative token triples, its text and layout, its
@@ -318,7 +270,7 @@ def shard_key(group: ShardGroup, key_version: int = KEY_VERSION) -> str:
     """
     digest = hashlib.sha256()
     digest.update(
-        f"backdroid-shard-v{key_version}\n{group.line_count}\n".encode()
+        f"backdroid-shard-v{KEY_VERSION}\n{group.line_count}\n".encode()
     )
     for part in (group.canonical_bytes(), group.text, group.layout):
         digest.update(f"{len(part)}\n".encode())

@@ -1,7 +1,7 @@
 """Shared cluster fixtures: real ``backdroid serve`` subprocesses.
 
-The heavy lifting lives in :class:`repro.service.ClusterHarness` (also
-used by ``scripts/ci_cluster_smoke.py`` and
+The heavy lifting lives in :class:`harness.ClusterHarness` (also used
+by ``scripts/ci_cluster_smoke.py`` and
 ``benchmarks/bench_cluster_scaling.py``); the fixture's job is
 guaranteed teardown — every harness a test starts is stopped (with
 SIGKILL escalation) even when the test body raises.
@@ -9,7 +9,7 @@ SIGKILL escalation) even when the test body raises.
 
 import pytest
 
-from repro.service import ClusterHarness
+from harness import ClusterHarness
 
 
 @pytest.fixture

@@ -38,6 +38,8 @@ from repro.workload.paperapps import (
 )
 from repro.workload.patterns import PatternSpec
 
+from answer_parity import app_tokens
+
 PIN_PATH = Path(__file__).parent / "golden_render_pin.json"
 
 #: label -> a callable building the app.  The corpus apps and the
@@ -85,7 +87,7 @@ def _digest(build) -> dict:
         ]
         for block in disassembly.blocks
     ]
-    tokens = [[t.line_no, t.kind, t.text] for t in disassembly.tokens]
+    tokens = [list(token) for token in app_tokens(disassembly)]
     shards = [shard_key(group) for group in partition_disassembly(disassembly)]
     return {
         "lines": len(disassembly.lines),

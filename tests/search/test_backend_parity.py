@@ -18,12 +18,13 @@ from repro.core import BackDroid, BackDroidConfig
 from repro.dex.builder import AppBuilder
 from repro.dex.types import FieldSignature
 from repro.search.backends import InvertedIndexBackend, LinearScanBackend
-from repro.search.backends.indexed import TokenIndex
 from repro.search.index import BytecodeSearcher
 from repro.store import ArtifactStore
 from repro.workload.corpus import benchmark_app_spec
 from repro.workload.generator import AppSpec, LibrarySpec, generate_app
 from repro.workload.paperapps import build_heyzap, build_palcomp3
+
+from answer_parity import app_tokens, reference_index
 
 
 def _two_library_app():
@@ -175,11 +176,11 @@ class TestTokenOracle:
     def test_token_substrings_answer_as_brute_force(self, case, data):
         apk, _, _ = case
         disassembly = apk.disassembly
-        tokens = disassembly.tokens
+        tokens = app_tokens(disassembly)
         # Substrings of the "\n"-joined vocabulary: mostly substrings of
         # one token text, some running from one text into the next
         # (those lie in no token).
-        joined = "\n".join(TokenIndex(disassembly).vocab)
+        joined = "\n".join(reference_index(disassembly).vocab)
         needles = []
         for _ in range(8):
             start = data.draw(st.integers(0, len(joined)))
@@ -193,7 +194,7 @@ class TestTokenOracle:
             linear = LinearScanBackend(disassembly)
             for needle in needles:
                 oracle = sorted(
-                    {token.line_no for token in tokens if needle in token.text}
+                    {line for line, _, text in tokens if needle in text}
                 )
                 assert cold.token_lines(needle) == oracle, needle
                 assert restored.token_lines(needle) == oracle, needle

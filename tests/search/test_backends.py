@@ -15,6 +15,8 @@ from repro.search.backends.indexed import TokenIndex
 from repro.search.caching import SearchCommandCache
 from repro.search.index import BytecodeSearcher
 
+from answer_parity import app_tokens
+
 
 def _small_apk():
     app = AppBuilder()
@@ -43,7 +45,9 @@ def _array_apk():
 
 def _token_line(disassembly, text):
     """The one line holding a token with exactly *text*."""
-    (line_no,) = {t.line_no for t in disassembly.tokens if t.text == text}
+    (line_no,) = {
+        line for line, _, token in app_tokens(disassembly) if token == text
+    }
     return line_no
 
 

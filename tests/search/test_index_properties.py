@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.android.apk import Apk
 from repro.dex.builder import AppBuilder
 from repro.dex.types import MethodSignature
+from repro.search.backends import JoinedText
 from repro.search.index import BytecodeSearcher
 
 
@@ -56,8 +57,8 @@ class TestHitAttribution:
     def test_line_offsets_consistent(self, case):
         """Internal offset mapping agrees with naive line counting."""
         apk, _ = case
-        searcher = BytecodeSearcher(apk.disassembly)
-        text = searcher._text
+        joined = JoinedText.for_disassembly(apk.disassembly)
+        text = joined.text
         for probe in range(0, len(text), max(1, len(text) // 17)):
             expected_line = text.count("\n", 0, probe)
-            assert searcher._line_of_offset(probe) == expected_line
+            assert joined.line_of_offset(probe) == expected_line

@@ -2,17 +2,37 @@
 
 An app's index (:class:`~repro.store.lazy.LazyTokenIndex`) asks each
 library group in turn and holds no app-wide vocabulary, so it is
-compared with ``TokenIndex(disassembly)``, the direct fold of the
-app-wide token stream, by its answers: ``token_lines`` is the only
-query an app index serves.
+compared with :func:`reference_index`, the direct fold of the app-wide
+token stream (:func:`app_tokens`), by its answers: ``token_lines`` is
+the only query an app index serves.  No job path folds a whole app in
+one piece, so this reference lives here, with the tests.
 """
 
 import re
+
+from repro.search.backends.indexed import TokenIndex, fold_tokens
 
 #: A bare dex reference-type descriptor, possibly array-wrapped.
 DESCRIPTOR_RE = re.compile(r"\[*L[^;]+;")
 #: Where a descriptor can start: an array bracket or a class ``L``.
 _OPENER_RE = re.compile(r"[\[L]")
+
+
+def app_tokens(disassembly):
+    """Every group's tokens at absolute lines, in line order, as
+    ``(line_no, kind, text)`` triples."""
+    return [
+        (columns.start_line + rel, kind, text)
+        for columns, tokens in zip(
+            disassembly.group_columns, disassembly.group_tokens
+        )
+        for rel, kind, text in tokens
+    ]
+
+
+def reference_index(disassembly):
+    """The direct fold of the app-wide token stream, in one piece."""
+    return TokenIndex(*fold_tokens(app_tokens(disassembly)))
 
 
 def embedded_needles(text):

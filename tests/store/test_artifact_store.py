@@ -23,7 +23,7 @@ from repro.core import BackDroidConfig, analyze_spec, run_batch
 from repro.core.batch import outcome_payload
 from repro.search.backends.indexed import TokenIndex
 from repro.search.index import BytecodeSearcher
-from repro.store import ArtifactStore, store_key
+from repro.store import ArtifactStore, partition_disassembly, store_key
 from repro.store.artifacts import FORMAT_VERSION
 from repro.store.lazy import LazyTokenIndex
 from repro.store.binshard import (
@@ -42,7 +42,7 @@ from repro.workload.generator import (
 )
 from repro.workload.paperapps import build_heyzap, build_palcomp3
 
-from answer_parity import assert_same_answers
+from answer_parity import assert_same_answers, reference_index
 
 
 @pytest.fixture
@@ -78,13 +78,13 @@ class TestIndexRoundTrip:
     def test_restored_index_equals_fresh_build(self, store):
         apk = build_heyzap()
         fresh = TokenIndex.for_disassembly(apk.disassembly)
-        store.save_index(apk.disassembly, fresh)
+        store.save_index(apk.disassembly)
 
         restored = store.load_index(build_heyzap().disassembly)
         assert restored is not None
         assert restored.restored and not fresh.restored
         assert restored.build_seconds == 0.0
-        assert_same_answers(restored, TokenIndex(apk.disassembly))
+        assert_same_answers(restored, reference_index(apk.disassembly))
         assert restored.vocab_size == fresh.vocab_size
         assert restored.posting_entries == fresh.posting_entries
         assert store.stats.index_hits == 1
@@ -110,9 +110,9 @@ class TestIndexRoundTrip:
 
 def _only_shard_path(store, disassembly):
     """The shard file of a single-group app (asserts there is one)."""
-    groups = store._groups(disassembly)
+    groups = partition_disassembly(disassembly)
     assert len(groups) == 1
-    return store._shard_path(groups[0][1])
+    return store._shard_path(groups[0].sha)
 
 
 def _set_container_version(path, version):
@@ -127,8 +127,8 @@ def _retire_to_json_layout(store, disassembly):
     ``.json`` shards (bytes as base64) beside a version-2 manifest.
     Returns the ``.json`` shard paths."""
     retired = []
-    for _, sha in store._groups(disassembly):
-        path = store._shard_path(sha)
+    for group in partition_disassembly(disassembly):
+        path = store._shard_path(group.sha)
         payload = decode_shard(path.read_bytes())
         payload["version"] = 2
         for name in ("text", "layout"):
@@ -150,7 +150,7 @@ class TestInvalidation:
         # the next load republishes it and probes go warm again.
         apk = build_heyzap()
         key = store_key(apk.disassembly)
-        store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
+        store.save_index(apk.disassembly)
         store._manifest_path(key).write_text("{torn")
         assert store.probe(key).level == "none"
 
@@ -164,7 +164,7 @@ class TestInvalidation:
         # on every submission must not inflate the load-path counter.
         apk = build_heyzap()
         key = store_key(apk.disassembly)
-        store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
+        store.save_index(apk.disassembly)
         store._manifest_path(key).write_text("{torn")
         before = store.stats.corrupt_entries
         for _ in range(5):
@@ -186,7 +186,7 @@ class TestInvalidation:
 
     def test_manifest_version_mismatch_is_a_token_miss(self, store):
         apk = build_heyzap()
-        store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
+        store.save_index(apk.disassembly)
         key = store_key(apk.disassembly)
         path = store._manifest_path(key)
         payload = json.loads(path.read_text())
@@ -197,7 +197,7 @@ class TestInvalidation:
 
     def test_manifest_key_mismatch_is_a_token_miss(self, store):
         apk = build_heyzap()
-        store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
+        store.save_index(apk.disassembly)
         key = store_key(apk.disassembly)
         path = store._manifest_path(key)
         payload = json.loads(path.read_text())
@@ -208,24 +208,24 @@ class TestInvalidation:
 
     def test_changed_bytecode_never_hits_old_entry(self, store):
         apk = build_heyzap()
-        store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
+        store.save_index(apk.disassembly)
         assert store.load_index(build_palcomp3().disassembly) is None
 
     def test_garbage_shard_is_patched_in_place(self, store):
-        # A torn shard is indistinguishable from a missing one: the
-        # load path re-folds just that group from the live disassembly
-        # and publishes the repaired shard.
+        # A torn shard is indistinguishable from a missing one: with
+        # the app's only shard torn, the load is a miss, and the cold
+        # build's save republishes the shard in place.
         apk = build_heyzap()
-        fresh = TokenIndex.for_disassembly(apk.disassembly)
-        store.save_index(apk.disassembly, fresh)
+        store.save_index(apk.disassembly)
         _only_shard_path(store, apk.disassembly).write_text("{not json at all")
 
         warm = _fresh_searcher(build_heyzap(), store=store)
-        warm.backend.index  # must repair, not raise
-        assert warm.backend.stats.shards_patched == 1
-        assert store.stats.corrupt_entries >= 1
-        assert_same_answers(warm.backend.index, TokenIndex(apk.disassembly))
-        # The patch republished the shard: a third run restores whole.
+        warm.backend.index  # must rebuild, not raise
+        assert not warm.backend.stats.index_restored
+        assert warm.backend.stats.index_build_seconds > 0.0
+        assert store.stats.index_misses == 1
+        assert_same_answers(warm.backend.index, reference_index(apk.disassembly))
+        # The save republished the shard: a third run restores whole.
         third = _fresh_searcher(build_heyzap(), store=store)
         third.backend.index
         assert third.backend.stats.index_restored
@@ -234,6 +234,38 @@ class TestInvalidation:
 
 
 class TestRetiredContainer:
+    def test_store_of_another_container_version_is_no_hit(self, tmp_path):
+        # Every shard, manifest and specmap entry stamped container
+        # version 3: none of it is current, so the next batch restores
+        # no index and republishes every shard, and the batch after
+        # restores every app whole.
+        config = _store_config(tmp_path, mode="index")
+        specs = [benchmark_app_spec(i, scale=0.05) for i in range(3)]
+
+        def batch():
+            result = run_batch(
+                specs, config, executor="serial", session_cache_size=0
+            )
+            assert not result.failures
+            return result
+
+        batch()
+        root = tmp_path / "store"
+        for shard in (root / "shards").rglob("*.bin"):
+            _set_container_version(shard, 3)
+        for path in [
+            *(root / "objects").rglob("manifest.json"),
+            *(root / "specmap").rglob("*.json"),
+        ]:
+            payload = json.loads(path.read_text())
+            payload["version"] = 3
+            path.write_text(json.dumps(payload))
+
+        stale = batch()
+        assert stale.index_restores == 0 and stale.shards_patched == 0
+        warm = batch()
+        assert warm.index_restores == 3 and warm.partial_restores == 0
+
     def test_v2_store_reads_as_a_miss_then_republishes(self, store):
         # Readers accept FORMAT_VERSION only: a store last written by
         # the retired JSON container is a cold miss, never an error,
@@ -253,7 +285,7 @@ class TestRetiredContainer:
         restored = store.load_index(build_heyzap().disassembly)
         assert isinstance(restored, LazyTokenIndex)
         assert_same_answers(
-            restored, TokenIndex(build_heyzap().disassembly)
+            restored, reference_index(build_heyzap().disassembly)
         )
         (entry,) = store.verify()
         assert entry.status == "ok"
@@ -519,8 +551,8 @@ class TestDisassemblyRestore:
         config = _store_config(tmp_path, mode="index")
         cold = analyze_spec(spec, config)
         store = config.artifact_store()
-        groups = store._groups(generate_app(spec).apk.disassembly)
-        path = store._shard_path(groups[0][1])
+        groups = partition_disassembly(generate_app(spec).apk.disassembly)
+        path = store._shard_path(groups[0].sha)
         intact = path.read_bytes()
         _, offset, length = read_header(intact).sections[section]
         damaged = bytearray(intact)
@@ -551,8 +583,8 @@ class TestDisassemblyRestore:
         config = _store_config(tmp_path, mode="index")
         cold = analyze_spec(spec, config)
         store = config.artifact_store()
-        groups = store._groups(generate_app(spec).apk.disassembly)
-        path = store._shard_path(groups[0][1])
+        groups = partition_disassembly(generate_app(spec).apk.disassembly)
+        path = store._shard_path(groups[0].sha)
         intact = path.read_bytes()
         payload = decode_shard(intact)
         blob = bytearray(payload[field])
@@ -758,7 +790,7 @@ def _publish_specmap(root, mapping):
 class TestMaintenance:
     def test_describe_counts_entries_and_kinds(self, store):
         apk = build_heyzap()
-        store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
+        store.save_index(apk.disassembly)
         inventory = store.describe()
         assert inventory.entries == 1
         assert inventory.files_by_kind["manifest"] == 1
@@ -773,7 +805,7 @@ class TestMaintenance:
 
     def test_gc_clears_everything_by_default(self, store):
         apk = build_heyzap()
-        store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
+        store.save_index(apk.disassembly)
         result = store.gc()
         assert result.entries_removed == 1
         assert result.shards_removed >= 1
@@ -783,7 +815,7 @@ class TestMaintenance:
 
     def test_gc_keeps_fresh_entries(self, store):
         apk = build_heyzap()
-        store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
+        store.save_index(apk.disassembly)
         result = store.gc(max_age_seconds=3600.0)
         assert result.entries_removed == 0 and result.shards_removed == 0
         inventory = store.describe()
@@ -819,19 +851,19 @@ class TestProbe:
         apk = generate_app(
             AppSpec(package="com.probe.host", seed=1, libraries=(lib,))
         ).apk
-        store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
+        store.save_index(apk.disassembly)
         key = store_key(apk.disassembly)
-        groups = store._groups(apk.disassembly)
+        groups = partition_disassembly(apk.disassembly)
         assert len(groups) >= 2
-        store._shard_path(groups[0][1]).unlink()
+        store._shard_path(groups[0].sha).unlink()
 
         probe = store.probe(key)
         assert probe.level == "partial" and probe.warm
         assert probe.shards_present == probe.shards_total - 1
 
         # With every shard gone the manifest alone offers no warmth.
-        for _, sha in groups[1:]:
-            store._shard_path(sha).unlink()
+        for group in groups[1:]:
+            store._shard_path(group.sha).unlink()
         assert store.probe(key).level == "none"
 
     def test_spec_key_round_trip(self, store):
@@ -848,7 +880,7 @@ class TestProbe:
 
     def test_gc_and_describe_cover_the_specmap(self, store):
         apk = build_heyzap()
-        store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
+        store.save_index(apk.disassembly)
         store.save_spec_key("ab" * 8, store_key(apk.disassembly))
 
         inventory = store.describe()
@@ -933,9 +965,7 @@ class TestSpecmapWrites:
 
 class TestVerify:
     def _populate(self, store, apk):
-        store.save_index(
-            apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
-        )
+        store.save_index(apk.disassembly)
         return store_key(apk.disassembly)
 
     def test_intact_store_verifies_clean(self, store):
@@ -972,7 +1002,7 @@ class TestVerify:
         impostor = _only_shard_path(store, other.disassembly)
         payload = decode_shard(impostor.read_bytes())
         target.write_bytes(
-            encode_shard(payload, store._groups(apk.disassembly)[0][1])
+            encode_shard(payload, partition_disassembly(apk.disassembly)[0].sha)
         )
 
         statuses = {entry.key: entry for entry in store.verify()}
@@ -1003,7 +1033,7 @@ class TestVerify:
             AppSpec(package="com.tiled.host", seed=1, libraries=(lib,))
         ).apk
         key = store_key(apk.disassembly)
-        store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
+        store.save_index(apk.disassembly)
         path = store._manifest_path(key)
         payload = json.loads(path.read_text())
         assert len(payload["groups"]) >= 2

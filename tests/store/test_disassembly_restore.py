@@ -4,26 +4,32 @@ its shards' text and layout sections instead of rendering it.
 The contract: a restored :class:`~repro.dex.disassembler.Disassembly`
 is indistinguishable from a fresh render on everything search and the
 slicer read — lines, store key, method-block bounds and signatures, the
-line -> block and line -> statement maps, and (rendered on demand) the
-class spans.  Per-group numbering is what makes the text shareable, so
-a library group must render byte-identical in two different apps.
+line -> block and line -> statement maps, each group's class names, and
+(rendered on demand) the tokens.  Per-group numbering is what makes the
+text shareable, so a library group must render byte-identical in two
+different apps.
 """
 
+import bisect
 import functools
 
 import pytest
 
 from repro.android.apk import Apk, render_disassembly
 from repro.dex.builder import AppBuilder
-from repro.dex.disassembler import RenderMismatch, RestoredDisassembly
-from repro.search.backends.indexed import TokenIndex
+from repro.dex.disassembler import (
+    GroupColumns,
+    RenderMismatch,
+    RestoredDisassembly,
+)
 from repro.store import (
     ArtifactStore,
+    group_label,
     partition_disassembly,
     shard_key,
     store_key,
 )
-from repro.store.sharding import _block_columns, encode_layout, group_texts
+from repro.store.sharding import encode_layout
 from repro.workload.corpus import benchmark_app_spec
 from repro.workload.generator import AppSpec, LibrarySpec, generate_app
 from repro.workload.paperapps import (
@@ -31,6 +37,8 @@ from repro.workload.paperapps import (
     build_lg_tv_plus,
     build_palcomp3,
 )
+
+from answer_parity import app_tokens
 
 SHARED_LIB = LibrarySpec(
     package="org.sharedsdk", seed=7, classes=6, methods_per_class=4
@@ -65,15 +73,33 @@ def store(tmp_path):
 
 
 def _publish(store, apk):
-    store.save_index(
-        apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
-    )
+    store.save_index(apk.disassembly)
     return store_key(apk.disassembly)
 
 
 def _restore(store, key, apk):
     return store.load_disassembly(
         key, apk.classes, functools.partial(render_disassembly, apk.classes)
+    )
+
+
+def _block_columns(disassembly, start, end, class_names):
+    """The layout columns of the blocks in ``[start, end)``, read back
+    from the disassembly's method blocks rather than from the columns
+    the renderer captured."""
+    blocks = disassembly.blocks
+    starts = [b.start_line for b in blocks]
+    blocks = blocks[
+        bisect.bisect_left(starts, start):bisect.bisect_left(starts, end)
+    ]
+    return GroupColumns(
+        start, end,
+        [b.start_line - start for b in blocks],
+        [b.end_line - start for b in blocks],
+        [len(b.insns) for b in blocks],
+        [b.signature.to_dex() for b in blocks],
+        [insn.stmt_index for b in blocks for insn in b.insns],
+        class_names,
     )
 
 
@@ -104,8 +130,9 @@ def _assert_parity(restored, fresh):
     for block in fresh.blocks:
         assert _block_shape(restored.block_of(block.signature)) == \
             _block_shape(block)
-    assert restored.class_spans == fresh.class_spans
-    assert restored.tokens == fresh.tokens
+    assert [c.class_names for c in restored.group_columns] == \
+        [c.class_names for c in fresh.group_columns]
+    assert app_tokens(restored) == app_tokens(fresh)
 
 
 class TestParity:
@@ -132,7 +159,7 @@ class TestParity:
         fresh = build().disassembly
         restored.block_at_line(fresh.blocks[-1].start_line)
         assert restored.lines == fresh.lines and not renders
-        assert restored.tokens == fresh.tokens
+        assert app_tokens(restored) == app_tokens(fresh)
         assert renders == [1]
 
     def test_a_render_that_differs_fails_instead_of_mixing(self, store):
@@ -143,7 +170,7 @@ class TestParity:
             key, apk.classes, functools.partial(render_disassembly, other.classes)
         )
         with pytest.raises(RenderMismatch):
-            restored.tokens
+            app_tokens(restored)
 
 
 class TestPerGroupNumbering:
@@ -161,14 +188,16 @@ class TestPerGroupNumbering:
         assert shard_key(lib_one) == shard_key(lib_two)
 
     def test_layout_captured_while_rendering_equals_the_blocks_layout(self):
-        disassembly = BUILDERS["with_library"]().disassembly
+        apk = BUILDERS["with_library"]()
+        disassembly = apk.disassembly
         groups = partition_disassembly(disassembly)
         assert len(groups) >= 2
-        for text, group in zip(group_texts(disassembly), groups):
-            assert group.layout == encode_layout(
-                text.class_names,
-                _block_columns(disassembly, group.start_line, group.end_line),
-            )
+        names = sorted(cls.name for cls in apk.classes.application_classes())
+        for group in groups:
+            assert group.layout == encode_layout(_block_columns(
+                disassembly, group.start_line, group.end_line,
+                [name for name in names if group_label(name) == group.label],
+            ))
 
     def test_key_hashes_the_same_bytes_the_groups_carry(self):
         disassembly = build_lg_tv_plus().disassembly

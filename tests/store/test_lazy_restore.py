@@ -3,10 +3,10 @@
 Covers the laziness contract end to end: a fully binary warm entry
 restores as a :class:`LazyTokenIndex` that (1) answers every needle
 identically to a fresh fold, (2) decodes only the groups a query
-touches — strictly fewer bytes than a query touching every group, (3)
-survives LRU eviction and re-faults correctly, and (4) self-heals
-corrupt shard sections from the live disassembly.  Needles come from
-``TokenIndex(disassembly)``, the direct fold of the app.
+touches — strictly fewer bytes than a query touching every group, and
+(3) self-heals corrupt shard sections from the live disassembly.
+Needles come from ``reference_index(disassembly)``, the direct fold of
+the app.
 """
 
 import gc
@@ -15,15 +15,19 @@ import warnings
 
 import pytest
 
-import repro.store.lazy as lazy
 from repro.search.backends.indexed import TokenIndex
 from repro.search.index import BytecodeSearcher
-from repro.store import ArtifactStore, LazyShardView, store_key
+from repro.store import (
+    ArtifactStore,
+    LazyShardView,
+    partition_disassembly,
+    store_key,
+)
 from repro.store.binshard import FORMAT_VERSION
 from repro.store.lazy import LazyTokenIndex
 from repro.workload.generator import AppSpec, LibrarySpec, generate_app
 
-from answer_parity import DESCRIPTOR_RE, assert_same_answers
+from answer_parity import DESCRIPTOR_RE, assert_same_answers, reference_index
 
 #: Shared library specs: each package prefix becomes its own shard
 #: group, so the generated app restores as a genuinely multi-group
@@ -48,9 +52,7 @@ def store(tmp_path):
 def _warm_lazy(store, seed=1):
     """Publish the app and return a lazily restored index."""
     apk = _build_apk(seed)
-    store.save_index(
-        apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
-    )
+    store.save_index(apk.disassembly)
     restored = store.load_index(_build_apk(seed).disassembly)
     assert isinstance(restored, LazyTokenIndex)
     return restored
@@ -91,15 +93,13 @@ class TestLazyRestoreShape:
 
 
     def test_empty_shard_takes_the_patching_path(self, store):
-        # An empty file is the one shard state the stat-only check
-        # rejects: the load publishes just that group, republishes the
-        # manifest, and serves the same lazy index.
+        # An empty file has no current header: the load publishes just
+        # that group, republishes the manifest, and serves the same
+        # lazy index.
         apk = _build_apk()
-        store.save_index(
-            apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
-        )
+        store.save_index(apk.disassembly)
         key = store_key(apk.disassembly)
-        victim = store._shard_path(store._groups(apk.disassembly)[1][1])
+        victim = store._shard_path(partition_disassembly(apk.disassembly)[1].sha)
         victim.write_bytes(b"")
         assert store.probe(key).level == "partial"
 
@@ -109,7 +109,7 @@ class TestLazyRestoreShape:
         assert restored.materialized_groups == 0
         assert victim.stat().st_size > 0
         assert store.stats.lazy_restores == 1
-        assert_same_answers(restored, TokenIndex(_build_apk().disassembly))
+        assert_same_answers(restored, reference_index(_build_apk().disassembly))
         assert restored.patched_groups == 1
         again = store.load_index(_build_apk().disassembly)
         assert isinstance(again, LazyTokenIndex)
@@ -119,7 +119,7 @@ class TestLazyRestoreShape:
 class TestQueryParity:
     def test_every_needle_shape_matches_fresh_fold(self, store):
         restored = _warm_lazy(store)
-        fresh = TokenIndex(_build_apk().disassembly)
+        fresh = reference_index(_build_apk().disassembly)
         for needle in _sample_needles(fresh):
             assert restored.token_lines(needle) == \
                 fresh.token_lines(needle), needle
@@ -128,7 +128,7 @@ class TestQueryParity:
         # Query one group first, then every needle of the fresh fold:
         # each answer must equal the fold's, with every group decoded.
         restored = _warm_lazy(store)
-        fresh = TokenIndex(_build_apk().disassembly)
+        fresh = reference_index(_build_apk().disassembly)
         needle = _single_group_needle(fresh)
         assert restored.token_lines(needle) == fresh.token_lines(needle)
         assert 0 < restored.materialized_groups < restored.groups_total
@@ -142,7 +142,7 @@ class TestQueryParity:
         # The acceptance bar: a warm session touching a strict subset
         # of groups decodes strictly fewer bytes than a full restore.
         restored = _warm_lazy(store)
-        fresh = TokenIndex(_build_apk().disassembly)
+        fresh = reference_index(_build_apk().disassembly)
         restored.token_lines(_single_group_needle(fresh))
         subset_bytes = restored.bytes_decoded
         assert 0 < subset_bytes < restored.bytes_mapped
@@ -152,7 +152,7 @@ class TestQueryParity:
 
     def test_counters_stay_exact_without_materializing(self, store):
         restored = _warm_lazy(store)
-        fresh = TokenIndex(_build_apk().disassembly)
+        fresh = reference_index(_build_apk().disassembly)
         # Both counts come from the shard headers: posting_entries is
         # exact (disjoint line ranges), and vocab_size is the groups'
         # summed vocabularies, as on the cold index.
@@ -162,33 +162,13 @@ class TestQueryParity:
         assert restored.materialized_groups == 0
 
 
-class TestLruEviction:
-    def test_eviction_and_refault_stay_correct(self, store, monkeypatch):
-        monkeypatch.setattr(lazy, "GROUP_CACHE", 1)
-        restored = _warm_lazy(store)
-        fresh = TokenIndex(_build_apk().disassembly)
-        one = next(t for t in fresh.vocab
-                   if DESCRIPTOR_RE.fullmatch(t) and "lazylib1" in t)
-        two = next(t for t in fresh.vocab
-                   if DESCRIPTOR_RE.fullmatch(t) and "lazylib4" in t)
-        for needle in (one, two, one, two):
-            assert restored.token_lines(needle) == \
-                fresh.token_lines(needle), needle
-        # Two distinct groups were touched; with a single cache slot
-        # the alternation re-faulted at least one of them.
-        assert restored.materialized_groups == 2
-        assert store.stats.groups_materialized > 2
-
-
 class TestSelfHeal:
     def test_corrupt_shard_heals_from_live_disassembly(self, store):
         apk = _build_apk()
-        store.save_index(
-            apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
-        )
+        store.save_index(apk.disassembly)
         # Flip bytes in the middle of one shard file: the header may
         # still parse, but a section CRC cannot.
-        victim = store._shard_path(store._groups(apk.disassembly)[2][1])
+        victim = store._shard_path(partition_disassembly(apk.disassembly)[2].sha)
         blob = bytearray(victim.read_bytes())
         mid = len(blob) // 2
         for i in range(mid, mid + 16):
@@ -196,8 +176,8 @@ class TestSelfHeal:
         victim.write_bytes(bytes(blob))
 
         restored = store.load_index(_build_apk().disassembly)
-        assert isinstance(restored, LazyTokenIndex)  # stat-only check
-        fresh = TokenIndex(_build_apk().disassembly)
+        assert isinstance(restored, LazyTokenIndex)  # header-only check
+        fresh = reference_index(_build_apk().disassembly)
         for needle in _sample_needles(fresh):
             assert restored.token_lines(needle) == \
                 fresh.token_lines(needle), needle
@@ -212,8 +192,8 @@ class TestSelfHeal:
 
     def _assert_heals_to_parity(self, store, victim, corrupt_entries):
         restored = store.load_index(_build_apk().disassembly)
-        assert isinstance(restored, LazyTokenIndex)  # stat-only check
-        assert_same_answers(restored, TokenIndex(_build_apk().disassembly))
+        assert isinstance(restored, LazyTokenIndex)  # header-only check
+        assert_same_answers(restored, reference_index(_build_apk().disassembly))
         assert restored.patched_groups == 1
         assert store.stats.shards_patched == 1
         assert store.stats.corrupt_entries == corrupt_entries
@@ -227,10 +207,8 @@ class TestSelfHeal:
         # points past the end of the file: the container rejects it
         # structurally and the group is re-folded.
         apk = _build_apk()
-        store.save_index(
-            apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
-        )
-        victim = store._shard_path(store._groups(apk.disassembly)[2][1])
+        store.save_index(apk.disassembly)
+        victim = store._shard_path(partition_disassembly(apk.disassembly)[2].sha)
         blob = victim.read_bytes()
         victim.write_bytes(blob[: len(blob) // 2])
         self._assert_heals_to_parity(store, victim, corrupt_entries=1)
@@ -240,10 +218,8 @@ class TestSelfHeal:
         # version is re-folded on first touch, never decoded.  It is
         # out of date, not damaged, so it is no corrupt entry.
         apk = _build_apk()
-        store.save_index(
-            apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
-        )
-        victim = store._shard_path(store._groups(apk.disassembly)[2][1])
+        store.save_index(apk.disassembly)
+        victim = store._shard_path(partition_disassembly(apk.disassembly)[2].sha)
         blob = bytearray(victim.read_bytes())
         struct.pack_into("<H", blob, 4, 2)
         victim.write_bytes(bytes(blob))
@@ -251,13 +227,11 @@ class TestSelfHeal:
 
     def test_backend_surfaces_lazy_stats(self, store):
         apk = _build_apk()
-        store.save_index(
-            apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
-        )
+        store.save_index(apk.disassembly)
         searcher = BytecodeSearcher(
             _build_apk().disassembly, backend="indexed", store=store
         )
-        fresh = TokenIndex(_build_apk().disassembly)
+        fresh = reference_index(_build_apk().disassembly)
         searcher.backend.token_lines(_single_group_needle(fresh))
         described = searcher.backend.describe()
         assert described["index_restored"]
@@ -271,10 +245,8 @@ class TestViewHandles:
         # The mapping holds its own descriptor, so a view that is used
         # and then dropped without reset() must not leak a file object.
         apk = _build_apk()
-        store.save_index(
-            apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
-        )
-        sha = store._groups(apk.disassembly)[0][1]
+        store.save_index(apk.disassembly)
+        sha = partition_disassembly(apk.disassembly)[0].sha
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             view = LazyShardView(store._shard_path(sha), sha)
@@ -291,10 +263,8 @@ class TestProbeNeverParses:
         # (the real load heals it; probes are advisory by contract).
         apk = _build_apk()
         key = store_key(apk.disassembly)
-        store.save_index(
-            apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
-        )
-        victim = store._shard_path(store._groups(apk.disassembly)[0][1])
+        store.save_index(apk.disassembly)
+        victim = store._shard_path(partition_disassembly(apk.disassembly)[0].sha)
         victim.write_bytes(b"\x00" * victim.stat().st_size)
         probe = store.probe(key)
         assert probe.level == "index"
@@ -306,12 +276,12 @@ class TestCanonicalBytesCache:
         # Satellite fix: shard_key reuses the canonical token bytes
         # cached on the group object instead of re-dumping JSON.
         apk = _build_apk()
-        groups = store._groups(apk.disassembly)
-        for group, _ in groups:
+        groups = partition_disassembly(apk.disassembly)
+        for group in groups:
             assert group.canonical_bytes() is group.canonical_bytes()
         # Hashing again (as verify's replay does) reuses the cache and
         # stays stable.
         from repro.store import shard_key
 
-        for group, sha in groups:
-            assert shard_key(group) == sha
+        for group in groups:
+            assert shard_key(group) == group.sha

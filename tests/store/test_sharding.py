@@ -14,7 +14,12 @@ import time
 import pytest
 
 from repro.core import BackDroidConfig, analyze_spec, run_batch
-from repro.search.backends.indexed import TokenIndex, fold_tokens
+from repro.dex.disassembler import PREAMBLE, Disassembly
+from repro.search.backends.indexed import (
+    InvertedIndexBackend,
+    TokenIndex,
+    fold_tokens,
+)
 from repro.search.backends.linear import LinearScanBackend
 from repro.store import (
     ArtifactStore,
@@ -39,7 +44,12 @@ from repro.workload.paperapps import (
     build_palcomp3,
 )
 
-from answer_parity import assert_same_answers, token_needles
+from answer_parity import (
+    app_tokens,
+    assert_same_answers,
+    reference_index,
+    token_needles,
+)
 
 SHARED_LIB = LibrarySpec(
     package="org.sharedsdk", seed=7, classes=10, methods_per_class=5
@@ -81,13 +91,13 @@ class TestPartitioning:
         disassembly = generate_app(_app("com.alpha", 1)).apk.disassembly
         groups = partition_disassembly(disassembly)
         assert len(groups) >= 2  # the app's own prefix plus the library
-        spans = disassembly.class_spans
-        assert groups[0].start_line == spans[0].start_line
-        assert groups[-1].end_line == spans[-1].end_line
+        columns = disassembly.group_columns
+        assert groups[0].start_line == columns[0].start_line
+        assert groups[-1].end_line == columns[-1].end_line
         for first, second in zip(groups, groups[1:]):
             assert first.end_line == second.start_line
         assert {g.label for g in groups} == {
-            group_label(s.class_name) for s in spans
+            group_label(name) for c in columns for name in c.class_names
         }
 
     def test_every_token_lands_in_exactly_one_group(self):
@@ -98,18 +108,7 @@ class TestPartitioning:
             for g in groups
             for rel, kind, text in g.tokens
         ]
-        assert recomposed == [
-            (t.line_no, t.kind, t.text) for t in disassembly.tokens
-        ]
-
-    def test_spanless_disassembly_degrades_to_one_group(self):
-        disassembly = build_heyzap().disassembly
-        disassembly.class_spans = []
-        (group,) = partition_disassembly(disassembly)
-        assert group.label == "app"
-        assert group.start_line == 0
-        assert group.line_count == len(disassembly.lines)
-        assert len(group.tokens) == len(disassembly.tokens)
+        assert recomposed == app_tokens(disassembly)
 
     def test_shard_key_is_position_independent(self):
         # The same library lands at different absolute lines in each
@@ -147,13 +146,60 @@ class TestPartitioning:
         assert keys[0] != keys[1]
 
 
+def _lines_only(apk):
+    return Disassembly(apk.disassembly.lines)
+
+
+def _columns_without_tokens(apk):
+    return Disassembly(apk.disassembly.lines, apk.disassembly.group_columns)
+
+
+class TestRefusal:
+    """A disassembly without library groups is refused in one place,
+    the partition, whichever store or index path reads it first."""
+
+    @pytest.mark.parametrize(
+        "strip", [_lines_only, _columns_without_tokens],
+        ids=["lines_only", "columns_without_tokens"],
+    )
+    def test_every_path_raises_the_partitions_error(self, strip, store):
+        disassembly = strip(build_heyzap())
+        paths = (
+            lambda: partition_disassembly(disassembly),
+            lambda: store_key(disassembly),
+            lambda: store.save_index(disassembly),
+            lambda: InvertedIndexBackend(disassembly).token_lines("L"),
+            lambda: InvertedIndexBackend(disassembly, store).token_lines("L"),
+        )
+        messages = set()
+        for path in paths:
+            with pytest.raises(ValueError, match="no token stream") as info:
+                path()
+            messages.add(str(info.value))
+        assert len(messages) == 1
+        assert not store.root.exists()
+
+    def test_preamble_only_disassembly_keys(self):
+        disassembly = Disassembly(list(PREAMBLE))
+        assert partition_disassembly(disassembly) == []
+        assert len(store_key(disassembly)) == 64
+        assert InvertedIndexBackend(disassembly).token_lines("L") == []
+
+    def test_linear_backend_searches_a_hand_built_disassembly(self):
+        rendered = build_heyzap().disassembly
+        needle = partition_disassembly(rendered)[0].tokens[0][2]
+        hand_built = LinearScanBackend(Disassembly(rendered.lines))
+        lines = LinearScanBackend(rendered).token_lines(needle)
+        assert lines and hand_built.token_lines(needle) == lines
+
+
 class TestCrossAppDedup:
     def test_shared_library_persists_once(self, store):
         one = generate_app(_app("com.alpha", 1)).apk.disassembly
         two = generate_app(_app("com.beta", 2)).apk.disassembly
-        store.save_index(one, TokenIndex.for_disassembly(one))
+        store.save_index(one)
         shards_after_first = store.describe().shards
-        store.save_index(two, TokenIndex.for_disassembly(two))
+        store.save_index(two)
         inventory = store.describe()
 
         # Only the second app's own group was new.
@@ -167,19 +213,19 @@ class TestCrossAppDedup:
         # "Two apps sharing every shard": a byte-identical rebuild of
         # the same app publishes nothing new — every group is shared.
         one = generate_app(_app("com.alpha", 1)).apk.disassembly
-        store.save_index(one, TokenIndex.for_disassembly(one))
+        store.save_index(one)
         writes_before = store.stats.writes
         shared_before = store.stats.shards_shared
         rebuilt = generate_app(_app("com.alpha", 1)).apk.disassembly
         store.save_index(rebuilt)
         assert store.stats.shards_shared - shared_before == \
-            len(store._groups(rebuilt))
+            len(partition_disassembly(rebuilt))
         # Only the manifest was rewritten.
         assert store.stats.writes == writes_before + 1
 
     def test_second_app_warm_starts_off_the_first_apps_library(self, store):
         one = generate_app(_app("com.alpha", 1)).apk.disassembly
-        store.save_index(one, TokenIndex.for_disassembly(one))
+        store.save_index(one)
 
         # The second app was never saved, yet its library group is
         # already on disk: the restore serves it and patches only the
@@ -187,9 +233,9 @@ class TestCrossAppDedup:
         two = generate_app(_app("com.beta", 2)).apk.disassembly
         restored = store.load_index(two)
         assert restored is not None
-        assert 0 < restored.patched_groups < len(store._groups(two))
+        assert 0 < restored.patched_groups < len(partition_disassembly(two))
         assert store.stats.partial_hits == 1
-        assert_same_answers(restored, TokenIndex(two))
+        assert_same_answers(restored, reference_index(two))
 
 
 class TestRefcountedGc:
@@ -201,8 +247,8 @@ class TestRefcountedGc:
     def test_live_reference_protects_a_shared_shard(self, store):
         one = generate_app(_app("com.alpha", 1)).apk.disassembly
         two = generate_app(_app("com.beta", 2)).apk.disassembly
-        store.save_index(one, TokenIndex.for_disassembly(one))
-        store.save_index(two, TokenIndex.for_disassembly(two))
+        store.save_index(one)
+        store.save_index(two)
 
         # Age the first app's entry and every shard; the second app's
         # manifest stays fresh and must keep the shared library shard
@@ -214,19 +260,19 @@ class TestRefcountedGc:
         assert result.entries_removed == 1
         assert result.shards_removed >= 1  # the first app's own groups
         survivors = {p.stem for p in store._shard_files()}
-        assert survivors == {sha for _, sha in store._groups(two)}
+        assert survivors == {g.sha for g in partition_disassembly(two)}
         # The surviving entry still restores whole.
         restored = store.load_index(two)
         assert restored is not None and restored.patched_groups == 0
 
     def test_unreferenced_shards_swept_once_last_manifest_dies(self, store):
         one = generate_app(_app("com.alpha", 1)).apk.disassembly
-        store.save_index(one, TokenIndex.for_disassembly(one))
+        store.save_index(one)
         self._age(*store.entry_dir(store_key(one)).iterdir())
         self._age(*store._shard_files())
         result = store.gc(max_age_seconds=3600.0)
         assert result.entries_removed == 1
-        assert result.shards_removed == len(store._groups(one))
+        assert result.shards_removed == len(partition_disassembly(one))
         assert store.describe().shards == 0
 
     def test_sharing_a_shard_refreshes_its_age(self, store):
@@ -234,27 +280,27 @@ class TestRefcountedGc:
         # reference) must re-arm gc's age gate on it, so the shard stays
         # protected even in the window before the manifest lands.
         one = generate_app(_app("com.alpha", 1)).apk.disassembly
-        store.save_index(one, TokenIndex.for_disassembly(one))
+        store.save_index(one)
         lib_sha = next(
-            sha for group, sha in store._groups(one)
+            group.sha for group in partition_disassembly(one)
             if group.label == "org.sharedsdk"
         )
         self._age(store._shard_path(lib_sha))
         old_mtime = store._shard_path(lib_sha).stat().st_mtime
 
         two = generate_app(_app("com.beta", 2)).apk.disassembly
-        store.save_index(two, TokenIndex.for_disassembly(two))
+        store.save_index(two)
         assert store._shard_path(lib_sha).stat().st_mtime > old_mtime
 
     def test_fresh_unreferenced_shard_survives_an_aged_sweep(self, store):
         # A concurrent writer publishes shards before its manifest; an
         # aged gc must not reclaim them mid-publish.
         one = generate_app(_app("com.alpha", 1)).apk.disassembly
-        for group, sha in store._groups(one):
-            store._write_shard(group, sha)
+        for group in partition_disassembly(one):
+            store._write_shard(group)
         result = store.gc(max_age_seconds=3600.0)
         assert result.shards_removed == 0
-        assert store.describe().shards == len(store._groups(one))
+        assert store.describe().shards == len(partition_disassembly(one))
 
 
 class TestComposeParity:
@@ -271,11 +317,11 @@ class TestComposeParity:
     def test_composed_index_matches_fresh_build(self, store):
         for build in (build_heyzap, build_lg_tv_plus):
             disassembly = build().disassembly
-            store.save_index(disassembly, TokenIndex.for_disassembly(disassembly))
+            store.save_index(disassembly)
             restored = store.load_index(build().disassembly)
             assert restored is not None and restored.restored
             assert restored.build_seconds == 0.0
-            self._parity(restored, TokenIndex(disassembly))
+            self._parity(restored, reference_index(disassembly))
 
     @pytest.mark.parametrize("build", [
         build_heyzap,
@@ -290,7 +336,7 @@ class TestComposeParity:
         disassembly = build().disassembly
         index = TokenIndex.for_disassembly(disassembly)
         assert not index.restored and index.build_seconds > 0.0
-        self._parity(index, TokenIndex(disassembly))
+        self._parity(index, reference_index(disassembly))
 
     @pytest.mark.parametrize("build", [
         pytest.param(build_heyzap, id="heyzap"),
@@ -306,7 +352,7 @@ class TestComposeParity:
         # with one of several shards deleted, or restored over a
         # bit-flipped shard that heals — its index answers alike.
         disassembly = build().disassembly
-        reference = TokenIndex(disassembly)
+        reference = reference_index(disassembly)
         # The reference itself: every vocabulary text and every
         # descriptor- or signature-shaped substring of one finds exactly
         # the lines of the tokens holding it.  The linear scan finds
@@ -315,16 +361,17 @@ class TestComposeParity:
         # is also on a method header line).
         linear = LinearScanBackend(disassembly)
         for needle in token_needles(reference):
-            holding = sorted(
-                {t.line_no for t in disassembly.tokens if needle in t.text}
-            )
+            holding = sorted({
+                line for line, _, text in app_tokens(disassembly)
+                if needle in text
+            })
             assert reference.token_lines(needle) == holding, needle
             assert set(holding) <= set(linear.token_lines(needle)), needle
         cold = TokenIndex.for_disassembly(disassembly)
         assert not cold.restored
         self._parity(cold, reference)
-        store.save_index(disassembly, cold)
-        shas = [sha for _, sha in store._groups(disassembly)]
+        store.save_index(disassembly)
+        shas = [group.sha for group in partition_disassembly(disassembly)]
 
         full = store.load_index(build().disassembly)
         assert full.restored and full.patched_groups == 0
@@ -352,14 +399,14 @@ class TestComposeParity:
 
     def test_patched_composition_is_still_byte_identical(self, store):
         disassembly = generate_app(_app("com.alpha", 1)).apk.disassembly
-        store.save_index(disassembly, TokenIndex.for_disassembly(disassembly))
-        victim = store._groups(disassembly)[-1][1]
+        store.save_index(disassembly)
+        victim = partition_disassembly(disassembly)[-1].sha
         store._shard_path(victim).unlink()
 
         rebuilt = generate_app(_app("com.alpha", 1)).apk.disassembly
         restored = store.load_index(rebuilt)
         assert restored is not None and restored.patched_groups == 1
-        self._parity(restored, TokenIndex(disassembly))
+        self._parity(restored, reference_index(disassembly))
 
     def test_compose_from_raw_payloads_matches_token_fold(self):
         # The grouped index itself, without any store I/O: each group
@@ -373,7 +420,7 @@ class TestComposeParity:
                 TokenIndex.from_payload(shard_payload(group, sha)),
             ))
         assert len(parts) > 1
-        self._parity(LazyTokenIndex(parts), TokenIndex(disassembly))
+        self._parity(LazyTokenIndex(parts), reference_index(disassembly))
 
     def test_payloads_survive_the_binary_container(self):
         # Every payload field goes through the one container intact,
@@ -394,13 +441,12 @@ class TestComposeParity:
             parts.append(
                 (group.start_line, TokenIndex.from_payload(decoded))
             )
-        self._parity(LazyTokenIndex(parts), TokenIndex(disassembly))
+        self._parity(LazyTokenIndex(parts), reference_index(disassembly))
 
     def test_fold_tokens_matches_token_index_fold(self):
         disassembly = build_heyzap().disassembly
-        triples = [(t.line_no, t.kind, t.text) for t in disassembly.tokens]
-        vocab, postings = fold_tokens(triples)
-        fresh = TokenIndex(disassembly)
+        vocab, postings = fold_tokens(app_tokens(disassembly))
+        fresh = reference_index(disassembly)
         assert vocab == fresh.vocab
         assert postings == fresh.postings
 
@@ -437,15 +483,7 @@ class TestPipelineIntegration:
             folded.append(tokens)
             return real_fold(tokens)
 
-        whole_app = []
-        real_init = TokenIndex.__init__
-
-        def counted_init(self, disassembly):
-            whole_app.append(disassembly)
-            real_init(self, disassembly)
-
         monkeypatch.setattr(sharding, "fold_tokens", counted_fold)
-        monkeypatch.setattr(TokenIndex, "__init__", counted_init)
         config = self._config(tmp_path, store_mode="full")
         spec = _app("com.alpha", 1, (SHARED_LIB, OTHER_LIB))
         cold = analyze_spec(spec, config)
@@ -455,7 +493,6 @@ class TestPipelineIntegration:
         assert len(groups) == 3
         # The index and the published shards share one fold per group.
         assert folded == [group.tokens for group in groups]
-        assert not whole_app
 
         # A sibling sharing both libraries folds only its own group;
         # the libraries' folds are read back from their shards.
@@ -465,7 +502,6 @@ class TestPipelineIntegration:
         )
         assert sibling.ok and sibling.index_restored
         assert sibling.shards_patched == 1 and len(folded) == 1
-        assert not whole_app
 
     def test_batch_aggregates_partial_restores(self, tmp_path):
         config = self._config(tmp_path)
@@ -494,7 +530,7 @@ class TestPipelineIntegration:
         # entry and still schedules it warm.
         disassembly = generate_app(spec).apk.disassembly
         own = next(
-            sha for group, sha in store._groups(disassembly)
+            group.sha for group in partition_disassembly(disassembly)
             if group.label != "org.sharedsdk"
         )
         store._shard_path(own).unlink()

@@ -70,6 +70,27 @@ class TestAnalyze:
         assert by_name["disassemble"]["started_at"] >= generate["started_at"]
         assert "index.fold" in by_name
 
+    def test_analyze_with_a_store_restores_the_disassembly(
+        self, tmp_path, capsys
+    ):
+        argv = ["analyze", "bench:0", "--backend", "indexed", "--json"]
+        store = ["--store", str(tmp_path / "s")]
+
+        def findings(*extra):
+            main(argv + list(extra))
+            payload = json.loads(capsys.readouterr().out)
+            return payload, [r["finding"] for r in payload["report"]["records"]]
+
+        _, storeless = findings()
+        assert any(storeless)
+        findings(*store)
+        warm, restored = findings(*store, "--trace")
+        assert [
+            span["attrs"] for span in warm["trace"]["spans"]
+            if span["name"] == "disassemble"
+        ] == [{"via": "store", "hit": True}]
+        assert restored == storeless
+
     def test_analyze_with_indexed_backend(self, capsys):
         code = main(["analyze", "heyzap", "--rules", "ssl-verifier",
                      "--backend", "indexed"])
