@@ -34,6 +34,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.android.apk import render_disassembly
 from repro.core.backdroid import BackDroidConfig
+from repro.dex.disassembler import RestoredDisassembly
 from repro.store import WARM_LEVELS, ArtifactStore, store_key
 from repro.telemetry import tracing
 from repro.workload.generator import AppSpec, generate_app, spec_fingerprint
@@ -176,12 +177,13 @@ def _restore_outcome(
 def _restore_disassembly(store: ArtifactStore, key: str, apk) -> None:
     """Give ``apk`` its disassembly rebuilt from the store entry at
     ``key`` (resolved through the specmap), when the store can vouch
-    for it; otherwise leave it to render on first use."""
+    for it, or the render that healed a damaged entry; otherwise leave
+    it to render on first use."""
     with tracing.span("disassemble", attrs={"via": "store"}) as span:
         restored = store.load_disassembly(
             key, apk.classes, functools.partial(render_disassembly, apk.classes)
         )
-        span.set_attr("hit", restored is not None)
+        span.set_attr("hit", isinstance(restored, RestoredDisassembly))
     if restored is not None:
         apk.disassembly = restored
 

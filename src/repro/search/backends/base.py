@@ -1,14 +1,17 @@
 """The pluggable search-backend protocol.
 
-A :class:`SearchBackend` answers the three line-level queries the
-:class:`~repro.search.index.BytecodeSearcher` is built on:
+A :class:`SearchBackend` answers three line-level queries:
 
-* ``literal_lines`` — every line containing an arbitrary substring;
-* ``pattern_lines`` — every line matched by a regular expression;
 * ``token_lines``  — every line where a needle occurs inside an
   emitted token (full dex method/field signatures, type descriptors,
   quoted string literals and quoted header descriptors — the shapes
-  the paper's searches actually use, see Sec. IV).
+  the paper's searches actually use, see Sec. IV);
+* ``literal_lines`` — every line containing an arbitrary substring;
+* ``pattern_lines`` — every line matched by a regular expression.
+
+Every search of the :class:`~repro.search.index.BytecodeSearcher`,
+including the ICC name search, is a ``token_lines`` query.  The other
+two serve direct callers and tools; no analysis job calls them.
 
 Backends only return absolute line numbers; mapping a line back into the
 program-analysis space (Fig. 3, steps 2-3) stays in the searcher, so

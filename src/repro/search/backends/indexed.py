@@ -19,9 +19,10 @@ of the plaintext's size.
 The app's index asks each group in turn and concatenates the answers in
 line order (:class:`~repro.store.lazy.LazyTokenIndex`); a cold build and
 a store restore serve the same index, over in-memory folds or mapped
-shards.  Arbitrary literal/regex queries fall back to the shared linear
-scan and are counted in the backend stats, so the index's coverage is
-observable.
+shards.  Every search a job issues is such a token query.  The
+protocol's arbitrary literal and regex queries, which no job issues,
+are answered by a scan of the app's joined text and counted as
+fallbacks in the backend stats.
 
 The index is built lazily on first query and memoized on the
 :class:`Disassembly`, so every searcher over one app shares one build.

@@ -8,7 +8,12 @@ resolves against manifest intent filters.
 
 The paper's mechanism launches two searches and merges them:
 
-1. search the ICC *calls* (``startService:``, ``startActivity:``, ...);
+1. search the ICC *calls* (``startService:``, ``startActivity:``, ...)
+   by method name, whatever the receiver class: the needle
+   ``;.startService:(`` lies inside the signature of every such call,
+   so the token index answers it, and each hit line must be an
+   ``invoke-*`` whose callee has that name
+   (:meth:`~repro.search.index.BytecodeSearcher.find_invocations_by_name`);
 2. search the ICC *parameters* — ``const-class .*,
    Lcom/lge/app1/fota/HttpServerService;`` for explicit ICC, or
    ``const-string`` of the matching action names for implicit ICC.

@@ -8,9 +8,11 @@ containing method so the program-analysis space can take over.
 The line-level scanning itself is delegated to a pluggable
 :class:`~repro.search.backends.SearchBackend` — the original O(text)
 :class:`~repro.search.backends.LinearScanBackend` by default, or the
-prebuilt :class:`~repro.search.backends.InvertedIndexBackend` whose
-posting lists turn signature/descriptor/literal queries into dict
-lookups.  All backends return identical hits; only the cost differs.
+prebuilt :class:`~repro.search.backends.InvertedIndexBackend`, which
+answers a needle from each library group's token vocabulary and posting
+lists.  Every search here is a token query (``token_lines``) whose hit
+lines the searcher then checks one by one, so all backends return
+identical hits; only the cost differs.
 
 All searches run through a :class:`~repro.search.caching.SearchCommandCache`
 — repeated commands (common when similar paths are explored across
@@ -48,7 +50,16 @@ class SearchHit:
 #: lines use ``|[addr]`` instead of ``|off:`` and never match.  The
 #: renderer's ``:06x``/``:04x`` widths are minimums that widen on huge
 #: apps, hence ``{6,}``/``{4,}``.
-_INSN_OPCODE_RE = re.compile(r"^[0-9a-f]{6,}: +\|[0-9a-f]{4,}: (\S+)")
+_INSN_PREFIX = r"^[0-9a-f]{6,}: +\|[0-9a-f]{4,}: "
+_INSN_OPCODE_RE = re.compile(_INSN_PREFIX + r"(\S+)")
+
+#: An ``invoke-*`` instruction line up to its callee's parameter list:
+#: the register list, then ``L<class>;.<name>:(<params>)``.  Group 1 is
+#: the callee's method name.  It is matched against one line at a time,
+#: so no part of it can run on into the next line.
+_INVOKE_CALLEE_RE = re.compile(
+    _INSN_PREFIX + r"invoke-\S+ \{[^}]*\}, L[^;]+;\.([^:]*):\([^)]*\)"
+)
 
 
 def instruction_opcode(line: str) -> Optional[str]:
@@ -59,6 +70,17 @@ def instruction_opcode(line: str) -> Optional[str]:
     dex signature would otherwise pass for a call site.
     """
     match = _INSN_OPCODE_RE.match(line)
+    return match.group(1) if match else None
+
+
+def invoked_method_name(line: str) -> Optional[str]:
+    """The callee's method name on a rendered ``invoke-*`` line, or None.
+
+    Only the callee signature (the text after the register list's
+    ``}, ``) counts, so a ``const-string`` that spells an invoke is no
+    call site.
+    """
+    match = _INVOKE_CALLEE_RE.match(line)
     return match.group(1) if match else None
 
 
@@ -87,13 +109,6 @@ class BytecodeSearcher:
             line=self.disassembly.lines[line_no],
             method=block.signature if block else None,
             stmt_index=stmt_index,
-        )
-
-    def search_pattern(self, pattern: str, kind: str = "raw-regex") -> list[SearchHit]:
-        """All hits of a regular expression (cached by command)."""
-        return self.cache.get_or_run(
-            kind, pattern,
-            lambda: [self._hit(n) for n in self.backend.pattern_lines(pattern)],
         )
 
     def _search_token(self, needle: str, kind: str) -> list[SearchHit]:
@@ -156,24 +171,19 @@ class BytecodeSearcher:
         hits = self._search_token(f'"{value}"', kind="raw")
         return [h for h in hits if instruction_opcode(h.line) == "const-string"]
 
-    def find_invocations_by_name(
-        self, method_name: str, param_blob: Optional[str] = None
-    ) -> list[SearchHit]:
+    def find_invocations_by_name(self, method_name: str) -> list[SearchHit]:
         """Invocations matched by method name regardless of receiver class.
 
         Used by the two-time ICC search, where the receiver of e.g.
-        ``startService`` can be any ``Context`` subclass.  ``param_blob``
-        optionally pins the dex parameter descriptor blob.  Both inputs
-        are regex-escaped before entering the pattern.
+        ``startService`` can be any ``Context`` subclass.  The needle
+        ``;.<name>:(`` lies inside the signature token of every such
+        call, so the backend answers it as a token query; a hit line is
+        kept only if that line is itself an ``invoke-*`` whose callee
+        has this name.  The name is matched literally, never compiled
+        into a regex.
         """
-        params = re.escape(param_blob) if param_blob is not None else "[^)]*"
-        pattern = rf"invoke-[a-z]+ \{{[^}}]*\}}, L[^;]+;\.{re.escape(method_name)}:\({params}\)"
-        hits = self.search_pattern(pattern, kind="caller-method")
-        return [
-            h
-            for h in hits
-            if (op := instruction_opcode(h.line)) and op.startswith("invoke-")
-        ]
+        hits = self._search_token(f";.{method_name}:(", kind="caller-method")
+        return [h for h in hits if invoked_method_name(h.line) == method_name]
 
     def classes_mentioning(self, class_name: str) -> set[str]:
         """Names of classes whose bytecode text mentions *class_name*.

@@ -726,9 +726,10 @@ class ArtifactStore:
 
         Every refusal returns None and the caller renders.  A damaged
         text or layout section (CRC, hash or digest failure), or one of
-        another container version, is first healed: ``render`` renders
-        the app afresh and every group whose stored sections differ is
-        republished.  Only damage counts as a corrupt entry.  The
+        another container version, is healed instead: ``render``
+        renders the app afresh, every group whose stored sections
+        differ is republished, and that render is returned, so the app
+        is rendered once.  Only damage counts as a corrupt entry.  The
         restored disassembly also calls ``render`` for its tokens,
         which only the heal paths need.  An entry with a missing group
         is left to the index path, which patches it.
@@ -768,8 +769,9 @@ class ArtifactStore:
         if not intact:
             if damaged:
                 self.stats.corrupt_entries += 1
-            self._heal_sections(key, render(), stored)
-            return None
+            fresh = render()
+            self._heal_sections(key, fresh, stored)
+            return fresh
 
         lines = list(PREAMBLE)
         columns = []

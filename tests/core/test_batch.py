@@ -11,6 +11,8 @@ from repro.core.batch import (
     analyze_spec,
     resolve_worker_count,
 )
+from repro.search.backends import InvertedIndexBackend, JoinedText
+from repro.search.index import BytecodeSearcher
 from repro.workload.corpus import benchmark_app_spec, year_app_spec
 from repro.workload.generator import AppSpec
 
@@ -39,6 +41,54 @@ class TestAnalyzeSpec:
             _specs(1)[0], BackDroidConfig(search_backend="indexed")
         )
         assert outcome.backend == "indexed"
+
+
+class TestIndexedJobsSearchTheIndexOnly:
+    def test_cold_and_index_hit_never_join_the_app_text(
+        self, tmp_path, monkeypatch
+    ):
+        # Every search an indexed job issues, the ICC name search
+        # included, is a token query: no job joins the whole app's text
+        # for a fallback scan.
+        joins, backends, name_searches = [], [], []
+        join = JoinedText.for_disassembly.__func__
+        init = InvertedIndexBackend.__init__
+        by_name = BytecodeSearcher.find_invocations_by_name
+
+        def recording_join(cls, disassembly):
+            joins.append(disassembly)
+            return join(cls, disassembly)
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            backends.append(self)
+
+        def recording_by_name(self, name):
+            name_searches.append(name)
+            return by_name(self, name)
+
+        monkeypatch.setattr(
+            JoinedText, "for_disassembly", classmethod(recording_join)
+        )
+        monkeypatch.setattr(InvertedIndexBackend, "__init__", recording_init)
+        monkeypatch.setattr(
+            BytecodeSearcher, "find_invocations_by_name", recording_by_name
+        )
+        spec = benchmark_app_spec(0, scale=0.05)
+        store_dir = str(tmp_path / "store")
+        cold = analyze_spec(spec, BackDroidConfig(
+            search_backend="indexed", store_dir=store_dir, store_mode="full"
+        ))
+        hit = analyze_spec(spec, BackDroidConfig(
+            search_backend="indexed", store_dir=store_dir, store_mode="index"
+        ))
+        assert cold.ok and hit.ok, (cold.error, hit.error)
+        assert not cold.index_restored and hit.index_restored
+        assert hit.findings == cold.findings
+        assert name_searches  # the app does run the ICC search
+        assert joins == []
+        assert len(backends) == 2
+        assert [b.describe()["fallbacks"] for b in backends] == [0, 0]
 
 
 class TestRunBatch:

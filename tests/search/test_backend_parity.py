@@ -151,8 +151,6 @@ class TestQueryParity:
         linear, indexed = _both(apk)
         assert linear.find_invocations_by_name("m0") == \
             indexed.find_invocations_by_name("m0")
-        assert linear.find_invocations_by_name("m0", param_blob="") == \
-            indexed.find_invocations_by_name("m0", param_blob="")
 
     @given(woven_apps())
     @settings(max_examples=15, deadline=None)
@@ -163,6 +161,106 @@ class TestQueryParity:
         assert indexed.find_const_string("NOPE") == []
         assert indexed.classes_mentioning("com.ghost.Nope") == set()
         assert linear.classes_mentioning("com.ghost.Nope") == set()
+
+
+#: Method-name characters: regex metacharacters, but none of the
+#: characters that delimit a dex signature (``; . : ( ) /``) and no
+#: newline.
+_NAME_CHARS = "ab$*+?|{}^\\"
+
+#: ``const-string`` values that spell (parts of) an invoke line.
+_INVOKE_LIKE_VALUES = [
+    "invoke-x {",
+    "invoke-static {}, Lcom/n/A;.{name}:()V",
+    "invoke-virtual {v0}, La;.{name}:(I)V",
+    "}, Lcom/n/B$1;.{name}:(",
+    ";.{name}:(",
+]
+
+
+@st.composite
+def named_call_apps(draw):
+    """An app whose methods call each other, and undeclared methods, by
+    names full of regex metacharacters, next to string literals that
+    spell invoke lines.  Returns the app and its method names."""
+    names = draw(st.lists(
+        st.text(alphabet=_NAME_CHARS, min_size=1, max_size=4),
+        min_size=1, max_size=4, unique=True,
+    ))
+    classes = ["com.n.A", "com.n.B$1", "a"]
+    owners = classes + ["android.content.Context"]
+    app = AppBuilder()
+    methods = [
+        cls.method(name, static=True)
+        for cls in map(app.new_class, classes)
+        for name in draw(st.lists(
+            st.sampled_from(names), min_size=1, max_size=3, unique=True
+        ))
+    ]
+    for method in methods:
+        for _ in range(draw(st.integers(0, 4))):
+            owner = draw(st.sampled_from(owners))
+            name = draw(st.sampled_from(names))
+            action = draw(st.integers(0, 3))
+            if action == 0:
+                method.invoke_static(owner, name)
+            elif action == 1:
+                method.invoke_static(
+                    owner, name, args=[method.const_int(7), "s"],
+                    params=("int", "java.lang.String"), returns="int",
+                )
+            elif action == 2:
+                method.invoke_virtual(method.new(owner), owner, name)
+            else:
+                template = draw(st.sampled_from(_INVOKE_LIKE_VALUES))
+                method.const_string(template.replace("{name}", name))
+        method.return_void()
+    return Apk(package="com.n", classes=app.build()), names
+
+
+def _calls_by_name(apk, name):
+    """The IR oracle: ``(caller, stmt_index)`` of every invoke whose
+    callee is named *name*."""
+    return sorted(
+        (method.signature(), index)
+        for cls in apk.classes.application_classes()
+        for method in cls.methods
+        for index, stmt in enumerate(method.body)
+        if (expr := stmt.invoke_expr()) is not None
+        and expr.method.name == name
+    )
+
+
+class TestNameSearchOracle:
+    """The ICC name search finds exactly the IR's calls of that name on
+    every backend: the name is matched literally, and a string literal
+    that spells an invoke line neither counts nor hides a call."""
+
+    @given(named_call_apps())
+    @settings(max_examples=30, deadline=None)
+    def test_name_search_answers_as_the_ir(self, case):
+        apk, names = case
+        disassembly = apk.disassembly
+        with tempfile.TemporaryDirectory() as root:
+            store = ArtifactStore(root)
+            cold = BytecodeSearcher(disassembly, backend="indexed", store=store)
+            cold.backend.index  # folds, then publishes the shards
+            del disassembly._token_index_cache
+            restored = BytecodeSearcher(
+                disassembly, backend="indexed", store=store
+            )
+            linear = BytecodeSearcher(disassembly, backend="linear")
+            for name in names + ["absent"]:
+                oracle = _calls_by_name(apk, name)
+                for searcher in (linear, cold, restored):
+                    hits = searcher.find_invocations_by_name(name)
+                    assert sorted(
+                        (hit.method, hit.stmt_index) for hit in hits
+                    ) == oracle, (searcher.backend.name, name)
+            assert restored.backend.stats.index_restored
+            for searcher in (linear, cold, restored):
+                assert searcher.backend.stats.fallbacks == 0
+            restored.backend.index.close()
 
 
 class TestTokenOracle:

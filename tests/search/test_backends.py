@@ -161,9 +161,12 @@ class TestBackendStats:
         searcher = BytecodeSearcher(apk.disassembly, backend="indexed")
         sig = MethodSignature("com.t.Callee", "run", (), "void")
         searcher.find_invocations(sig)
-        searcher.find_invocations_by_name("run")  # regex -> fallback
+        searcher.find_invocations_by_name("run")  # a token query too
         stats = searcher.backend.stats
-        assert stats.token_queries == 1
+        assert stats.token_queries == 2
+        assert stats.fallbacks == 0
+        # No search issues a regex; a direct one is a counted fallback.
+        assert searcher.backend.pattern_lines(r"invoke-\S+ ") != []
         assert stats.pattern_queries == 1
         assert stats.fallbacks == 1
         assert stats.vocab_size > 0

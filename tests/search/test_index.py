@@ -151,6 +151,27 @@ class TestOpcodePositionFilters:
         hits = searcher.find_const_class("com.x.Victim")
         assert hits == []
 
+    def test_name_search_finds_a_call_after_an_invoke_like_string(
+        self, backend
+    ):
+        # A string literal that spells the start of an invoke line
+        # ("invoke-x {") must not hide the real call on the next line:
+        # a match may not start in one line and end in the next.
+        app = AppBuilder()
+        app.new_class("com.t.Svc").method(
+            "startService", static=True
+        ).return_void()
+        go = app.new_class("com.t.Caller").method("go", static=True)
+        go.const_string("invoke-x {")
+        go.invoke_static("com.t.Svc", "startService")
+        go.return_void()
+        apk = Apk(package="com.t", classes=app.build())
+        searcher = BytecodeSearcher(apk.disassembly, backend=backend)
+        callee = MethodSignature("com.t.Svc", "startService", (), "void")
+        expected = searcher.find_invocations(callee)
+        assert len(expected) == 1
+        assert searcher.find_invocations_by_name("startService") == expected
+
 
 class TestInstructionOpcode:
     def test_rendered_invoke_line(self, lg_tv_plus):

@@ -562,9 +562,16 @@ class TestDisassemblyRestore:
         renders = _count_renders(monkeypatch)
         healed = analyze_spec(spec, config)
         assert healed.ok, healed.error
-        assert renders  # refused: the run rendered
+        # Refused: the heal rendered the app, and the job kept that
+        # render instead of rendering it again.
+        assert len(renders) == 1
         assert _payload_without(healed, *_RESTORE_FIELDS) == \
             _payload_without(cold, *_RESTORE_FIELDS)
+        # One damaged entry, one republished shard; the index the job
+        # then restored needed no patch.
+        assert store.stats.corrupt_entries == 1
+        assert store.stats.shards_patched == 1
+        assert healed.index_restored and healed.shards_patched == 0
         assert path.read_bytes() == intact
         assert all(entry.ok for entry in store.verify())
 
