@@ -66,8 +66,7 @@ def compare(
     metrics = {}
     for spec in declared:
         name = spec["name"]
-        runs = parent + change
-        if not all(name in run["metrics"] for run in runs):
+        if not all(name in run["metrics"] for run in parent + change):
             continue
         before = [run["metrics"][name]["value"] for run in parent]
         after = [run["metrics"][name]["value"] for run in change]
@@ -125,17 +124,15 @@ def main(argv=None) -> int:
                         help="the parent's run outputs, in pair order")
     parser.add_argument("--change", nargs="+", required=True,
                         help="the change's run outputs, in pair order")
-    parser.add_argument("--root", default=ROOT,
-                        help="where BENCHMARK.json and BENCH_*.json live")
     args = parser.parse_args(argv)
-    with open(os.path.join(args.root, "BENCHMARK.json"), encoding="utf-8") as f:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         declared = json.load(f)["end_to_end"]
     try:
         record = make_record(args, declared)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = os.path.join(args.root, f"BENCH_{args.workload}.json")
+    out = os.path.join(ROOT, f"BENCH_{args.workload}.json")
     append_record(out, record)
     print(f"appended {args.label!r} ({record['pairs']} pairs) to {out}")
     return 0

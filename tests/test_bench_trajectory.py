@@ -32,18 +32,20 @@ def _run_file(path, job_s, apps_per_s, correct=True):
 
 
 @pytest.fixture
-def root(tmp_path):
+def root(tmp_path, monkeypatch):
+    """A repository root holding only a ``BENCHMARK.json``."""
     (tmp_path / "BENCHMARK.json").write_text(
         json.dumps({"end_to_end": DECLARED})
     )
+    monkeypatch.setattr(bench_trajectory, "ROOT", str(tmp_path))
     return tmp_path
 
 
-def _args(root, parent, change, label="first"):
+def _args(parent, change, label="first"):
     return [
         "--workload", "demo", "--label", label,
         "--parent-sha", "aaa", "--change-sha", "bbb",
-        "--seed", "7", "--seconds", "50", "--root", str(root),
+        "--seed", "7", "--seconds", "50",
         "--parent", *parent, "--change", *change,
     ]
 
@@ -59,7 +61,7 @@ def test_appends_one_record_per_comparison(root):
             [(0.009, 2.5), (0.012, 2.0), (0.010, 1.5), (0.011, 2.1)]
         )
     ]
-    assert bench_trajectory.main(_args(root, parent, change)) == 0
+    assert bench_trajectory.main(_args(parent, change)) == 0
     [record] = json.loads((root / "BENCH_demo.json").read_text())
     assert {k: record[k] for k in (
         "label", "parent_sha", "change_sha", "seed", "seconds", "pairs",
@@ -82,9 +84,7 @@ def test_appends_one_record_per_comparison(root):
     assert apps["change_won"] == 2
 
     again = [_run_file(root / "late.out", 0.020, 1.0, correct=False)]
-    assert bench_trajectory.main(
-        _args(root, again, again, label="second")
-    ) == 0
+    assert bench_trajectory.main(_args(again, again, label="second")) == 0
     history = json.loads((root / "BENCH_demo.json").read_text())
     assert [r["label"] for r in history] == ["first", "second"]
     assert history[1]["pairs"] == 1 and not history[1]["correct"]
@@ -97,7 +97,7 @@ def test_appends_one_record_per_comparison(root):
 def test_unpaired_runs_are_refused(root, capsys):
     parent = [_run_file(root / f"p{i}.out", 0.01, 2.0) for i in range(2)]
     change = [_run_file(root / "c0.out", 0.01, 2.0)]
-    assert bench_trajectory.main(_args(root, parent, change)) == 2
+    assert bench_trajectory.main(_args(parent, change)) == 2
     assert "as many change runs as parent runs" in capsys.readouterr().err
     assert not (root / "BENCH_demo.json").exists()
 
@@ -105,6 +105,4 @@ def test_unpaired_runs_are_refused(root, capsys):
 def test_output_without_a_result_line_is_refused(root):
     (root / "bad.out").write_text("Traceback (most recent call last):\n")
     good = _run_file(root / "good.out", 0.01, 2.0)
-    assert bench_trajectory.main(
-        _args(root, [str(root / "bad.out")], [good])
-    ) == 2
+    assert bench_trajectory.main(_args([str(root / "bad.out")], [good])) == 2
