@@ -377,8 +377,8 @@ def build_server(args):
 def _serve_front_end(args) -> int:
     """``serve --peers``: the cluster front end (router, no analyses).
 
-    Discovers nodes through the shared store's gossip directory and
-    routes/forwards submissions; see :mod:`repro.service.cluster`.
+    Discovers nodes through the heartbeat manifests in the shared store
+    and routes/forwards submissions; see :mod:`repro.service.cluster`.
     """
     import signal
 
@@ -628,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("auto", "store"),
                        help="run the cluster *front end* instead of a "
                        "worker: route submissions to nodes discovered "
-                       "through the shared --store's gossip directory "
+                       "through their heartbeats in the shared --store "
                        "('auto' and 'store' are synonyms)")
     serve.add_argument("--lease-ttl", type=float, default=10.0,
                        help="cluster node-silence TTL in seconds: a node "

@@ -29,10 +29,10 @@ would run:
   :class:`AnalysisServer` that serves them, and the matching (retrying)
   :class:`ServiceClient`;
 * :mod:`repro.service.cluster` — multi-node sharding over one shared
-  store: :class:`NodeDirectory` heartbeat gossip, the
+  store: :class:`NodeDirectory` heartbeat manifests, the
   content-key-routing :class:`ClusterRouter` / :class:`ClusterFrontEnd`
-  (failover re-dispatch under the same trace, served by the same
-  transport as a node).
+  (affinity from the router's own job records, failover re-dispatch
+  under the same trace, served by the same transport as a node).
 
 The CLI front end is ``backdroid serve`` (``--node-id`` joins a
 cluster; ``--peers store`` runs the front end).

@@ -5,22 +5,22 @@ The shared :class:`~repro.store.ArtifactStore` already makes analysis
 atomic publishes); this module adds the small coordination layer that
 makes whole *services* shareable:
 
-* :class:`NodeDirectory` — node registration heartbeats plus
-  shard-availability gossip, written as small JSON manifests under
-  ``<store>/cluster/nodes/``.  A node that stops heartbeating simply
-  ages out: liveness is a property of the file's freshness, no
-  membership protocol required.
+* :class:`NodeDirectory` — node registration heartbeats, written as
+  small JSON manifests under ``<store>/cluster/nodes/``.  A node that
+  stops heartbeating simply ages out: liveness is a property of the
+  file's freshness, no membership protocol required.
 * :class:`ClusterNode` — the per-``serve``-process agent: heartbeats
-  the directory with the node's address, load and warm keys.
+  the directory with the node's address and load.
 * :class:`ClusterRouter` / :class:`ClusterFrontEnd` — the front end:
-  routes ``POST /v1/jobs`` to the node already holding the app's
-  shards (content-key affinity via gossip + rendezvous hashing,
-  falling back to least-loaded), forwards over plain HTTP, and
-  monitors in-flight jobs so work on a dead node is reclaimed and
-  retried on a peer **under the same trace** (per-attempt ``dispatch``
-  spans, exactly like the cold lane's died-worker retries).  It is
-  served by the same :class:`~repro.service.server.HTTPTransport` and
-  request conventions as a node.
+  routes ``POST /v1/jobs`` to the node that ran the app's newest
+  retained job (content-key affinity from the router's own job
+  records, falling back to least-loaded with a rendezvous-hash
+  tiebreak), forwards over plain HTTP, and monitors in-flight jobs so
+  work on a dead node is reclaimed and retried on a peer **under the
+  same trace** (per-attempt ``dispatch`` spans, exactly like the cold
+  lane's died-worker retries).  It is served by the same
+  :class:`~repro.service.server.HTTPTransport` and request conventions
+  as a node.
 Failure model: nodes fail by *silence* (crash, SIGKILL, partition).
 A silent node's manifest goes stale after one TTL and the front end
 reclaims its in-flight jobs onto live peers.  Nodes coordinate through
@@ -49,7 +49,7 @@ from repro.service.server import (
     ServiceClient,
     ServiceError,
 )
-from repro.store.artifacts import ArtifactStore
+from repro.store.artifacts import FORMAT_VERSION, ArtifactStore
 from repro.telemetry import tracing
 from repro.telemetry.logs import get_logger
 from repro.workload.corpus import app_spec_from_request
@@ -69,32 +69,39 @@ RETAIN_JOBS = 1024
 
 
 # ----------------------------------------------------------------------
-# The node directory (a thin OO face over the store's node manifests)
+# The node directory
 # ----------------------------------------------------------------------
 class NodeDirectory:
-    """The gossip view: every node manifest, aged against one TTL."""
+    """Every node manifest under ``<store>/cluster/nodes/``, aged against
+    one TTL.  Manifests use the store's atomic publish and version/key
+    validation, so a torn or stale file reads as absent."""
 
     def __init__(
         self, store: ArtifactStore, ttl_seconds: float = DEFAULT_LEASE_TTL
     ) -> None:
         self.store = store
         self.ttl_seconds = ttl_seconds
+        self.root = store.root / "cluster" / "nodes"
 
     def announce(self, node_id: str, payload: dict) -> None:
         """Publish one heartbeat manifest (stamps ``updated_at``)."""
-        self.store.save_node_manifest(node_id, payload)
+        self.store._write_json(self.root / f"{node_id}.json", {
+            **payload, "version": FORMAT_VERSION, "key": node_id,
+            "node_id": node_id, "updated_at": time.time(),
+        })
 
     def nodes(self, include_stale: bool = False) -> list[dict]:
-        """Manifests with computed ``age_seconds``/``stale`` flags;
-        stale ones (silent past the TTL) are dropped unless asked for."""
+        """Readable manifests, sorted by node id, with computed
+        ``age_seconds``/``stale`` flags; stale ones (silent past the
+        TTL) are dropped unless asked for."""
         now = time.time()
         out = []
-        for manifest in self.store.load_node_manifests():
-            updated = manifest.get("updated_at")
+        for path in sorted(self.root.glob("*.json")):
+            manifest = self.store._read_json(path, path.stem)
+            updated = manifest.get("updated_at") if manifest else None
             if not isinstance(updated, (int, float)):
                 continue
             age = max(0.0, now - updated)
-            manifest = dict(manifest)
             manifest["age_seconds"] = age
             manifest["stale"] = age > self.ttl_seconds
             if manifest["stale"] and not include_stale:
@@ -107,7 +114,11 @@ class NodeDirectory:
         return {m["node_id"]: m for m in self.nodes()}
 
     def remove(self, node_id: str) -> None:
-        self.store.remove_node_manifest(node_id)
+        """Withdraw a node's manifest (shutdown); missing is fine."""
+        try:
+            (self.root / f"{node_id}.json").unlink()
+        except OSError:
+            pass
 
 
 # ----------------------------------------------------------------------
@@ -116,9 +127,8 @@ class NodeDirectory:
 class ClusterNode:
     """Heartbeat agent attached to one running ``serve`` process.
 
-    Each beat publishes the node manifest: address, queue depth, busy
-    workers and the node's recently served content keys — the gossip a
-    front end routes on.  The first beat runs synchronously in
+    Each beat publishes the node manifest: address, pid, queue depth
+    and busy workers.  The first beat runs synchronously in
     :meth:`start`, so by the time the serve banner prints the node is
     routable.
     """
@@ -131,19 +141,16 @@ class ClusterNode:
         address: tuple,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         heartbeat_interval: Optional[float] = None,
-        gossip_keys: int = 64,
     ) -> None:
         self.scheduler = scheduler
         self.node_id = node_id
         self.address = address
-        self.store = ArtifactStore(store_root)
-        self.directory = NodeDirectory(self.store, lease_ttl)
+        self.directory = NodeDirectory(ArtifactStore(store_root), lease_ttl)
         self.heartbeat_interval = (
             heartbeat_interval
             if heartbeat_interval is not None
             else max(0.05, lease_ttl / 3.0)
         )
-        self.gossip_keys = gossip_keys
         self.beats = 0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -162,7 +169,6 @@ class ClusterNode:
                 "busy": sum(
                     lane.busy for lane in self.scheduler.lanes.values()
                 ),
-                "warm_keys": self.scheduler.warm_keys(self.gossip_keys),
             },
         )
         self.beats += 1
@@ -258,13 +264,14 @@ class ClusterRouter(HTTPRoutes):
 
     1. an explicit ``"node"`` pin in the submission body (tests,
        draining);
-    2. the router's own sticky map — the node this key was last
-       dispatched to, if still live (affinity without waiting a
-       gossip round);
-    3. gossip affinity — live nodes advertising the key in their
-       ``warm_keys``, highest rendezvous hash wins (``affinity_hits``);
-    4. least-loaded (router in-flight + gossiped depth), rendezvous
+    2. affinity — the node of the key's newest retained job record, if
+       still live: repeat traffic for an app lands on the node already
+       holding its session and index;
+    3. least-loaded (router in-flight + heartbeat depth), rendezvous
        hash as the deterministic tiebreak.
+
+    The retained records (at most :data:`RETAIN_JOBS`) are the
+    router's only per-key state.
 
     A monitor thread polls in-flight jobs: terminal results are
     cached; a job whose node went silent past the TTL is **reclaimed**
@@ -293,14 +300,11 @@ class ClusterRouter(HTTPRoutes):
         self.draining = False
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
+        #: Cluster job records in submission order.
         self._records: "dict[str, ClusterJob]" = {}
-        self._order: list = []
-        #: key -> node_id of the last dispatch (affinity memory).
-        self._sticky: dict = {}
         self._clients: dict = {}
         # Routing counters (served under /v1/stats).
         self.routed = 0
-        self.affinity_hits = 0
         self.reclaims = 0
         self.forward_failovers = 0
         self._stop = threading.Event()
@@ -337,13 +341,6 @@ class ClusterRouter(HTTPRoutes):
             )
         return client
 
-    def _inflight_by_node(self) -> dict:
-        counts: dict = {}
-        for record in self._records.values():
-            if record.state == "routed" and record.node_id:
-                counts[record.node_id] = counts.get(record.node_id, 0) + 1
-        return counts
-
     def _candidates(
         self,
         key: Optional[str],
@@ -351,38 +348,38 @@ class ClusterRouter(HTTPRoutes):
         pin: Optional[str] = None,
         exclude: tuple = (),
     ) -> list:
-        """Node ids to try, preferred first (see class docstring)."""
+        """Node ids to try, preferred first (see class docstring).
+
+        One pass over the retained records counts each node's in-flight
+        jobs and finds the node of ``key``'s newest record.  A record is
+        stored once its first dispatch returns, so two submissions of
+        one key that race through the front end may both route
+        least-loaded.
+        """
         usable = [n for n in live if n not in exclude]
         if not usable:
             return []
-        if pin is not None and pin in usable:
-            return [pin] + [n for n in usable if n != pin]
-        ordered: list = []
+        inflight: dict = {}
+        last = None
         with self._lock:
-            sticky = self._sticky.get(key)
-            inflight = self._inflight_by_node()
-        if sticky in usable:
-            ordered.append(sticky)
-        if key is not None:
-            holders = [
-                n
-                for n in usable
-                if key in (live[n].get("warm_keys") or ())
-                and n not in ordered
-            ]
-            holders.sort(key=lambda n: -_rendezvous_score(key, n))
-            if holders and not ordered:
-                self.affinity_hits += 1
-            ordered.extend(holders)
-        rest = [n for n in usable if n not in ordered]
-        rest.sort(
+            for record in self._records.values():
+                if record.node_id is None:
+                    continue
+                if record.state == "routed":
+                    inflight[record.node_id] = (
+                        inflight.get(record.node_id, 0) + 1
+                    )
+                if key is not None and record.key == key:
+                    last = record.node_id
+        return sorted(
+            usable,
             key=lambda n: (
+                n != pin,
+                n != last,
                 inflight.get(n, 0) + int(live[n].get("depth") or 0),
                 -_rendezvous_score(key or "", n),
-            )
+            ),
         )
-        ordered.extend(rest)
-        return ordered
 
     # ------------------------------------------------------------------
     def _dispatch(
@@ -393,10 +390,10 @@ class ClusterRouter(HTTPRoutes):
 
         Returns the accepting node's job snapshot, or None when every
         candidate refused/was unreachable (the record is untouched and
-        may be retried by the monitor once gossip changes).  A node's
-        4xx is the client's error on every node: it is raised as the
-        node's :class:`~repro.service.server.ServiceError`, not failed
-        over.
+        may be retried by the monitor once the live set changes).  A
+        node's 4xx is the client's error on every node: it is raised as
+        the node's :class:`~repro.service.server.ServiceError`, not
+        failed over.
         """
         candidates = self._candidates(
             record.key, live, pin=pin, exclude=exclude
@@ -432,8 +429,6 @@ class ClusterRouter(HTTPRoutes):
                     record._dispatch_span.end()
                 record._dispatch_span = dispatch_span
                 dispatch_span.set_attrs(node_job_id=record.node_job_id)
-                if record.key is not None:
-                    self._sticky[record.key] = node_id
             return snapshot
         return None
 
@@ -594,16 +589,12 @@ class ClusterRouter(HTTPRoutes):
             return exc.status, {"error": str(exc)}, True
         with self._lock:
             self._records[record.id] = record
-            self._order.append(record.id)
             self.routed += 1
-            while len(self._order) > RETAIN_JOBS:
-                evicted = self._order.pop(0)
-                old = self._records.get(evicted)
-                if old is not None and old.state in ("done", "failed"):
-                    del self._records[evicted]
-                else:
-                    self._order.insert(0, evicted)
+            while len(self._records) > RETAIN_JOBS:
+                oldest = next(iter(self._records.values()))
+                if oldest.state not in ("done", "failed"):
                     break
+                del self._records[oldest.id]
         if snapshot is None:
             self._fail(record, "no node accepted the submission")
             return 503, self._view(record), True
@@ -616,8 +607,7 @@ class ClusterRouter(HTTPRoutes):
             return 200, self.stats(), False
         if path == "/v1/jobs":
             with self._lock:
-                ids = list(self._order)
-                records = [self._records[i] for i in ids]
+                records = list(self._records.values())
             return 200, {"jobs": [self._view(r) for r in records]}, False
         if path.startswith("/v1/jobs/"):
             job_id = path[len("/v1/jobs/"):]
@@ -712,7 +702,6 @@ class ClusterRouter(HTTPRoutes):
                 states[record.state] = states.get(record.state, 0) + 1
             counters = {
                 "routed": self.routed,
-                "affinity_hits": self.affinity_hits,
                 "reclaims": self.reclaims,
                 "forward_failovers": self.forward_failovers,
             }

@@ -41,7 +41,7 @@ import dataclasses
 import os
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -203,11 +203,6 @@ class StoreAwareScheduler:
         #: In-flight span handles per primary job id:
         #: ``job_id -> (root_span, queue_span)``.
         self._job_spans: dict[str, tuple] = {}
-        #: Recently served content keys (newest last, bounded): the
-        #: cluster gossip payload that lets a front end route repeat
-        #: submissions of an app to the node already holding its
-        #: session/shards.
-        self._served_keys: "OrderedDict[str, float]" = OrderedDict()
         #: The scheduler's one counter store: each job event is counted
         #: once, here, and ``stats()`` reads these instruments back.
         self.metrics = MetricsRegistry(
@@ -378,7 +373,6 @@ class StoreAwareScheduler:
             request=request,
             node_id=self.node_id,
         )
-        self._record_served_key(key)
         with self._lock:
             stats = self.lanes[job.lane]
             if is_primary:
@@ -435,25 +429,6 @@ class StoreAwareScheduler:
                 self._m_failed.inc(len(members), lane=job.lane)
                 raise RuntimeError("scheduler is shut down") from None
         return job
-
-    # ------------------------------------------------------------------
-    _SERVED_KEYS_BOUND = 512
-
-    def _record_served_key(self, key: str) -> None:
-        """Remember a content key this node served (bounded, LRU)."""
-        with self._lock:
-            self._served_keys.pop(key, None)
-            self._served_keys[key] = time.time()
-            while len(self._served_keys) > self._SERVED_KEYS_BOUND:
-                self._served_keys.popitem(last=False)
-
-    def warm_keys(self, limit: int = 128) -> list[str]:
-        """The newest content keys this node served (newest first) —
-        the shard-availability payload gossiped via the store's node
-        manifests."""
-        with self._lock:
-            keys = list(self._served_keys)
-        return keys[::-1][:limit]
 
     # ------------------------------------------------------------------
     def _pop_job_spans(self, job_id: str) -> tuple:

@@ -130,11 +130,7 @@ class StoreStats:
     #: version heals without counting here: it is out of date, not
     #: damaged).
     corrupt_entries: int = 0
-    #: Index restores, full and partial hits alike: each is served as a
-    #: :class:`~repro.store.lazy.LazyTokenIndex` (mmapped binary shards;
-    #: groups decode on first query).
-    lazy_restores: int = 0
-    #: Shard groups lazily decoded across every lazy restore.
+    #: Shard groups lazily decoded across every index restore.
     groups_materialized: int = 0
 
     def as_dict(self) -> dict:
@@ -151,7 +147,6 @@ class StoreStats:
             "shards_shared": self.shards_shared,
             "writes": self.writes,
             "corrupt_entries": self.corrupt_entries,
-            "lazy_restores": self.lazy_restores,
             "groups_materialized": self.groups_materialized,
         }
 
@@ -629,7 +624,6 @@ class ArtifactStore:
             ]
             if all(self._shard_current(sha) for _, sha in groups):
                 self.stats.index_hits += 1
-                self.stats.lazy_restores += 1
                 self.stats.shard_hits += len(groups)
                 return self._restored_index(groups, disassembly)
         # Slow path: no manifest, or a shard is not current.  The
@@ -660,7 +654,6 @@ class ArtifactStore:
         index = self._restored_index(
             [(group.start_line, group.sha) for group in groups], disassembly
         )
-        self.stats.lazy_restores += 1
         index.patched_groups = patched
         if patched:
             index.build_seconds = time.perf_counter() - started
@@ -928,53 +921,6 @@ class ArtifactStore:
             self.stats.corrupt_entries += 1
             return None
         return target
-
-    # ------------------------------------------------------------------
-    # Cluster coordination (node manifests)
-    # ------------------------------------------------------------------
-    # The store doubles as the coordination substrate for multi-node
-    # ``backdroid serve``: nodes gossip liveness/shard availability as
-    # small JSON manifests under ``cluster/nodes/``.  They reuse the
-    # atomic-rename publish and version/key payload validation of every
-    # other artifact, so a torn or stale file degrades to "absent"
-    # rather than corrupting routing.
-
-    def _node_path(self, node_id: str) -> Path:
-        return self.root / "cluster" / "nodes" / f"{node_id}.json"
-
-    def save_node_manifest(self, node_id: str, payload: dict) -> None:
-        """Publish one node's heartbeat/gossip manifest (atomic)."""
-        body = dict(payload)
-        body["version"] = FORMAT_VERSION
-        body["key"] = node_id
-        body["node_id"] = node_id
-        body["updated_at"] = time.time()
-        self._write_json(self._node_path(node_id), body)
-
-    def load_node_manifest(self, node_id: str) -> Optional[dict]:
-        """One node's manifest, or None when absent/corrupt."""
-        return self._read_json(self._node_path(node_id), node_id)
-
-    def load_node_manifests(self) -> list[dict]:
-        """Every readable node manifest, sorted by node id."""
-        nodes_dir = self.root / "cluster" / "nodes"
-        if not nodes_dir.is_dir():
-            return []
-        manifests = []
-        for path in sorted(nodes_dir.iterdir()):
-            if path.suffix != ".json":
-                continue
-            payload = self._read_json(path, path.stem)
-            if payload is not None:
-                manifests.append(payload)
-        return manifests
-
-    def remove_node_manifest(self, node_id: str) -> None:
-        """Withdraw a node's manifest (shutdown); missing is fine."""
-        try:
-            self._node_path(node_id).unlink()
-        except OSError:
-            pass
 
     # ------------------------------------------------------------------
     # Verification (the ``backdroid store verify`` action)
@@ -1293,7 +1239,8 @@ class ArtifactStore:
                 result.bytes_reclaimed += size
             except OSError:
                 continue
-        # Cluster node manifests age out by the same rule: a
+        # Files under cluster/ (the node manifests the service's
+        # NodeDirectory publishes) age out by the same rule: a
         # heartbeating node refreshes its manifest far more often than
         # any sane cutoff, so only debris from departed nodes is swept.
         cluster_dir = self.root / "cluster"

@@ -132,7 +132,7 @@ def test_sigkill_mid_cold_job_reclaims_under_the_same_trace(
         outcome_payload(reference)
     )
 
-    # The dead node's gossip manifest ages out: after the TTL it is
+    # The dead node's heartbeat manifest ages out: after the TTL it is
     # ignored by routing and flagged stale on inspection.
     stale = wait_for(
         lambda: any(

@@ -1,4 +1,4 @@
-"""In-process units: node gossip, the node agent and routing."""
+"""In-process units: the node directory, the node agent and routing."""
 
 import json
 import os
@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.service import ServiceClient, ServiceError
+from repro.service import ServiceClient, ServiceError, cluster
 from repro.service.cluster import (
     ClusterFrontEnd,
     ClusterJob,
@@ -38,7 +38,7 @@ class TestNodeDirectory:
     def test_stale_manifest_excluded_after_ttl(self, store):
         directory = NodeDirectory(store, ttl_seconds=0.5)
         directory.announce("dead", {"host": "127.0.0.1", "port": 1})
-        path = store._node_path("dead")
+        path = directory.root / "dead.json"
         payload = json.loads(path.read_text())
         payload["updated_at"] = time.time() - 60.0
         path.write_text(json.dumps(payload))
@@ -53,18 +53,29 @@ class TestNodeDirectory:
         directory.remove("n1")
         assert directory.nodes(include_stale=True) == []
 
+    def test_a_torn_manifest_reads_as_absent(self, store):
+        directory = NodeDirectory(store, ttl_seconds=5.0)
+        directory.announce("n1", {"host": "h", "port": 1})
+        directory.announce("n2", {"host": "h", "port": 2})
+        torn = directory.root / "n2.json"
+        torn.write_bytes(torn.read_bytes()[:-7])
+        assert list(directory.live()) == ["n1"]
+        assert [m["node_id"] for m in directory.nodes(include_stale=True)] == [
+            "n1"
+        ]
+
     def test_gc_sweeps_aged_cluster_files(self, store):
         directory = NodeDirectory(store, ttl_seconds=5.0)
         directory.announce("n1", {})
         store.gc(max_age_seconds=0.0)
-        assert store.load_node_manifests() == []
-
+        assert directory.nodes(include_stale=True) == []
 
     def test_gc_ages_out_lease_files_an_older_deployment_left(self, store):
         # Nodes coordinate through heartbeat manifests alone; lease
         # files a lease-era deployment left under cluster/ are debris
         # that gc's age rule reclaims while live manifests survive.
-        NodeDirectory(store, ttl_seconds=5.0).announce("n1", {})
+        directory = NodeDirectory(store, ttl_seconds=5.0)
+        directory.announce("n1", {})
         leases = store.root / "cluster" / "leases"
         leases.mkdir(parents=True)
         debris = [leases / "specmap.json", leases / "specmap.1.claim"]
@@ -74,7 +85,7 @@ class TestNodeDirectory:
             os.utime(path, (aged, aged))
         store.gc(max_age_seconds=3600.0)
         assert not any(path.exists() for path in debris)
-        assert [m["node_id"] for m in store.load_node_manifests()] == ["n1"]
+        assert list(directory.live()) == ["n1"]
 
 
 class _IdleScheduler:
@@ -88,9 +99,6 @@ class _IdleScheduler:
             "fast": SimpleNamespace(busy=0),
             "main": SimpleNamespace(busy=1),
         }
-
-    def warm_keys(self, limit):
-        return ["k-new", "k-old"][:limit]
 
 
 class TestClusterNode:
@@ -123,14 +131,19 @@ class TestClusterNode:
         node = self._node(store, lease_ttl=5.0, heartbeat_interval=60.0)
         with node:
             # The first beat is synchronous: routable on return.
-            manifest = store.load_node_manifest("n1")
-            assert (manifest["host"], manifest["port"]) == ("127.0.0.1", 4321)
-            assert manifest["depth"] == 3 and manifest["busy"] == 1
-            assert manifest["warm_keys"] == ["k-new", "k-old"]
+            manifest = node.directory.live()["n1"]
+            stamps = {"version", "key", "node_id", "updated_at",
+                      "age_seconds", "stale"}
+            assert {k: v for k, v in manifest.items() if k not in stamps} == {
+                "host": "127.0.0.1", "port": 4321, "pid": os.getpid(),
+                "depth": 3, "busy": 1,
+            }
+            assert manifest["key"] == manifest["node_id"] == "n1"
+            assert manifest["stale"] is False
             assert node.beats == 1
             with pytest.raises(RuntimeError, match="already started"):
                 node.start()
-        assert store.load_node_manifest("n1") is None
+        assert node.directory.nodes(include_stale=True) == []
 
     def test_failed_heartbeat_keeps_the_agent_beating(self, store):
         node = self._node(store, lease_ttl=5.0, heartbeat_interval=0.01)
@@ -154,7 +167,7 @@ class TestClusterNode:
     def test_node_publishes_the_specmap_entry_of_its_cold_job(self, tmp_path):
         # Every node writes specmap entries: a cold job leaves the
         # mapping, so a resubmission resolves warm and rides the fast
-        # lane, and the node gossips the content key it now serves.
+        # lane.
         from repro.cli import build_parser, build_server
 
         store_dir = tmp_path / "store"
@@ -169,7 +182,7 @@ class TestClusterNode:
             with ClusterNode(
                 server.scheduler, store_dir, "n2", server.address,
                 lease_ttl=args.lease_ttl, heartbeat_interval=60.0,
-            ) as node:
+            ):
                 client = ServiceClient(*server.address, timeout=15.0)
                 request = {"app": "bench:1", "scale": 0.05}
                 cold = client.wait(client.submit(request)["id"], timeout=60.0)
@@ -184,8 +197,6 @@ class TestClusterNode:
                 warm = client.wait(client.submit(request)["id"], timeout=60.0)
                 assert warm["state"] == "done", warm.get("error")
                 assert warm["lane"] == "fast"
-                node.beat()
-                assert store.load_node_manifest("n2")["warm_keys"][0] == key
         finally:
             server.shutdown(drain=True)
 
@@ -198,56 +209,85 @@ class TestRouting:
             directory.announce(node_id, manifest)
         return ClusterRouter(tmp_path / "store", lease_ttl=5.0)
 
-    def test_gossip_affinity_routes_to_the_holder(self, tmp_path):
-        router = self._router(
-            tmp_path,
-            {
-                "n1": {"host": "h", "port": 1, "depth": 0,
-                       "warm_keys": []},
-                "n2": {"host": "h", "port": 2, "depth": 0,
-                       "warm_keys": ["k-hot"]},
-            },
-        )
-        live = router.directory.live()
-        assert router._candidates("k-hot", live)[0] == "n2"
-        assert router.affinity_hits == 1
-
     def test_fallback_is_least_loaded(self, tmp_path):
         router = self._router(
             tmp_path,
             {
-                "n1": {"host": "h", "port": 1, "depth": 7,
-                       "warm_keys": []},
-                "n2": {"host": "h", "port": 2, "depth": 0,
-                       "warm_keys": []},
+                "n1": {"host": "h", "port": 1, "depth": 7},
+                "n2": {"host": "h", "port": 2, "depth": 0},
             },
         )
         live = router.directory.live()
         assert router._candidates("k-unknown", live)[0] == "n2"
-        assert router.affinity_hits == 0
 
-    def test_sticky_beats_gossip_and_load(self, tmp_path):
+    def test_the_newest_job_of_the_key_beats_load(self, tmp_path):
+        # An older node's manifest may still carry gossiped warm_keys;
+        # they parse and are ignored.
         router = self._router(
             tmp_path,
             {
-                "n1": {"host": "h", "port": 1, "depth": 9,
-                       "warm_keys": []},
+                "n1": {"host": "h", "port": 1, "depth": 9},
                 "n2": {"host": "h", "port": 2, "depth": 0,
                        "warm_keys": ["k"]},
             },
         )
-        router._sticky["k"] = "n1"
+        for job_id, node_id in (("cjob-000001", "n2"), ("cjob-000002", "n1")):
+            router._records[job_id] = ClusterJob(
+                id=job_id, payload={}, key="k", node_id=node_id,
+                attempts=1, state="done",
+            )
         live = router.directory.live()
-        assert router._candidates("k", live)[0] == "n1"
+        assert router._candidates("k", live) == ["n1", "n2"]
+        assert router._candidates("k", live, exclude=("n1",)) == ["n2"]
+
+    def test_affinity_ends_when_the_key_leaves_retention(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cluster, "RETAIN_JOBS", 4)
+        router = self._router(
+            tmp_path,
+            {
+                "n1": {"host": "h", "port": 1, "depth": 5},
+                "n2": {"host": "h", "port": 2, "depth": 0},
+            },
+        )
+
+        class Accepting:
+            def submit(self, payload):
+                return {"id": "job-1", "state": "queued"}
+
+        router._client = lambda manifest: Accepting()
+
+        def finished_job(app, **extra):
+            body = json.dumps({"app": app, "scale": 0.05, **extra})
+            status, view, _ = router.handle("POST", "/v1/jobs", body.encode())
+            assert status == 202, view
+            router._finalize(router._records[view["id"]], {"state": "done"})
+            return view
+
+        first = finished_job("bench:0", node="n1")
+        live = router.directory.live()
+        assert router._candidates(first["key"], live)[0] == "n1"
+        for index in range(1, 7):
+            finished_job(f"bench:{index}")
+        assert first["id"] not in router._records
+        assert router._candidates(first["key"], live)[0] == "n2"
+        # The retained records are the router's only per-key state.
+        assert len(router._records) == cluster.RETAIN_JOBS
+        sized = {
+            name: len(value)
+            for name, value in vars(router).items()
+            if isinstance(value, (dict, list, set, tuple))
+            and name != "_records"
+        }
+        assert all(size <= len(live) for size in sized.values()), sized
 
     def test_pin_and_exclude(self, tmp_path):
         router = self._router(
             tmp_path,
             {
-                "n1": {"host": "h", "port": 1, "depth": 0,
-                       "warm_keys": []},
-                "n2": {"host": "h", "port": 2, "depth": 0,
-                       "warm_keys": []},
+                "n1": {"host": "h", "port": 1, "depth": 0},
+                "n2": {"host": "h", "port": 2, "depth": 0},
             },
         )
         live = router.directory.live()
@@ -257,7 +297,7 @@ class TestRouting:
 
     def test_tiebreak_is_deterministic(self, tmp_path):
         manifests = {
-            f"n{i}": {"host": "h", "port": i, "depth": 0, "warm_keys": []}
+            f"n{i}": {"host": "h", "port": i, "depth": 0}
             for i in range(1, 4)
         }
         router = self._router(tmp_path, manifests)
@@ -268,7 +308,7 @@ class TestRouting:
     def test_a_reclaim_a_node_refuses_with_a_4xx_fails_the_job(self, tmp_path):
         router = self._router(
             tmp_path,
-            {"n2": {"host": "h", "port": 2, "depth": 0, "warm_keys": []}},
+            {"n2": {"host": "h", "port": 2, "depth": 0}},
         )
 
         class Refusing:

@@ -315,8 +315,7 @@ def test_front_end_answers_healthz_while_forwards_hang(tmp_path, monkeypatch):
     store_dir = tmp_path / "store"
     NodeDirectory(ArtifactStore(store_dir), ttl_seconds=60.0).announce(
         "n1",
-        {"host": "127.0.0.1", "port": hung.getsockname()[1], "depth": 0,
-         "warm_keys": []},
+        {"host": "127.0.0.1", "port": hung.getsockname()[1], "depth": 0},
     )
     entered = []
     real_submit = ServiceClient.submit

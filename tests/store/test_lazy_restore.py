@@ -89,7 +89,7 @@ class TestLazyRestoreShape:
         assert restored.build_seconds == 0.0
         assert restored.groups_total >= len(_LIBS)
         assert restored.materialized_groups == 0
-        assert store.stats.lazy_restores == 1
+        assert store.stats.index_hits == 1
 
 
     def test_empty_shard_takes_the_patching_path(self, store):
@@ -108,7 +108,7 @@ class TestLazyRestoreShape:
         assert restored.patched_groups == 1
         assert restored.materialized_groups == 0
         assert victim.stat().st_size > 0
-        assert store.stats.lazy_restores == 1
+        assert (store.stats.index_hits, store.stats.partial_hits) == (0, 1)
         assert_same_answers(restored, reference_index(_build_apk().disassembly))
         assert restored.patched_groups == 1
         again = store.load_index(_build_apk().disassembly)
