@@ -17,7 +17,7 @@ from benchmarks.conftest import (
     bucket_histogram,
     emit_table,
     render_table,
-    run_corpus,
+    run_flowdroid_cg,
     to_paper_minutes,
 )
 
@@ -42,7 +42,7 @@ _EDGES = [
 
 
 def test_fig1_flowdroid_callgraph_times(benchmark):
-    rows = benchmark.pedantic(run_corpus, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run_flowdroid_cg, rounds=1, iterations=1)
 
     finished = [r for r in rows if not r.fd_timed_out]
     timed_out = [r for r in rows if r.fd_timed_out]

@@ -13,12 +13,23 @@ Each size point is the median of several fresh generate-and-analyze
 runs, taken in rounds over the sizes: one cold analysis of the
 smallest app takes ~10 ms, so a single sample's scheduling noise could
 decide the growth bar on its own.
+
+A third series repeats the size sweep on the warm path, up to 480
+filler classes: each app is analyzed once cold into one store, then
+each size point is the median end-to-end time of several index-hit
+jobs (``analyze_spec`` against an ``"index"``-mode store), again in
+rounds.  An index hit restores the app's disassembly and index from
+the store, so it is the job closest to the paper's claim.  Its specs
+carry a ``size_mb``: without one, generation sizes the app by counting
+every statement, which builds every body and so measures app size.
 """
 
+import dataclasses
 import statistics
+import time
 
 from benchmarks.conftest import emit_table, render_table, to_paper_minutes
-from repro.core import BackDroid
+from repro.core import BackDroid, BackDroidConfig, analyze_spec
 from repro.workload.generator import AppSpec, generate_app
 from repro.workload.patterns import PatternSpec
 
@@ -27,6 +38,8 @@ _SIZES = (20, 60, 120, 240)
 _FIXED_FILLER = 60
 _FIXED_SINKS = 10
 _SIZE_RUNS = 5
+_HIT_SIZES = (20, 60, 120, 240, 480)
+_HIT_RUNS = 5
 
 
 def _sweep():
@@ -116,3 +129,56 @@ def test_fig9_sinks_vs_time(benchmark):
     # Size dependence at fixed sinks is sub-linear relative to the
     # method growth in the size series.
     assert growth < methods_growth, "size affects BackDroid sub-linearly"
+
+
+def _index_hit_sweep(store_dir):
+    """Fig. 9b on the warm path: (methods, median index-hit seconds)
+    per size."""
+    patterns = tuple(
+        PatternSpec("wrapper_chain", insecure=False) for _ in range(_FIXED_SINKS)
+    )
+    specs = [
+        AppSpec(package=f"com.fig9.w{filler}", seed=filler, patterns=patterns,
+                filler_classes=filler, size_mb=5.0)
+        for filler in _HIT_SIZES
+    ]
+    full = BackDroidConfig(
+        search_backend="indexed", store_dir=str(store_dir), store_mode="full"
+    )
+    index = dataclasses.replace(full, store_mode="index")
+    methods = {}
+    for spec in specs:
+        cold = analyze_spec(spec, full)
+        assert cold.ok, cold.error
+        methods[spec.package] = cold.method_count
+    seconds = {spec.package: [] for spec in specs}
+    for _ in range(_HIT_RUNS):
+        for spec in specs:
+            started = time.perf_counter()
+            outcome = analyze_spec(spec, index)
+            seconds[spec.package].append(time.perf_counter() - started)
+            assert outcome.ok and outcome.index_restored, outcome.error
+    return [
+        (methods[spec.package], statistics.median(seconds[spec.package]))
+        for spec in specs
+    ]
+
+
+def test_fig9b_index_hits_vs_app_size(benchmark, tmp_path):
+    series = benchmark.pedantic(
+        _index_hit_sweep, args=(tmp_path / "store",), rounds=1, iterations=1
+    )
+    growth = series[-1][1] / max(series[0][1], 1e-9)
+    methods_growth = series[-1][0] / series[0][0]
+    emit_table(
+        "fig9b_index_hits",
+        render_table(
+            "Fig. 9b on the warm path: app size vs index-hit job time "
+            f"(sink count fixed at {_FIXED_SINKS}, median of {_HIT_RUNS} jobs)",
+            ["#Methods", "Job ms"],
+            [[str(methods), f"{seconds * 1e3:.1f}"] for methods, seconds in series],
+        )
+        + f"\n\nindex-hit time growth {growth:.2f}x over {methods_growth:.2f}x "
+        "method growth",
+    )
+    assert growth < methods_growth, "index hits grow sub-linearly with size"

@@ -78,18 +78,12 @@ def _as_value(value: ValueLike) -> Value:
 
 
 class MethodBuilder:
-    """Builds one method body, handing out fresh SSA locals.
+    """Builds one method's body, handing out fresh SSA locals."""
 
-    Statements go to ``body``: the method's own list, or a fresh one
-    when a deferred fill builds it (:meth:`ClassBuilder.defer_bodies`).
-    """
-
-    def __init__(
-        self, declaring_class: str, param_types: Sequence[str], body: list[Stmt]
-    ) -> None:
-        self.declaring_class = declaring_class
-        self.param_types = param_types
-        self.body = body
+    def __init__(self, method: DexMethod) -> None:
+        self.declaring_class = method.declaring_class
+        self.param_types = method.param_types
+        self.body = method.body
         self._counter = itertools.count()
 
     # ------------------------------------------------------------------
@@ -412,7 +406,7 @@ class ClassBuilder:
         method = self.dex_class.add_method(
             DexMethod(name=name, param_types=tuple(params), return_type=returns, flags=flags)
         )
-        return MethodBuilder(method.declaring_class, method.param_types, method.body)
+        return MethodBuilder(method)
 
     def constructor(
         self, params: Sequence[str] = (), flags: AccessFlags = AccessFlags.PUBLIC
@@ -428,27 +422,32 @@ class ClassBuilder:
     def static_initializer(self) -> MethodBuilder:
         return self.method("<clinit>")
 
-    def defer_bodies(self, fill: Callable[[list[MethodBuilder]], None]) -> None:
-        """Build every method declared so far on the first read of any
-        of their bodies, not now.
+    def defer(self, build: Callable[["ClassBuilder"], None], method_count: int) -> None:
+        """Declare the class's methods on the first read of its
+        ``methods``, not now.
 
-        ``fill`` gets one builder per method, in declaration order, and
-        builds each body as it would have been built eagerly.  It runs
-        at most once, and may run on any thread, long after this call:
-        it must use only data captured now (never the class, its
-        methods or a shared random generator), so an app nobody reads
-        stays free of reference cycles and builds the same bodies
+        ``build`` gets a fresh builder of the same class and declares
+        every method there, bodies included, as it would have eagerly;
+        it must declare exactly ``method_count`` methods and no field.
+        It runs at most once, and may run on any thread, long after
+        this call: it must use only data captured now (never this
+        class or a shared random generator), so an app nobody reads
+        stays free of reference cycles and declares the same methods
         whenever it is read.
         """
-        name = self.dex_class.name
-        params = [method.param_types for method in self.dex_class.methods]
+        cls = self.dex_class
+        name, super_name, interfaces, flags = (
+            cls.name, cls.super_name, cls.interfaces, cls.flags
+        )
 
-        def build() -> list[list[Stmt]]:
-            builders = [MethodBuilder(name, types, []) for types in params]
-            fill(builders)
-            return [builder.body for builder in builders]
+        def declare() -> list[DexMethod]:
+            builder = ClassBuilder(name, super_name, interfaces, flags)
+            build(builder)
+            if builder.dex_class.fields:
+                raise ValueError(f"deferred class {name} declared a field")
+            return builder.dex_class.methods
 
-        self.dex_class.defer_bodies(build)
+        cls.defer(declare, method_count)
 
     def build(self) -> DexClass:
         return self.dex_class

@@ -66,12 +66,7 @@ class DexField:
 
 @dataclass
 class DexMethod:
-    """A method declaration plus its IR body.
-
-    ``body`` is a plain list, except in a class that deferred its
-    bodies (:meth:`DexClass.defer_bodies`): there the first read of any
-    method's ``body`` builds them all.
-    """
+    """A method declaration plus its IR body."""
 
     name: str
     param_types: tuple[str, ...] = ()
@@ -128,58 +123,45 @@ class DexMethod:
         return self.signature().sub_signature()
 
 
-class _DeferredBodies:
-    """One class's method bodies, built together on the first read.
+class _DeclaredOnFirstRead:
+    """``DexClass.methods`` of a deferred class (:meth:`DexClass.defer`).
 
-    Soot builds a method's body only when an analysis first asks for it
-    (``SootMethod.retrieveActiveBody()``); a class with deferred bodies
-    does the same per class.  ``build`` returns every body in the
-    class's method order, and each method takes its own by slot.  It
-    runs at most once, under a lock, because sessions are shared across
-    threads.  Nothing here refers to the class or its methods, so a
-    pending class forms no reference cycle and an app nobody reads is
-    freed by reference counting alone.
+    Soot resolves a class in levels: HIERARCHY, then SIGNATURES, then
+    BODIES.  A deferred class holds only the first until something
+    reads its ``methods``; then its pending ``declare`` runs, at most
+    once and under the class's lock, because sessions are shared across
+    threads, and the finished list is stored on the class in one step.
+    There it shadows this non-data descriptor, so later reads cost what
+    a plain attribute costs.
     """
 
-    __slots__ = ("_build", "_bodies", "_lock")
-
-    def __init__(self, build: Callable[[], list[list[Stmt]]]) -> None:
-        self._build: Optional[Callable[[], list[list[Stmt]]]] = build
-        self._bodies: Optional[list[list[Stmt]]] = None
-        self._lock = threading.Lock()
-
-    def body(self, slot: int) -> list[Stmt]:
-        bodies = self._bodies
-        if bodies is None:
-            with self._lock:
-                if self._bodies is None:
-                    self._bodies = self._build()
-                    self._build = None
-                bodies = self._bodies
-        return bodies[slot]
-
-
-def _read_body(method: DexMethod) -> list[Stmt]:
-    body = method._body
-    if body is None:
-        deferred, slot = method._pending
-        body = method._body = deferred.body(slot)
-    return body
-
-
-def _write_body(method: DexMethod, body: list[Stmt]) -> None:
-    method._body = body
-
-
-# ``body`` stays a dataclass field, so ``__init__``, ``__eq__`` and
-# ``__repr__`` handle it as before, but reads go through ``_body``: None
-# while the declaring class has not built it, after that the list.
-DexMethod.body = property(_read_body, _write_body)
+    def __get__(self, cls, owner=None):
+        if cls is None:
+            return self
+        pending = cls._pending
+        if pending is not None:  # else another thread just declared it
+            declare, method_count, lock = pending
+            with lock:
+                if cls._pending is pending:
+                    methods = declare()
+                    if len(methods) != method_count:
+                        raise ValueError(
+                            f"{cls.name} declared {len(methods)} methods, "
+                            f"not {method_count}"
+                        )
+                    cls.methods = methods
+                    cls._pending = None
+        return cls.methods
 
 
 @dataclass
 class DexClass:
-    """A class definition: hierarchy links, fields and methods."""
+    """A class definition: hierarchy links, fields and methods.
+
+    A deferred class (:meth:`defer`) declares its methods on the first
+    read of ``methods``; until then only its name, hierarchy links,
+    flags, fields and method count are known.
+    """
 
     name: str
     super_name: Optional[str] = JAVA_LANG_OBJECT
@@ -191,6 +173,10 @@ class DexClass:
     is_framework: bool = False
 
     def __post_init__(self) -> None:
+        # A deferred class's (declare, method count, lock), else None.
+        # Every class sets it here, first: classes that gain attributes
+        # the others lack make every attribute read on the pool slower.
+        self._pending = None
         self.interfaces = tuple(self.interfaces)
         for dex_field in self.fields:
             dex_field.declaring_class = self.name
@@ -216,16 +202,21 @@ class DexClass:
         self.methods.append(method)
         return method
 
-    def defer_bodies(self, build: Callable[[], list[list[Stmt]]]) -> None:
-        """Leave every declared method's body to ``build``, which runs on
-        the first read of any of them and returns the bodies in method
-        order (see :class:`_DeferredBodies`).  Call it once, before any
-        body is built; ``build`` must not refer to this class or its
-        methods."""
-        deferred = _DeferredBodies(build)
-        for slot, method in enumerate(self.methods):
-            method._body = None
-            method._pending = (deferred, slot)
+    def defer(
+        self, declare: Callable[[], list[DexMethod]], method_count: int
+    ) -> None:
+        """Leave the class's methods to ``declare``, which runs on the
+        first read of ``methods`` and must return ``method_count``
+        methods, bodies built.  ``declare`` must not refer to this
+        class, so an app nobody reads is freed by reference counting
+        alone."""
+        del self.methods
+        self._pending = (declare, method_count, threading.Lock())
+
+    def method_count(self) -> int:
+        """How many methods the class declares, without declaring them."""
+        pending = self._pending
+        return len(self.methods) if pending is None else pending[1]
 
     def find_method(
         self, name: str, param_types: Optional[Iterable[str]] = None
@@ -253,6 +244,11 @@ class DexClass:
 
     def declares_sub_signature(self, sub_signature: str) -> bool:
         return any(m.sub_signature() == sub_signature for m in self.methods)
+
+
+# ``methods`` stays a dataclass field, so ``__init__``, ``__eq__`` and
+# ``__repr__`` handle it as before.
+DexClass.methods = _DeclaredOnFirstRead()
 
 
 class ClassPool:
@@ -305,7 +301,7 @@ class ClassPool:
         return list(self._classes)
 
     def method_count(self) -> int:
-        return sum(len(c.methods) for c in self.application_classes())
+        return sum(c.method_count() for c in self.application_classes())
 
     def resolve_method(self, sig: MethodSignature) -> Optional[DexMethod]:
         """Resolve a signature to a declared method, walking up supers.

@@ -37,6 +37,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
+from typing import Union
 
 from repro.dex.disassembler import (
     PREAMBLE,
@@ -160,8 +161,21 @@ class ShardGroup:
     #: The group's plaintext (:func:`encode_lines`), encoded once: the
     #: app key hashes it and the text section stores it.
     text: bytes = b""
-    #: The group's layout section (:func:`encode_layout`).
-    layout: bytes = b""
+    #: The group's layout section as stored, or the columns that
+    #: :attr:`layout` encodes on first read.
+    layout_source: Union[bytes, GroupColumns] = b""
+
+    @property
+    def layout(self) -> bytes:
+        """The group's layout section (:func:`encode_layout`), encoded
+        once: a save, a partial hit and a heal read it, while keying
+        the app and a full index hit do not."""
+        cached = self.__dict__.get("_layout")
+        if cached is None:
+            source = self.layout_source
+            cached = source if isinstance(source, bytes) else encode_layout(source)
+            object.__setattr__(self, "_layout", cached)
+        return cached
 
     @property
     def end_line(self) -> int:
@@ -220,7 +234,8 @@ def partition_disassembly(disassembly: Disassembly) -> list[ShardGroup]:
 
     One :class:`ShardGroup` per :class:`~repro.dex.disassembler.GroupColumns`,
     labelled by its first class (:func:`group_label`), with the tokens
-    the renderer recorded for it, its text and its layout section.
+    the renderer recorded for it, its text and its columns, encoded
+    into its layout section only when read.
     Every store and index path reads a disassembly through this
     partition, so this is the one place that refuses a disassembly
     without library groups: lines past the preamble but no groups (a
@@ -251,7 +266,7 @@ def partition_disassembly(disassembly: Disassembly) -> list[ShardGroup]:
             group.end_line - group.start_line,
             group_tokens,
             encode_lines(lines[group.start_line:group.end_line]),
-            encode_layout(group),
+            group,
         )
         for group, group_tokens in zip(columns, tokens)
     ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.android.apk import Apk
 from repro.android.manifest import ComponentKind, Manifest
-from repro.dex.builder import AppBuilder, MethodBuilder
+from repro.dex.builder import AppBuilder, ClassBuilder
 from repro.workload.patterns import (
     PATTERN_BUILDERS,
     GroundTruth,
@@ -128,82 +128,95 @@ def _build_filler(
     ``FillerK`` classes extend one shared ``BaseTask`` and override
     ``step()``; the launcher walks the chain through base-typed calls, so
     a class-hierarchy analysis resolves each dispatch against *every*
-    filler subclass.  Each filler class declares its methods and draws
-    its constants now but builds its bodies on first read
-    (:meth:`~repro.dex.builder.ClassBuilder.defer_bodies`): a targeted
+    filler subclass.  The filler classes and the launcher draw their
+    constants now but declare their methods on first read
+    (:meth:`~repro.dex.builder.ClassBuilder.defer`): a targeted
     analysis never reads them, a whole-app one reads them all.
     """
     if spec.filler_classes <= 0:
         return
     base_name = f"{package}.gen.BaseTask"
-    base = app.new_class(base_name)
-    base.default_constructor()
-    base_step = base.method("step", params=["int"], returns="int")
-    base_step.this()
-    p = base_step.param(0)
-    base_step.return_value(p)
-
+    _build_base(app, base_name, "step")
     class_names = [f"{package}.gen.Filler{index}" for index in range(spec.filler_classes)]
     for index, name in enumerate(class_names):
-        filler = app.new_class(name, superclass=base_name)
-        filler.constructor()
-        filler.method("step", params=["int"], returns="int")
         step_addend = rng.randint(1, 99)
-        work_constants = []
-        for m_index in range(spec.methods_per_filler):
-            filler.method(f"work{m_index}", params=["int"], returns="int",
-                          static=True)
-            work_constants.append((rng.randint(2, 9), rng.randint(1, 999)))
-        filler.defer_bodies(functools.partial(
-            _fill_filler, name, base_name,
-            class_names[(index + 1) % len(class_names)],
-            step_addend, work_constants,
-        ))
+        work_constants = [
+            (rng.randint(2, 9), rng.randint(1, 999))
+            for _ in range(spec.methods_per_filler)
+        ]
+        app.new_class(name, superclass=base_name).defer(functools.partial(
+            _build_chain_class, base_name, "step", "work",
+            class_names[(index + 1) % len(class_names)], step_addend,
+            work_constants,
+        ), 2 + spec.methods_per_filler)
 
     launcher_name = f"{package}.gen.LauncherActivity"
-    launcher = app.new_class(launcher_name, superclass="android.app.Activity")
-    launcher.default_constructor()
-    on_create = launcher.method("onCreate", params=["android.os.Bundle"])
-    on_create.this()
-    on_create.param(0)
-    seed_value = on_create.const_int(rng.randint(1, 1000))
-    for name in class_names:
-        on_create.invoke_static(name, "work0", args=[seed_value],
-                                params=["int"], returns="int")
-    on_create.return_void()
+    app.new_class(launcher_name, superclass="android.app.Activity").defer(
+        functools.partial(_build_launcher, class_names, rng.randint(1, 1000)), 2
+    )
     manifest.register(
         launcher_name, ComponentKind.ACTIVITY, exported=True,
         actions=["android.intent.action.MAIN"],
     )
 
 
-def _fill_filler(
-    name: str, base_name: str, next_name: str, step_addend: int,
-    work_constants: list[tuple[int, int]], builders: list[MethodBuilder],
+def _build_base(app: AppBuilder, name: str, method_name: str) -> None:
+    """A bulk chain's base class, whose ``method_name`` returns its
+    argument."""
+    base = app.new_class(name)
+    base.default_constructor()
+    method = base.method(method_name, params=["int"], returns="int")
+    method.this()
+    method.return_value(method.param(0))
+
+
+def _build_chain_class(
+    base_name: str, override: str, link: str, next_name: str, addend: int,
+    link_constants: list[tuple[int, ...]], cls: ClassBuilder,
 ) -> None:
-    """The bodies of one filler class: ``<init>``, ``step`` and the
-    ``workN`` chain, whose last link dispatches to ``next_name``."""
-    ctor, step, *work = builders
-    ctor.object_init()
-    step.this()
-    arg = step.param(0)
-    value = step.binop("+", arg, step_addend)
-    step.return_value(value)
-    for m_index, (method, (factor, addend)) in enumerate(zip(work, work_constants)):
-        arg = method.param(0)
-        acc = method.binop("*", arg, factor)
-        acc = method.binop("+", acc, addend)
-        if m_index + 1 < len(work):
-            nxt = method.invoke_static(name, f"work{m_index + 1}", args=[acc],
+    """One filler class or library component: ``<init>``, an
+    ``override`` of the base's method adding ``addend``, and a static
+    ``linkN`` chain whose links multiply by their first constant and
+    add their second, if any; the last link dispatches to
+    ``next_name`` through the base type."""
+    cls.default_constructor()
+    method = cls.method(override, params=["int"], returns="int")
+    method.this()
+    arg = method.param(0)
+    method.return_value(method.binop("+", arg, addend))
+    for index, constants in enumerate(link_constants):
+        method = cls.method(f"{link}{index}", params=["int"], returns="int",
+                            static=True)
+        acc = method.param(0)
+        for op, constant in zip("*+", constants):
+            acc = method.binop(op, acc, constant)
+        if index + 1 < len(link_constants):
+            nxt = method.invoke_static(cls.name, f"{link}{index + 1}", args=[acc],
                                        params=["int"], returns="int")
             method.return_value(nxt)
         else:
-            # Cross-class dispatch through the base type.
+            # Cross-class dispatch through the base type, mirroring
+            # real SDKs' intra-library call graphs.
             obj = method.new_init(next_name)
             up = method.cast(base_name, obj)
-            out = method.invoke_virtual(up, base_name, "step", args=[acc],
+            out = method.invoke_virtual(up, base_name, override, args=[acc],
                                         params=["int"], returns="int")
             method.return_value(out)
+
+
+def _build_launcher(
+    class_names: list[str], seed: int, launcher: ClassBuilder
+) -> None:
+    """The launcher activity: ``onCreate`` calls each filler's ``work0``."""
+    launcher.default_constructor()
+    on_create = launcher.method("onCreate", params=["android.os.Bundle"])
+    on_create.this()
+    on_create.param(0)
+    seed_value = on_create.const_int(seed)
+    for name in class_names:
+        on_create.invoke_static(name, "work0", args=[seed_value],
+                                params=["int"], returns="int")
+    on_create.return_void()
 
 
 def _build_library(app: AppBuilder, lib: LibrarySpec) -> None:
@@ -213,72 +226,25 @@ def _build_library(app: AppBuilder, lib: LibrarySpec) -> None:
     library spec alone, and every emitted name/signature/string refers
     only to the library's own package — so the rendered class group
     (and hence its store shard) is identical in every embedding app.
-    Component classes build their bodies on first read, like filler.
+    Component classes draw their constants now and declare their
+    methods on first read, like filler.
     """
     if lib.classes <= 0:
         return
     rng = random.Random(f"{lib.package}:{lib.seed}")
     base_name = f"{lib.package}.core.LibBase"
-    base = app.new_class(base_name)
-    base.default_constructor()
-    base_step = base.method("transform", params=["int"], returns="int")
-    base_step.this()
-    p = base_step.param(0)
-    base_step.return_value(p)
-
+    _build_base(app, base_name, "transform")
     class_names = [
         f"{lib.package}.core.Component{index}" for index in range(lib.classes)
     ]
     for index, name in enumerate(class_names):
-        component = app.new_class(name, superclass=base_name)
-        component.constructor()
-        component.method("transform", params=["int"], returns="int")
         transform_addend = rng.randint(1, 99)
-        stage_factors = []
-        for m_index in range(lib.methods_per_class):
-            component.method(
-                f"stage{m_index}", params=["int"], returns="int", static=True
-            )
-            stage_factors.append(rng.randint(2, 9))
-        component.defer_bodies(functools.partial(
-            _fill_component, name, base_name,
-            class_names[(index + 1) % len(class_names)],
-            transform_addend, stage_factors,
-        ))
-
-
-def _fill_component(
-    name: str, base_name: str, next_name: str, transform_addend: int,
-    stage_factors: list[int], builders: list[MethodBuilder],
-) -> None:
-    """The bodies of one library component: ``<init>``, ``transform``
-    and the ``stageN`` chain, whose last link dispatches to
-    ``next_name``."""
-    ctor, transform, *stages = builders
-    ctor.object_init()
-    transform.this()
-    arg = transform.param(0)
-    value = transform.binop("+", arg, transform_addend)
-    transform.return_value(value)
-    for m_index, (method, factor) in enumerate(zip(stages, stage_factors)):
-        arg = method.param(0)
-        acc = method.binop("*", arg, factor)
-        if m_index + 1 < len(stages):
-            nxt = method.invoke_static(
-                name, f"stage{m_index + 1}", args=[acc],
-                params=["int"], returns="int",
-            )
-            method.return_value(nxt)
-        else:
-            # Library-internal cross-class dispatch, mirroring real
-            # SDKs' intra-library call graphs.
-            obj = method.new_init(next_name)
-            up = method.cast(base_name, obj)
-            out = method.invoke_virtual(
-                up, base_name, "transform", args=[acc],
-                params=["int"], returns="int",
-            )
-            method.return_value(out)
+        stage_factors = [(rng.randint(2, 9),) for _ in range(lib.methods_per_class)]
+        app.new_class(name, superclass=base_name).defer(functools.partial(
+            _build_chain_class, base_name, "transform", "stage",
+            class_names[(index + 1) % len(class_names)], transform_addend,
+            stage_factors,
+        ), 2 + lib.methods_per_class)
 
 
 def generate_app(spec: AppSpec) -> GeneratedApp:
@@ -309,7 +275,7 @@ def generate_app(spec: AppSpec) -> GeneratedApp:
     if apk.size_mb <= 0:
         # Rough DEX-size model: ~3 KB per IR statement keeps generated
         # apps in the paper's MB range.  Counting statements reads every
-        # body, so an unsized spec builds its deferred bodies here;
+        # body, so an unsized spec declares its deferred classes here;
         # corpus and service specs all carry a size.
         apk.size_mb = round(apk.code_units() * 0.003, 1)
     return GeneratedApp(apk=apk, spec=spec, truths=truths)

@@ -647,23 +647,26 @@ def _generated_apks(monkeypatch):
 
 
 def _bulk_classes(apk):
-    """Filler and library classes: name -> whether any body was built."""
+    """Filler, launcher and library classes: name -> whether the class
+    declared its methods."""
     return {
-        cls.name: any(method._body is not None for method in cls.methods)
+        cls.name: cls._pending is None
         for cls in apk.classes.application_classes()
         if ".gen.Filler" in cls.name or ".core.Component" in cls.name
+        or cls.name.endswith(".gen.LauncherActivity")
     }
 
 
-class TestLazyBodies:
-    """Bulk classes build their bodies on first read (deferred fills)."""
+class TestLazyDeclarations:
+    """Bulk classes declare their methods on first read (deferred
+    classes)."""
 
     SPEC = dataclasses.replace(
         benchmark_app_spec(3, scale=0.2),
         libraries=(LibrarySpec("com.lib.lazy", seed=4),),
     )
 
-    def test_index_hit_builds_no_bulk_class(self, tmp_path, monkeypatch):
+    def test_index_hit_declares_no_bulk_class(self, tmp_path, monkeypatch):
         config = _store_config(tmp_path, mode="index")
         cold = analyze_spec(self.SPEC, config)
         apks = _generated_apks(monkeypatch)
@@ -673,25 +676,29 @@ class TestLazyBodies:
         bulk = _bulk_classes(apk)
         assert any(".gen.Filler" in name for name in bulk)
         assert any(".core.Component" in name for name in bulk)
+        assert any(name.endswith(".gen.LauncherActivity") for name in bulk)
         assert not any(bulk.values()), sorted(n for n, b in bulk.items() if b)
+        assert warm.findings == cold.findings
         assert _payload_without(warm, *_RESTORE_FIELDS) == _payload_without(
             cold, *_RESTORE_FIELDS
         )
 
-    def test_cold_run_renders_what_prebuilt_bodies_render(self, tmp_path, monkeypatch):
+    def test_cold_run_renders_what_a_declared_app_renders(
+        self, tmp_path, monkeypatch
+    ):
         config = _store_config(tmp_path)
         apks = _generated_apks(monkeypatch)
         assert analyze_spec(self.SPEC, config).ok
         (apk,) = apks
-        assert all(_bulk_classes(apk).values())  # its render built them
-        prebuilt = generate_app(self.SPEC).apk
-        for cls in prebuilt.classes.application_classes():
-            for method in cls.methods:
-                method.body
-        assert apk.disassembly.lines == prebuilt.disassembly.lines
+        assert all(_bulk_classes(apk).values())  # its render declared them
+        declared = generate_app(self.SPEC).apk
+        for cls in declared.classes.application_classes():
+            cls.methods
+        assert all(_bulk_classes(declared).values())
+        assert apk.disassembly.lines == declared.disassembly.lines
         store = config.artifact_store()
         assert store.load_spec_key(spec_fingerprint(self.SPEC)) == store_key(
-            prebuilt.disassembly
+            declared.disassembly
         )
 
 

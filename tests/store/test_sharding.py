@@ -127,6 +127,38 @@ class TestPartitioning:
         assert lib_one.start_line != lib_two.start_line
         assert shard_key(lib_one) == shard_key(lib_two)
 
+    def test_layouts_are_encoded_only_when_a_save_reads_them(
+        self, store, monkeypatch
+    ):
+        import repro.store.sharding as sharding
+
+        encoded = []
+        real_encode = sharding.encode_layout
+
+        def counted_encode(columns):
+            encoded.append(columns)
+            return real_encode(columns)
+
+        monkeypatch.setattr(sharding, "encode_layout", counted_encode)
+        spec = _app("com.alpha", 1, (SHARED_LIB, OTHER_LIB))
+        disassembly = generate_app(spec).apk.disassembly
+        key = store_key(disassembly)
+        assert encoded == []  # keying reads no layout
+        store.save_index(disassembly)
+        columns = disassembly.group_columns
+        assert len(columns) == 3
+        assert encoded == columns  # a cold save encodes each group once
+        assert [g.layout for g in partition_disassembly(disassembly)] == [
+            real_encode(c) for c in columns
+        ]
+
+        # A full index hit on a fresh render keys it and reads no layout.
+        encoded.clear()
+        rendered = generate_app(spec).apk.disassembly
+        assert store_key(rendered) == key
+        assert store.load_index(rendered) is not None
+        assert encoded == []
+
     def test_different_library_shape_changes_the_shard_key(self):
         # The shard key addresses exactly what the shard stores: the
         # group's searchable tokens and line span.  A library variant

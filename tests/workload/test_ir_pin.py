@@ -6,8 +6,8 @@ text leaves some IR out: a binop renders as ``mul-int v1, v0, v2``,
 without its constant.  A change that reorders the generator's random
 draws would keep that pin green while planting other constants.  This
 pin serializes the IR itself, from dataclass fields with enums by name
-(so every supported Python version agrees), and reading each method's
-body builds any body a class deferred.  Regenerate it only together
+(so every supported Python version agrees), and reading each class's
+methods declares any class that deferred them.  Regenerate it only together
 with a ``GENERATOR_VERSION`` bump::
 
     REGENERATE_GOLDEN=1 PYTHONPATH=src \\
@@ -77,7 +77,7 @@ def _encode(value):
 
 def _digest(spec: AppSpec) -> dict:
     classes = list(generate_app(spec).apk.classes.application_classes())
-    # Reading every body first builds whatever a class deferred.
+    # Reading every class's methods first declares the deferred ones.
     statements = sum(len(m.body) for cls in classes for m in cls.methods)
     encoded = json.dumps([_encode(cls) for cls in classes], sort_keys=True)
     return {
