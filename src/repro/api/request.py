@@ -4,7 +4,7 @@ An :class:`AnalysisRequest` names *what to analyze and how* for one run
 against an already-opened app — decoupled from
 :class:`~repro.core.backdroid.BackDroidConfig`, which froze targets at
 construction time.  Requests are small frozen dataclasses: cheap to
-build, hashable/picklable (they cross process-pool and HTTP boundaries),
+build, hashable/picklable (they cross process and HTTP boundaries),
 and composable — many differently-targeted requests can be served by one
 :class:`~repro.api.session.AnalysisSession` without rebuilding any
 per-app state.

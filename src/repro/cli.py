@@ -317,9 +317,9 @@ def cmd_store(args) -> int:
                 # an app-level index here would be folded work thrown
                 # away.
                 store.save_index(apk.disassembly)
-            # Teach the specmap too, so store-aware dispatch (batch
-            # plan_lanes, the service scheduler) can classify the
-            # warmed app without generating it.
+            # Teach the specmap too, so the scheduler's store probe
+            # (batch and serve) can classify the warmed app without
+            # generating it.
             store.save_spec_key(
                 spec_fingerprint(spec), store_key(apk.disassembly)
             )
@@ -582,7 +582,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bulk-code scale factor (default: 1.0)")
     batch.add_argument("--rules", default="")
     batch.add_argument("--workers", type=int, default=None,
-                       help="worker pool size (default: executor's choice)")
+                       help="main-lane workers: threads, or processes with "
+                       "--executor process (default: the CPU count; "
+                       "serial runs one)")
     batch.add_argument("--executor", choices=EXECUTORS, default="thread")
     batch.add_argument("--cache-max", type=int, default=None,
                        help="LRU bound for the per-app search command cache")

@@ -20,8 +20,9 @@ adjusts the traditional backward slicing and forward analysis:
   the Sec. VI evaluation;
 * :mod:`repro.core.backdroid` — the top-level ``BackDroid`` driver
   (Fig. 2), and :mod:`repro.core.report` its result types;
-* :mod:`repro.core.batch` — the corpus-scale batch driver fanning many
-  apps across a ``concurrent.futures`` worker pool.
+* :mod:`repro.core.batch` — the per-app job (``analyze_spec``) and the
+  corpus-scale batch driver, which submits many apps to the service's
+  store-aware scheduler.
 """
 
 from repro.core.backdroid import STORE_MODES, BackDroid, BackDroidConfig
@@ -31,9 +32,7 @@ from repro.core.batch import (
     analyze_spec,
     level_is_warm,
     outcome_payload,
-    plan_lanes,
     probe_spec,
-    resolve_worker_count,
     run_batch,
 )
 from repro.core.detectors import DETECTORS, Detector, Finding
@@ -63,9 +62,7 @@ __all__ = [
     "analyze_spec",
     "level_is_warm",
     "outcome_payload",
-    "plan_lanes",
     "probe_spec",
-    "resolve_worker_count",
     "run_batch",
     "STORE_MODES",
     "ConstFact",

@@ -1,13 +1,18 @@
-"""Corpus-scale batch analysis: many apps, one worker pool.
+"""Corpus-scale batch analysis: many apps, one job path.
 
 The paper vets one app at a time; serving corpus-scale traffic means
-analyzing thousands.  This driver fans a list of generatable
-:class:`~repro.workload.generator.AppSpec` recipes across a
-``concurrent.futures`` pool (threads by default; processes for CPU-bound
-corpora — the worker is a module-level function precisely so it
-pickles), collects one compact :class:`AppOutcome` per app, and
-aggregates the statistics the paper reports per app (analysis time,
-command/sink cache rates, findings) across the whole run.
+analyzing thousands.  :func:`run_batch` submits a list of generatable
+:class:`~repro.workload.generator.AppSpec` recipes to one
+:class:`~repro.service.scheduler.StoreAwareScheduler` — the scheduler
+``backdroid serve`` runs, so a batch gets its store probes, warm fast
+lane, session cache, in-flight dedup and out-of-process cold workers —
+collects one compact :class:`AppOutcome` per app, and aggregates the
+statistics the paper reports per app (analysis time, command/sink
+cache rates, findings) across the whole run.
+
+This module also holds the per-app job itself (:func:`analyze_spec`,
+never raising) and the store probe the scheduler routes by
+(:func:`probe_spec`, :func:`level_is_warm`).
 
 A failing app never aborts the batch: its exception is captured in
 ``AppOutcome.error`` and surfaces in the aggregate failure count,
@@ -23,14 +28,8 @@ import hashlib
 import os
 import statistics
 import time
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.android.apk import render_disassembly
 from repro.core.backdroid import BackDroidConfig
@@ -71,7 +70,7 @@ class AppOutcome:
     #: linear backend ran).
     index_build_seconds: float = 0.0
     #: Shard groups a lazy restore decoded for this app's queries (0
-    #: for cold builds and eager restores).
+    #: for cold builds).
     materialized_groups: int = 0
     #: Shard bytes mmapped by this app's lazy restore.
     bytes_mapped: int = 0
@@ -375,33 +374,15 @@ def level_is_warm(level: str, config: BackDroidConfig) -> bool:
     linear scan never restores posting lists, so for it a stored index
     is not warmth, it is a full-cost analysis.  A *partial* hit (some
     shards present, e.g. another app already published this app's
-    libraries) still rides the fast lane: composing the present shards
-    and re-folding only the missing groups is far cheaper than a cold
-    build.
+    libraries) still rides the fast lane: restoring the present shards
+    lazily and re-folding only the missing groups is far cheaper than a
+    cold build.
     """
     if level not in WARM_LEVELS:
         return False
     if level == "outcome" and config.store_mode == "full":
         return True
     return config.search_backend == "indexed"
-
-
-def plan_lanes(
-    specs: Sequence[AppSpec], config: BackDroidConfig
-) -> list[str]:
-    """The store-aware lane of every spec (``"fast"`` or ``"main"``)."""
-    store = config.artifact_store()
-    if store is None:
-        return ["main"] * len(specs)
-    config_fingerprint = config.store_fingerprint()
-    return [
-        "fast"
-        if level_is_warm(
-            probe_spec(spec, store, config_fingerprint)[1], config
-        )
-        else "main"
-        for spec in specs
-    ]
 
 
 @dataclass
@@ -520,7 +501,7 @@ class BatchResult:
 
     @property
     def fast_lane_apps(self) -> int:
-        """Apps the up-front store probe routed to the warm fast lane."""
+        """Apps the scheduler's store probe routed to the warm fast lane."""
         return sum(1 for o in self.outcomes if o.lane == "fast")
 
     @property
@@ -643,35 +624,14 @@ class BatchResult:
         }
 
 
-def _make_executor(kind: str, max_workers: Optional[int]) -> Executor:
-    if kind == "thread":
-        return ThreadPoolExecutor(max_workers=max_workers)
-    if kind == "process":
-        return ProcessPoolExecutor(max_workers=max_workers)
-    raise ValueError(f"unknown executor {kind!r}: choose from {EXECUTORS}")
-
-
-def resolve_worker_count(
-    executor: str, max_workers: Optional[int] = None
-) -> int:
-    """The pool size a run will use, computed from public inputs.
-
-    Mirrors the ``concurrent.futures`` documented defaults instead of
-    poking the executor's private ``_max_workers`` attribute.
-    """
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}: choose from {EXECUTORS}"
+def _job_outcome(job) -> AppOutcome:
+    """One finished batch job's row: its outcome payload, or an error
+    row when no payload came back (its worker died on every attempt)."""
+    if job.result is None:
+        return AppOutcome(
+            package=job.spec.package, lane=job.lane, error=job.error
         )
-    if executor == "serial":
-        return 1
-    if max_workers is not None:
-        return max_workers
-    cpus = os.cpu_count() or 1
-    if executor == "thread":
-        # ThreadPoolExecutor's documented default since Python 3.8.
-        return min(32, cpus + 4)
-    return cpus
+    return _outcome_from_payload(job.result)
 
 
 def run_batch(
@@ -679,92 +639,57 @@ def run_batch(
     config: Optional[BackDroidConfig] = None,
     max_workers: Optional[int] = None,
     executor: str = "thread",
-    progress: Optional[Callable[[AppOutcome], None]] = None,
     request=None,
-    session_cache_size: int = 4,
 ) -> BatchResult:
-    """Analyze every spec across a worker pool, preserving input order.
+    """Analyze every spec on one scheduler, preserving input order.
 
-    ``executor`` is ``"thread"`` (default: safe everywhere, overlaps
-    generation and I/O), ``"process"`` (true CPU parallelism for large
-    corpora) or ``"serial"`` (in-process, for debugging/determinism).
-    ``progress`` is invoked with each outcome as it completes.
+    Every spec is a job of one
+    :class:`~repro.service.scheduler.StoreAwareScheduler`: the store is
+    probed at submit time, warm apps run on the in-process fast lane
+    and cold apps on ``max_workers`` main-lane workers (default: the
+    CPU count).  ``executor`` picks where cold apps run: ``"thread"``
+    (default: in-process threads sharing one session cache),
+    ``"process"`` (worker processes; a worker that dies is replaced and
+    its app retried once) or ``"serial"`` (one job at a time, for
+    debugging and determinism).  Duplicate specs submitted together
+    coalesce onto one analysis, and every input row gets its outcome.
 
     ``request`` (an :class:`~repro.api.request.AnalysisRequest`)
-    overrides the config's targets/knobs for every app in the run.  For
-    in-process executors (``thread``/``serial``) a bounded
-    :class:`~repro.api.session.SessionCache` of ``session_cache_size``
-    warm sessions is shared across the run, so duplicate specs reuse
-    one generated app and one built index (process pools cannot share
-    sessions; pass ``session_cache_size=0`` to disable sharing).
-
-    With a store configured, every spec is probed up front
-    (:func:`plan_lanes`) and warm apps are dispatched first — the cheap
-    fast-lane work drains ahead of the cold pool instead of queueing
-    behind it.  The result (and its rendered table) stays in input
-    order regardless of dispatch order.
+    overrides the config's targets/knobs for every app in the run.
     """
+    if executor not in EXECUTORS:
+        raise ValueError(
+            f"unknown executor {executor!r}: choose from {EXECUTORS}"
+        )
+    # Imported here: the service package imports this module.
+    from repro.service.scheduler import StoreAwareScheduler
+
     config = config if config is not None else BackDroidConfig()
     effective = request.to_config(config) if request is not None else config
     started = time.perf_counter()
-    outcomes: list[Optional[AppOutcome]] = [None] * len(specs)
-    workers = resolve_worker_count(executor, max_workers)
-    lanes = plan_lanes(specs, effective)
-    sessions = None
-    if executor != "process" and session_cache_size > 0:
-        from repro.api.session import SessionCache
-
-        sessions = SessionCache(max_sessions=session_cache_size)
-    # Warm-first priority; ties keep input order, so dispatch stays
-    # deterministic.
-    order = sorted(
-        range(len(specs)), key=lambda i: (0 if lanes[i] == "fast" else 1, i)
-    )
-
-    def _with_lane(index: int, outcome: AppOutcome) -> AppOutcome:
-        return dataclasses.replace(outcome, lane=lanes[index])
-
-    if executor == "serial":
-        for i in order:
-            outcomes[i] = _with_lane(
-                i, analyze_spec(specs[i], config, request, sessions)
-            )
-            if progress is not None:
-                progress(outcomes[i])
+    serial = executor == "serial"
+    if serial:
+        workers = 1
+    elif max_workers is not None:
+        workers = max_workers
     else:
-        if executor == "process":
-            # The shared worker entry point (also the service's cold
-            # lane): one module-level function crosses the process
-            # boundary, so batch and serve ship identical work.
-            # Imported lazily — the service package imports this module.
-            from repro.service.workers import run_analysis
-
-            def _submit(pool, i):
-                return pool.submit(run_analysis, specs[i], config, request)
-        else:
-            def _submit(pool, i):
-                return pool.submit(
-                    analyze_spec, specs[i], config, request, sessions
-                )
-        with _make_executor(executor, max_workers) as pool:
-            futures = {_submit(pool, i): i for i in order}
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    outcome = future.result()
-                except Exception as exc:  # noqa: BLE001 - e.g. a worker
-                    # process died (BrokenProcessPool): record it against
-                    # the spec instead of aborting the whole batch.
-                    outcome = AppOutcome(
-                        package=specs[index].package,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                outcomes[index] = _with_lane(index, outcome)
-                if progress is not None:
-                    progress(outcomes[index])
+        workers = os.cpu_count() or 1
+    with StoreAwareScheduler(
+        config,
+        workers=workers,
+        # Every job stays retained until its row is read.
+        max_finished_jobs=max(1, len(specs)),
+        cold_executor="thread" if serial else executor,
+    ) as scheduler:
+        jobs = []
+        for spec in specs:
+            jobs.append(scheduler.submit(spec, request))
+            if serial:
+                scheduler.wait(jobs[-1].id)
+        outcomes = [_job_outcome(scheduler.wait(job.id)) for job in jobs]
 
     return BatchResult(
-        outcomes=[o for o in outcomes if o is not None],
+        outcomes=outcomes,
         wall_seconds=time.perf_counter() - started,
         workers=workers,
         executor=executor,

@@ -1,8 +1,8 @@
 """The persistent analysis service: resident BackDroid, served over HTTP.
 
-The batch driver amortizes work across one invocation; this package
-amortizes it across *queries*, the way a market-scale vetting service
-would run:
+This package amortizes work across *queries*, the way a market-scale
+vetting service would run; ``backdroid batch`` submits its apps to the
+same scheduler, so a corpus run and a served job take one path:
 
 * :mod:`repro.service.jobs` — :class:`Job` records and the thread-safe
   :class:`JobQueue`: lifecycle (``queued → running →
@@ -17,10 +17,9 @@ would run:
   so cold CPU work never shares the GIL with warm restores — with
   per-lane depth/wait/utilization statistics;
 * :mod:`repro.service.workers` — the process-isolation substrate:
-  the module-level worker entry point shared with
-  ``run_batch --executor process`` and the :class:`ProcessLane` of
-  long-lived worker processes (kill a running analysis, survive worker
-  crashes, respawn to constant capacity);
+  the worker entry point and the :class:`ProcessLane` of long-lived
+  worker processes (kill a running analysis, survive worker crashes,
+  respawn to constant capacity);
 * :mod:`repro.service.server` — the stdlib-only JSON HTTP API
   (``POST /v1/jobs`` with per-job rule/backend/budget overrides,
   ``GET /v1/jobs/<id>``, ``DELETE /v1/jobs/<id>``, ``GET /v1/stats``,

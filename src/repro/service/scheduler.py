@@ -11,8 +11,8 @@ existence checks; never any app generation or shard deserialization)
 and routes warm submissions to a small dedicated fast lane while cold
 submissions get the main worker pool.  A *partial* probe (some of the
 app's shards already published — typically by another app embedding
-the same libraries) counts as warm: the analysis composes the present
-shards and patches only the missing groups.
+the same libraries) counts as warm: the analysis restores the present
+shards lazily and patches only the missing groups.
 ``benchmarks/bench_service_scheduler.py`` measures the effect: on a
 mixed corpus, warm jobs' mean wait drops versus single-lane FIFO
 dispatch.
@@ -28,9 +28,10 @@ fetches.  The default ``cold_executor="thread"`` keeps everything
 in-process — the embedding-friendly library mode and the baseline the
 sustained-traffic benchmark compares against.  Execution itself is
 :func:`repro.core.batch.analyze_spec` either way (the process lane runs
-it through :mod:`repro.service.workers`' shared entry point), so
-per-app isolation, store warm starts and outcome shapes are identical
-to batch runs.  Duplicate in-flight submissions coalesce in the
+it through :func:`repro.service.workers.run_analysis_payload`).
+``backdroid batch`` (:func:`repro.core.batch.run_batch`) submits its
+apps to this scheduler too, so a batch and a served job take one path.
+Duplicate in-flight submissions coalesce in the
 :class:`~repro.service.jobs.JobQueue` — one analysis, every job
 completed with the same payload.
 """

@@ -1,15 +1,16 @@
-"""Process-isolated analysis workers, shared by batch and serve.
+"""Process-isolated analysis workers: the scheduler's cold lane.
 
 Cold analyses are CPU-shaped (disassembly, index folds, slicing) while
 warm restores are I/O-shaped (mmap reads); running both in one
 interpreter makes every warm fetch queue behind the GIL whenever a cold
 analysis is executing.  This module owns the *out-of-process* execution
-substrate that fixes that:
+substrate that fixes that, for ``backdroid serve`` and for
+``backdroid batch --executor process`` alike (both run on the
+:class:`~repro.service.scheduler.StoreAwareScheduler`):
 
-* :func:`run_analysis` / :func:`run_analysis_payload` — the
-  module-level worker entry points (they pickle by reference, which is
-  what lets both ``run_batch --executor process`` and the service's
-  cold lane ship work across a process boundary with one code path);
+* :func:`run_analysis_payload` — the worker entry point: one
+  :func:`~repro.core.batch.analyze_spec` run, returned as its outcome
+  payload;
 * :class:`ProcessLane` — a fixed-size pool of long-lived worker
   processes driven over pipes, with the lifecycle operations an
   interactive service needs and ``concurrent.futures`` cannot offer:
@@ -58,30 +59,20 @@ DEFAULT_NICE = 10
 
 
 # ======================================================================
-# Worker entry points (module-level: they pickle by reference)
+# The worker entry point
 # ======================================================================
-
-def run_analysis(spec, config=None, request=None):
-    """Analyze one spec; the shared worker entry point.
-
-    This is what ``run_batch(executor="process")`` submits to its
-    ``ProcessPoolExecutor`` and what :class:`ProcessLane` workers run —
-    one entry point, so per-app isolation, store warm starts and
-    outcome shapes are identical whichever pool executed the app.
-    Never raises: errors are captured in ``AppOutcome.error``.
-    """
-    return analyze_spec(spec, config, request=request)
-
 
 def run_analysis_payload(spec, config=None, request=None) -> dict:
     """Analyze one spec and return the serialized outcome payload.
 
-    The service's cross-process result shape: a plain JSON-able dict
-    (versioned by the envelope ``schema_version``), so the parent never
-    has to unpickle analysis objects from an untrusted-after-crash
-    worker — only primitives cross back.
+    What every :class:`ProcessLane` worker runs.  The result is a plain
+    JSON-able dict (versioned by the envelope ``schema_version``), so
+    the parent never has to unpickle analysis objects from an
+    untrusted-after-crash worker — only primitives cross back.  Never
+    raises for analysis errors: they are captured in the payload's
+    ``error``.
     """
-    outcome = run_analysis(spec, config, request)
+    outcome = analyze_spec(spec, config, request=request)
     with tracing.span("report.render"):
         return outcome_payload(outcome)
 

@@ -5,8 +5,8 @@
   prefolded posting lists, shared across every app that embeds the same
   library code), per-app manifests listing each app's shards, and
   finished batch outcomes — all keyed by content hashes plus a format
-  version, with atomic (rename-published) writes safe under the
-  process-pool batch executor.
+  version, with atomic (rename-published) writes safe under concurrent
+  worker processes.
 * :mod:`repro.store.sharding` — one :class:`ShardGroup` per library
   group of a disassembly, the group folds and shard content
   addressing.

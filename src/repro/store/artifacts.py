@@ -238,9 +238,9 @@ class GcResult:
 #: which beats nothing.
 PROBE_LEVELS = ("outcome", "index", "partial", "none")
 
-#: Levels the schedulers treat as warm (cheap enough for a fast lane).
-#: A partial hit qualifies: composing the present shards and re-folding
-#: only the missing groups is far cheaper than a cold build.
+#: Levels the scheduler treats as warm (cheap enough for a fast lane).
+#: A partial hit qualifies: restoring the present shards lazily and
+#: re-folding only the missing groups is far cheaper than a cold build.
 WARM_LEVELS = ("outcome", "index", "partial")
 
 

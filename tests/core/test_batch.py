@@ -5,12 +5,7 @@ import os
 import pytest
 
 from repro.core import BackDroidConfig, run_batch
-from repro.core.batch import (
-    AppOutcome,
-    BatchResult,
-    analyze_spec,
-    resolve_worker_count,
-)
+from repro.core.batch import AppOutcome, BatchResult, analyze_spec
 from repro.search.backends import InvertedIndexBackend, JoinedText
 from repro.search.index import BytecodeSearcher
 from repro.workload.corpus import benchmark_app_spec, year_app_spec
@@ -114,16 +109,70 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="unknown executor"):
             run_batch(_specs(1), executor="quantum")
 
-    def test_order_preserved_and_progress_called(self):
+    def test_order_preserved(self):
         specs = _specs(4)
-        seen = []
-        result = run_batch(
-            specs, executor="thread", max_workers=4, progress=seen.append
-        )
+        result = run_batch(specs, executor="thread", max_workers=4)
         assert [o.package for o in result.outcomes] == \
             [s.package for s in specs]
-        assert sorted(o.package for o in seen) == \
-            sorted(s.package for s in specs)
+
+    def test_process_batch_survives_a_worker_death(
+        self, tmp_path, monkeypatch
+    ):
+        # The patch is in place before the workers fork, so they
+        # inherit it: the first run of one app kills its worker.  The
+        # replacement worker retries the app, and the rest of the
+        # batch never notices.
+        import repro.service.workers as workers
+
+        specs = _specs(6)
+        doomed = specs[2].package
+        marker = tmp_path / "died"
+        analyze = workers.analyze_spec
+
+        def dies_once(spec, *args, **kwargs):
+            if spec.package == doomed:
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    os._exit(1)
+            return analyze(spec, *args, **kwargs)
+
+        monkeypatch.setattr(workers, "analyze_spec", dies_once)
+        result = run_batch(specs, executor="process", max_workers=2)
+        assert marker.exists()
+        assert [o.error for o in result.outcomes] == [None] * len(specs)
+        assert [o.package for o in result.outcomes] == \
+            [s.package for s in specs]
+
+    def test_duplicate_specs_coalesce(self, monkeypatch):
+        # Duplicates submitted together share one analysis, and every
+        # input row still gets its outcome, in input order.
+        import time
+
+        import repro.core.batch as batch
+        import repro.service.scheduler as scheduler
+
+        calls = []
+        analyze = batch.analyze_spec
+
+        def counting(spec, *args, **kwargs):
+            calls.append(spec.package)
+            # Long enough that the duplicate is submitted while its
+            # primary still runs.
+            time.sleep(0.2)
+            return analyze(spec, *args, **kwargs)
+
+        monkeypatch.setattr(batch, "analyze_spec", counting)
+        monkeypatch.setattr(scheduler, "analyze_spec", counting)
+        a, b = _specs(2)
+        result = run_batch([a, a, b], executor="thread", max_workers=2)
+        assert sorted(calls) == [a.package, b.package]
+        assert [o.package for o in result.outcomes] == \
+            [a.package, a.package, b.package]
+        assert result.outcomes[0] == result.outcomes[1]
+        assert not result.failures
 
     def test_failure_isolated_from_batch(self):
         specs = _specs(2)
@@ -174,8 +223,7 @@ class TestAggregates:
 
 
 class TestWorkerCounts:
-    """The reported pool size comes from public inputs, not from the
-    executor's private ``_max_workers`` attribute."""
+    """The reported worker count is the scheduler's main-lane size."""
 
     def test_explicit_workers_reported(self):
         result = run_batch(_specs(2), executor="thread", max_workers=3)
@@ -183,19 +231,16 @@ class TestWorkerCounts:
 
     def test_serial_reports_one_worker(self):
         assert run_batch(_specs(1), executor="serial").workers == 1
-        assert resolve_worker_count("serial", max_workers=8) == 1
+        assert run_batch(
+            _specs(1), executor="serial", max_workers=8
+        ).workers == 1
 
-    def test_default_thread_count_matches_stdlib_formula(self):
-        expected = min(32, (os.cpu_count() or 1) + 4)
-        assert resolve_worker_count("thread") == expected
+    def test_default_count_is_the_cpu_count(self, monkeypatch):
+        expected = os.cpu_count() or 1
         assert run_batch(_specs(1), executor="thread").workers == expected
-
-    def test_default_process_count_matches_stdlib_formula(self):
-        assert resolve_worker_count("process") == (os.cpu_count() or 1)
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            resolve_worker_count("quantum")
+        # A small stand-in CPU count keeps the process lane small.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert run_batch(_specs(1), executor="process").workers == 2
 
 
 class TestStoreReporting:

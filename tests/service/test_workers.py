@@ -13,7 +13,7 @@ import pytest
 import repro
 from repro.core import BackDroidConfig
 from repro.core.batch import analyze_spec, outcome_payload
-from repro.service.workers import ProcessLane, run_analysis, run_analysis_payload
+from repro.service.workers import ProcessLane, run_analysis_payload
 from repro.workload.corpus import benchmark_app_spec
 
 SCALE = 0.05
@@ -37,15 +37,6 @@ def _config(tmp_path=None):
 
 
 class TestWorkerEntryPoints:
-    def test_run_analysis_matches_analyze_spec(self, tmp_path):
-        spec = benchmark_app_spec(0, scale=SCALE)
-        config = _config(tmp_path)
-        ours = run_analysis(spec, config)
-        reference = analyze_spec(spec, config)
-        assert ours.ok and reference.ok
-        assert ours.package == reference.package
-        assert ours.findings == reference.findings
-
     def test_run_analysis_payload_is_the_outcome_payload(self):
         spec = benchmark_app_spec(1, scale=SCALE)
         config = _config()

@@ -243,9 +243,7 @@ class TestRetiredContainer:
         specs = [benchmark_app_spec(i, scale=0.05) for i in range(3)]
 
         def batch():
-            result = run_batch(
-                specs, config, executor="serial", session_cache_size=0
-            )
+            result = run_batch(specs, config, executor="serial")
             assert not result.failures
             return result
 
@@ -747,15 +745,25 @@ class TestConcurrency:
         assert leftovers == []
 
     def test_duplicate_specs_race_benignly(self, tmp_path):
-        # Same app analyzed by several workers at once: every writer
-        # publishes identical content, so last-rename-wins is safe.
-        specs = [benchmark_app_spec(0, scale=0.05)] * 4
+        # Same app analyzed by several processes at once: every writer
+        # publishes identical content, so last-rename-wins is safe.  (A
+        # batch would coalesce the duplicates onto one analysis.)
+        spec = benchmark_app_spec(0, scale=0.05)
         config = _store_config(tmp_path)
-        result = run_batch(specs, config, executor="process", max_workers=4)
-        assert not result.failures
+        context = multiprocessing.get_context("fork")
+        writers = [
+            context.Process(target=_analyze_spec_child, args=(spec, config))
+            for _ in range(4)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120.0)
+            assert writer.exitcode == 0
         store = config.artifact_store()
-        restored = store.load_index(generate_app(specs[0]).apk.disassembly)
+        restored = store.load_index(generate_app(spec).apk.disassembly)
         assert restored is not None
+        assert list((tmp_path / "store").rglob("*.tmp")) == []
 
     def test_concurrent_specmap_writers_never_tear_a_read(self, tmp_path):
         # Every cluster node publishes specmap entries.  Writers racing
@@ -799,6 +807,14 @@ def _publish_specmap(root, mapping):
     store = ArtifactStore(root)
     for fingerprint, key in mapping.items():
         store.save_spec_key(fingerprint, key)
+
+
+def _analyze_spec_child(spec, config):
+    """One forked analysis of a duplicate spec (see the concurrency test
+    above); a failed outcome is a nonzero exit code."""
+    outcome = analyze_spec(spec, config)
+    if not outcome.ok:
+        raise SystemExit(f"{outcome.package}: {outcome.error}")
 
 
 class TestMaintenance:

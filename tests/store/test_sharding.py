@@ -539,8 +539,7 @@ class TestPipelineIntegration:
         config = self._config(tmp_path)
         specs = [_app("com.alpha", 1), _app("com.beta", 2),
                  _app("com.gamma", 3)]
-        result = run_batch(specs, config, executor="serial",
-                           session_cache_size=0)
+        result = run_batch(specs, config, executor="serial")
         assert not result.failures
         # Apps after the first ride the shared library shard.
         assert result.partial_restores >= 2
