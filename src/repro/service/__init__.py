@@ -35,58 +35,49 @@ same scheduler, so a corpus run and a served job take one path:
 
 The CLI front end is ``backdroid serve`` (``--node-id`` joins a
 cluster; ``--peers store`` runs the front end).
+
+The package exports each public name from the submodule that defines
+it, importing that submodule on the name's first use (PEP 562), so a
+caller that needs only the scheduler — ``backdroid batch`` — never
+loads the HTTP and cluster stack (asyncio, http.client, ssl).
 """
 
-from repro.service.cluster import (
-    DEFAULT_LEASE_TTL,
-    ClusterFrontEnd,
-    ClusterNode,
-    ClusterRouter,
-    NodeDirectory,
-)
-from repro.service.jobs import (
-    CANCELLED,
-    CANCELLING,
-    DONE,
-    FAILED,
-    JOB_STATES,
-    QUEUED,
-    RUNNING,
-    TERMINAL_STATES,
-    Job,
-    JobQueue,
-)
-from repro.service.scheduler import LaneStats, StoreAwareScheduler
-from repro.service.server import (
-    AnalysisServer,
-    ServiceAPI,
-    ServiceClient,
-    ServiceError,
-)
-from repro.service.workers import ColdResult, ProcessLane
+import importlib
 
-__all__ = [
-    "CANCELLED",
-    "CANCELLING",
-    "DONE",
-    "FAILED",
-    "JOB_STATES",
-    "QUEUED",
-    "RUNNING",
-    "TERMINAL_STATES",
-    "AnalysisServer",
-    "ClusterFrontEnd",
-    "ClusterNode",
-    "ClusterRouter",
-    "ColdResult",
-    "DEFAULT_LEASE_TTL",
-    "Job",
-    "JobQueue",
-    "LaneStats",
-    "NodeDirectory",
-    "ProcessLane",
-    "ServiceAPI",
-    "ServiceClient",
-    "ServiceError",
-    "StoreAwareScheduler",
-]
+#: Each public name and the submodule that defines it.
+_EXPORTS = {
+    "DEFAULT_LEASE_TTL": "cluster",
+    "ClusterFrontEnd": "cluster",
+    "ClusterNode": "cluster",
+    "ClusterRouter": "cluster",
+    "NodeDirectory": "cluster",
+    "CANCELLED": "jobs",
+    "CANCELLING": "jobs",
+    "DONE": "jobs",
+    "FAILED": "jobs",
+    "JOB_STATES": "jobs",
+    "QUEUED": "jobs",
+    "RUNNING": "jobs",
+    "TERMINAL_STATES": "jobs",
+    "Job": "jobs",
+    "JobQueue": "jobs",
+    "LaneStats": "scheduler",
+    "StoreAwareScheduler": "scheduler",
+    "AnalysisServer": "server",
+    "ServiceAPI": "server",
+    "ServiceClient": "server",
+    "ServiceError": "server",
+    "ColdResult": "workers",
+    "ProcessLane": "workers",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
