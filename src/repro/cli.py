@@ -582,9 +582,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bulk-code scale factor (default: 1.0)")
     batch.add_argument("--rules", default="")
     batch.add_argument("--workers", type=int, default=None,
-                       help="main-lane workers: threads, or processes with "
-                       "--executor process (default: the CPU count; "
-                       "serial runs one)")
+                       help="threads per lane, warm and cold, or worker "
+                       "processes for every app with --executor process "
+                       "(default: the CPU count; serial runs one)")
     batch.add_argument("--executor", choices=EXECUTORS, default="thread")
     batch.add_argument("--cache-max", type=int, default=None,
                        help="LRU bound for the per-app search command cache")

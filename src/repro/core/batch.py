@@ -4,11 +4,12 @@ The paper vets one app at a time; serving corpus-scale traffic means
 analyzing thousands.  :func:`run_batch` submits a list of generatable
 :class:`~repro.workload.generator.AppSpec` recipes to one
 :class:`~repro.service.scheduler.StoreAwareScheduler` — the scheduler
-``backdroid serve`` runs, so a batch gets its store probes, warm fast
-lane, session cache, in-flight dedup and out-of-process cold workers —
-collects one compact :class:`AppOutcome` per app, and aggregates the
-statistics the paper reports per app (analysis time, command/sink
-cache rates, findings) across the whole run.
+``backdroid serve`` runs, so a batch gets its store probes, session
+cache, in-flight dedup, and either a warm fast lane (thread batches)
+or worker processes (process batches) — collects one compact
+:class:`AppOutcome` per app, and aggregates the statistics the paper
+reports per app (analysis time, command/sink cache rates, findings)
+across the whole run.
 
 This module also holds the per-app job itself (:func:`analyze_spec`,
 never raising) and the store probe the scheduler routes by
@@ -501,7 +502,8 @@ class BatchResult:
 
     @property
     def fast_lane_apps(self) -> int:
-        """Apps the scheduler's store probe routed to the warm fast lane."""
+        """Apps the scheduler's store probe routed to the warm fast lane
+        (none in a process batch, which runs every app on its workers)."""
         return sum(1 for o in self.outcomes if o.lane == "fast")
 
     @property
@@ -644,15 +646,17 @@ def run_batch(
     """Analyze every spec on one scheduler, preserving input order.
 
     Every spec is a job of one
-    :class:`~repro.service.scheduler.StoreAwareScheduler`: the store is
-    probed at submit time, warm apps run on the in-process fast lane
-    and cold apps on ``max_workers`` main-lane workers (default: the
-    CPU count).  ``executor`` picks where cold apps run: ``"thread"``
-    (default: in-process threads sharing one session cache),
-    ``"process"`` (worker processes; a worker that dies is replaced and
-    its app retried once) or ``"serial"`` (one job at a time, for
-    debugging and determinism).  Duplicate specs submitted together
-    coalesce onto one analysis, and every input row gets its outcome.
+    :class:`~repro.service.scheduler.StoreAwareScheduler`, probed
+    against the store at submit time.  ``executor`` picks where apps
+    run: ``"thread"`` (default: in-process threads sharing one session
+    cache; warm apps on a fast lane of ``max_workers`` threads, cold
+    apps on as many main-lane threads), ``"process"`` (every app, warm
+    or cold, on ``max_workers`` worker processes; a worker that dies is
+    replaced and its app retried once) or ``"serial"`` (one job at a
+    time, for debugging and determinism).  ``max_workers`` defaults to
+    the CPU count.  Duplicate specs submitted together coalesce onto
+    one analysis, and every input row gets its outcome.  Batch jobs are
+    not traced.
 
     ``request`` (an :class:`~repro.api.request.AnalysisRequest`)
     overrides the config's targets/knobs for every app in the run.
@@ -677,10 +681,16 @@ def run_batch(
     with StoreAwareScheduler(
         config,
         workers=workers,
+        # A process batch sends warm apps to its worker processes too:
+        # an index hit re-runs the analysis, which in-process threads
+        # would serialize under the GIL.
+        fast_lane_workers=0 if executor == "process" else workers,
         # Every job stays retained until its row is read.
         max_finished_jobs=max(1, len(specs)),
         cold_executor="thread" if serial else executor,
     ) as scheduler:
+        # A batch reads rows, never traces.
+        scheduler.tracer.enabled = False
         jobs = []
         for spec in specs:
             jobs.append(scheduler.submit(spec, request))

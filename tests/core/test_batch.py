@@ -274,6 +274,72 @@ class TestStoreReporting:
         assert "2 restored index(es)" in warm.render()
 
 
+def _index_store(tmp_path, specs):
+    """An index-mode config whose store already holds every spec."""
+    config = BackDroidConfig(
+        search_backend="indexed",
+        store_dir=str(tmp_path / "s"),
+        store_mode="index",
+    )
+    run_batch(specs, config, executor="serial")
+    return config
+
+
+class TestWarmDispatch:
+    def test_thread_batch_overlaps_warm_apps(self, tmp_path, monkeypatch):
+        # The fast lane has as many threads as the batch has workers,
+        # so two warm apps meet at a two-party barrier.
+        import threading
+
+        import repro.service.scheduler as scheduler
+
+        specs = _specs(2)
+        config = _index_store(tmp_path, specs)
+        barrier = threading.Barrier(2, timeout=10)
+        overlapped = []
+        analyze = scheduler.analyze_spec
+
+        def meeting(spec, *args, **kwargs):
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                overlapped.append(False)
+            else:
+                overlapped.append(True)
+            return analyze(spec, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "analyze_spec", meeting)
+        warm = run_batch(specs, config, executor="thread", max_workers=2)
+        assert warm.fast_lane_apps == 2 and warm.index_restores == 2
+        assert overlapped == [True, True]
+
+    def test_process_batch_runs_warm_apps_on_its_workers(self, tmp_path):
+        # An index hit re-runs the analysis: it goes to a worker
+        # process, not to an in-process thread.
+        specs = _specs(3)
+        config = _index_store(tmp_path, specs)
+        warm = run_batch(specs, config, executor="process", max_workers=2)
+        assert not warm.failures and warm.index_restores == 3
+        assert [o.lane for o in warm.outcomes] == ["main"] * 3
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_batch_jobs_carry_no_trace(self, executor, monkeypatch):
+        import repro.service.scheduler as scheduler
+
+        jobs = []
+        wait = scheduler.StoreAwareScheduler.wait
+
+        def recording(self, job_id, timeout=None):
+            job = wait(self, job_id, timeout)
+            jobs.append(job)
+            return job
+
+        monkeypatch.setattr(scheduler.StoreAwareScheduler, "wait", recording)
+        result = run_batch(_specs(2), executor=executor, max_workers=2)
+        assert not result.failures and len(jobs) == 2
+        assert [(j.trace_id, j.trace) for j in jobs] == [(None, None)] * 2
+
+
 class TestRequests:
     def test_run_batch_with_request_overrides_targets(self):
         from repro.api import AnalysisRequest
